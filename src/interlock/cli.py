@@ -45,16 +45,13 @@ from .primorials import enumerate_primorial_pairs, placement_consensus
 from .separability import (
     SearchConfig,
     append_census_cache,
-    assemble_partner_result,
-    assemble_pow2_report,
     count_separable,
     find_partner,
     load_census_cache,
     merge_chunk_scans,
-    partner_window,
-    pow2_scan_chunk,
     result_to_record,
     scan_range,
+    scan_window,
     verify_pow2_nonseparable,
     VERIFIED_RESIDUES,
 )
@@ -113,31 +110,27 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return out
 
 
-def _partner_chunk_worker(args):
-    n, lo, hi, cfg = args
-    return scan_range(n, lo, hi, cfg)
+def _pool_map(fn, tasks: list[tuple], jobs: int, chunksize: int = 1) -> list:
+    """[fn(*task) for task in tasks], in order, over at most jobs worker
+    processes: never more workers than tasks."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
 
 
-def _pow2_chunk_worker(args):
-    k, lo, hi = args
-    return pow2_scan_chunk(k, lo, hi)
+def _window_scanner(jobs: int):
+    """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable
+    that splits a wide window into chunks over the pool."""
 
+    def scan(n, lo, hi, cfg):
+        windows = _chunks(lo, hi, jobs)
+        if jobs <= 1 or len(windows) <= 1:
+            return scan_window(n, lo, hi, cfg)
+        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], jobs)
+        return merge_chunk_scans(scans, cfg.report_all_partners)
 
-def _census_worker(args):
-    n, cfg = args
-    return find_partner(n, cfg)
-
-
-def _run_partner(n: int, cfg: SearchConfig, jobs: int):
-    lo, hi, degenerate = partner_window(n, cfg)
-    windows = _chunks(lo, hi, jobs)
-    if jobs <= 1 or len(windows) <= 1:
-        return find_partner(n, cfg)
-    warm_sieve(min(hi, 1 << 22))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        scans = list(pool.map(_partner_chunk_worker, [(n, a, b, cfg) for a, b in windows]))
-    partners, tested = merge_chunk_scans(scans, cfg.report_all_partners)
-    return assemble_partner_result(n, hi, degenerate, partners, tested)
+    return scan
 
 
 # --- subcommand handlers: each returns (result_payload, exit_code) -----------
@@ -156,7 +149,7 @@ def _cmd_partner(args):
         use_parity_pruning=not args.no_prune,
         report_all_partners=args.all,
     )
-    result = _run_partner(args.n, cfg, args.jobs)
+    result = find_partner(args.n, cfg, _window_scanner(args.jobs))
     return result, EXIT_OK if result.separable else EXIT_NEGATIVE
 
 
@@ -171,11 +164,9 @@ def _cmd_census(args):
         cached = load_census_cache(args.cache)
     todo = [n for n in range(1, args.max + 1) if n not in cached]
     warm_sieve(min(4 * args.max, 1 << 22))
-    if args.jobs > 1 and len(todo) > 8:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            fresh = list(pool.map(_census_worker, [(n, cfg) for n in todo], chunksize=16))
-    else:
-        fresh = [find_partner(n, cfg) for n in todo]
+    # A pool costs more than it saves on a handful of rows.
+    jobs = args.jobs if len(todo) > 8 else 1
+    fresh = _pool_map(find_partner, [(n, cfg) for n in todo], jobs, chunksize=16)
     if args.cache:
         if args.recompute and Path(args.cache).exists():
             Path(args.cache).unlink()
@@ -196,19 +187,12 @@ def _cmd_census(args):
 
 def _cmd_pow2(args):
     k = args.k
+    scan = _window_scanner(args.jobs)
     if k > 2 and k % 12 in VERIFIED_RESIDUES:
-        if args.jobs > 1:
-            lo, hi = (1 << (k - 1)) + 1, (1 << (k + 2)) - 1
-            windows = _chunks(lo, hi, args.jobs)
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                parts = list(pool.map(_pow2_chunk_worker, [(k, a, b) for a, b in windows]))
-            report = assemble_pow2_report(k, parts, lo, hi)
-        else:
-            report = verify_pow2_nonseparable(k)
+        report = verify_pow2_nonseparable(k, scan)
         payload = {"mode": "exhaustive-verification", "report": report}
         return payload, EXIT_OK if report.confirmed else EXIT_NEGATIVE
-    cfg = SearchConfig()
-    result = _run_partner(1 << k, cfg, args.jobs)
+    result = find_partner(1 << k, SearchConfig(), scan)
     payload = {"mode": "partner-search", "result": result}
     return payload, EXIT_OK if result.separable else EXIT_NEGATIVE
 
@@ -436,38 +420,20 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    stream = sys.stdout
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         result, code = args.fn(args)
     except PrecisionError as exc:
-        record = {
-            "command": args.command,
-            "inputs": _inputs_echo(args),
-            "result": {"error": "precision-indeterminate", "message": str(exc)},
-            "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-            "version": __version__,
-        }
-        _emit(record, args.jsonl, sys.stderr)
-        return EXIT_PRECISION
+        result = {"error": "precision-indeterminate", "message": str(exc)}
+        code, stream = EXIT_PRECISION, sys.stderr
     except SearchBudgetError as exc:
-        record = {
-            "command": args.command,
-            "inputs": _inputs_echo(args),
-            "result": {"error": "budget-exceeded", "message": str(exc)},
-            "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-            "version": __version__,
-        }
-        _emit(record, args.jsonl, sys.stderr)
-        return EXIT_USAGE
+        result = {"error": "budget-exceeded", "message": str(exc)}
+        code, stream = EXIT_USAGE, sys.stderr
     except (ValueError, OSError) as exc:
-        record = {
-            "command": args.command,
-            "inputs": _inputs_echo(args),
-            "result": {"error": "usage", "message": str(exc)},
-            "timing_ms": round((time.perf_counter() - started) * 1000, 3),
-            "version": __version__,
-        }
-        _emit(record, args.jsonl, sys.stderr)
-        return EXIT_USAGE
+        result = {"error": "usage", "message": str(exc)}
+        code, stream = EXIT_USAGE, sys.stderr
     record = {
         "command": args.command,
         "inputs": _inputs_echo(args),
@@ -475,7 +441,7 @@ def run(argv=None) -> int:
         "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         "version": __version__,
     }
-    _emit(record, args.jsonl)
+    _emit(record, args.jsonl, stream)
     return code
 
 

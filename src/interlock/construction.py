@@ -178,17 +178,13 @@ def _exp_threshold_floor(params: JumpParams) -> int | None:
     return escalating(step, f"floor(e^{q})", params.bits)
 
 
-def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
-    """Decide membership in the slow-divisor-growth set.
-
-    True iff every consecutive divisor pair d_prev < d of n satisfies
-    d <= e^max(threshold, d_prev), i.e. d <= e^threshold or d <= e^d_prev.
-    n = 1 has no divisor pair and is always a member.
+def _first_jump(
+    ds: tuple[int, ...], params: JumpParams, exp_floor: int | None
+) -> tuple[int, int] | None:
+    """First consecutive divisor pair (d_prev, d) of the ascending divisor
+    tuple ds with d > e^max(threshold, d_prev), or None when there is none.
+    exp_floor is _exp_threshold_floor(params), computed once by the caller.
     """
-    if n < 1:
-        raise ValueError(f"has_bounded_jumps: n must be >= 1, got {n}")
-    ds = divisors(n)
-    exp_floor = _exp_threshold_floor(params)
     for prev, cur in zip(ds, ds[1:]):
         if exp_floor is not None:
             if cur <= exp_floor:
@@ -201,15 +197,29 @@ def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
             continue
         if cur <= floor_exp(prev):
             continue
-        return JumpCheck(n, False, (prev, cur))
-    return JumpCheck(n, True, None)
+        return prev, cur
+    return None
+
+
+def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
+    """Decide membership in the slow-divisor-growth set.
+
+    True iff every consecutive divisor pair d_prev < d of n satisfies
+    d <= e^max(threshold, d_prev), i.e. d <= e^threshold or d <= e^d_prev.
+    n = 1 has no divisor pair and is always a member.
+    """
+    if n < 1:
+        raise ValueError(f"has_bounded_jumps: n must be >= 1, got {n}")
+    witness = _first_jump(divisors(n), params, _exp_threshold_floor(params))
+    return JumpCheck(n, witness is None, witness)
 
 
 def count_bounded_jumps(x: int, params: JumpParams) -> int:
     """Number of n <= x in the slow-growth set.
 
     When e^threshold >= x every divisor comparison is vacuous and the count
-    is x without enumeration.
+    is x without enumeration.  Divisors come from the factorization rather
+    than the divisors() memo, which a sweep over every n <= x would fill.
     """
     if x < 1:
         raise ValueError(f"count_bounded_jumps: x must be >= 1, got {x}")
@@ -217,24 +227,10 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
         return x
     warm_sieve(x)
     exp_floor = _exp_threshold_floor(params)
-    count = 0
-    for n in range(1, x + 1):
-        ds = divisors_from_factorization(factorize(n))
-        ok = True
-        for prev, cur in zip(ds, ds[1:]):
-            if exp_floor is not None:
-                if cur <= exp_floor:
-                    continue
-            elif _le_exp_threshold(cur, params):
-                continue
-            if (cur - 1).bit_length() <= prev:
-                continue
-            if cur <= floor_exp(prev):
-                continue
-            ok = False
-            break
-        count += ok
-    return count
+    return sum(
+        _first_jump(divisors_from_factorization(factorize(n)), params, exp_floor) is None
+        for n in range(1, x + 1)
+    )
 
 
 # --- divisor-free-interval census --------------------------------------------

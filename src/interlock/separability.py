@@ -1,23 +1,29 @@
 """Separability: bounded exhaustive search for interlocking partners.
 
 An integer n is separable when some m interlocks with it.  The search space
-is finite: in any interlocking pair the larger member L satisfies
-L < s * d2(L) (its top divisor gap must be cut by a divisor of the smaller
-member s), and d2(L) is itself below the third-smallest divisor of s, so
-every partner of n with tau(n) >= 3 lies in [2, n * d3(n)].  For n prime or 1
+is finite.  For tau(n) >= 3 the top divisor gap (n/d2(n), n) of n must hold
+a divisor of every partner, so every partner exceeds n/d2(n).  In any
+interlocking pair the larger member L satisfies L < s * d2(L) (its top
+divisor gap must be cut by a divisor of the smaller member s), and d2(L) is
+itself below the third-smallest divisor of s.  Every partner of n with
+tau(n) >= 3 therefore lies in [n/d2(n) + 1, n * d3(n)].  For n prime or 1
 the fallback window [2, n^2] is used; those n are separable anyway through
 vacuous pairs (any two distinct primes interlock degenerately) and are
 reported with degenerate = True.
 
-Candidate pruning inside the window:
+One scanner, scan_range, tests the candidates of a window; chunked scans are
+merged back by merge_chunk_scans.  Candidate pruning inside the window:
   * tau filter: an interlocking pair with distinct smallest prime divisors
     has |tau(m) - tau(n)| <= 1, so only tau(m) in {tau(n)-1, tau(n),
     tau(n)+1} is tested.
   * parity filter (n = 2^k, k >= 2): an even partner would need 3 | m to cut
     the gap (2, 4), leaving consecutive divisors 2, 3 of m with no power of
-    two between them; so only odd m is tested.
-Both prunings are cross-validated against a pruning-free oracle in the test
-suite rather than assumed.
+    two between them; so only odd m is tested.  The tau filter then becomes
+    position-aware: each gap (2^i, 2^(i+1)) of n holds exactly one divisor
+    of an odd partner m, and at most one divisor of m exceeds 2^k, so
+    tau(m) = k when m < 2^k and tau(m) = k + 1 when m > 2^k.
+All three prunings, and the window, are cross-validated against a
+pruning-free oracle in the test suite rather than assumed.
 """
 
 from __future__ import annotations
@@ -73,56 +79,59 @@ class ChunkScan:
 
 
 def partner_search_bound(n: int) -> tuple[int, int]:
-    """Window [lo, hi] that provably contains every partner of n when
-    tau(n) >= 3; [2, n^2] otherwise.  The containment claim is enforced by
-    the bound-soundness property test, not assumed here.
+    """Window [lo, hi] that provably contains every partner of n:
+    [n/d2(n) + 1, n * d3(n)] when tau(n) >= 3, [2, n^2] otherwise.  The
+    containment claim is enforced by the bound-soundness test, not assumed
+    here.
     """
     if n < 2:
         raise ValueError(f"partner_search_bound: n must be >= 2, got {n}")
     divs = divisors(n)
     if len(divs) >= 3:
-        return 2, n * divs[2]
+        return n // divs[1] + 1, n * divs[2]
     return 2, n * n
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
+def scan_range(
+    n: int, lo: int, hi: int, cfg: SearchConfig, first_hit: bool = False
+) -> ChunkScan:
+    """Scan the candidates in [lo, hi] against n in ascending order.
 
-
-def _tau_filter(tau_n: int) -> frozenset[int]:
-    return frozenset({tau_n - 1, tau_n, tau_n + 1})
-
-
-def scan_range(n: int, lo: int, hi: int, cfg: SearchConfig) -> ChunkScan:
-    """Scan every candidate in [lo, hi] against n.  Pure: no early exit,
-    no shared state beyond the sieve cache; safe to run per-chunk in
+    With first_hit the scan stops at the first partner and takes tau per
+    candidate (the hit is usually near lo); otherwise it checks the whole
+    range, sieving tau over it when the range is wide.  Pure: no shared
+    state beyond the sieve and divisor caches; safe to run per-chunk in
     parallel workers and merge with merge_chunk_scans.
     """
     tau_n = tau(n)
-    allowed = _tau_filter(tau_n) if cfg.use_tau_pruning else None
-    odd_only = cfg.use_parity_pruning and _is_power_of_two(n) and n >= 4
+    odd_only = cfg.use_parity_pruning and n >= 4 and n & (n - 1) == 0
     skip_self = tau_n >= 3
+    if not cfg.use_tau_pruning:
+        below = above = None
+    elif odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
+        below, above = {tau_n - 1}, {tau_n}
+    else:
+        below = above = {tau_n - 1, tau_n, tau_n + 1}
+    taus = None
+    if below is not None and not first_hit and hi - lo >= _TAU_SIEVE_THRESHOLD:
+        taus = divisor_count_range(lo, hi)
 
     hits: list[tuple[int, int]] = []
     passed = 0
-    if lo > hi:
-        return ChunkScan(lo, hi, (), 0)
-
-    taus = None
-    if allowed is not None and hi - lo >= _TAU_SIEVE_THRESHOLD:
-        taus = divisor_count_range(lo, hi)
     start = lo if not odd_only else lo | 1
     step = 2 if odd_only else 1
     for m in range(start, hi + 1, step):
         if skip_self and m == n:
             continue
-        if allowed is not None:
+        if below is not None:
             tm = taus[m - lo] if taus is not None else tau(m)
-            if tm not in allowed:
+            if tm not in (below if m < n else above):
                 continue
         passed += 1
         if check_interlock(m, n).verdict:
             hits.append((m, passed))
+            if first_hit:
+                break
     return ChunkScan(lo, hi, tuple(hits), passed)
 
 
@@ -148,33 +157,46 @@ def merge_chunk_scans(
     return (), tested
 
 
+def scan_window(
+    n: int, lo: int, hi: int, cfg: SearchConfig
+) -> tuple[tuple[int, ...], int]:
+    """(partners, tested) for [lo, hi] in one serial scan_range call.
+
+    The default scanner of find_partner and verify_pow2_nonseparable; the
+    CLI passes a chunked, parallel one with the same signature.
+    """
+    report_all = cfg.report_all_partners
+    scan = scan_range(n, lo, hi, cfg, first_hit=not report_all)
+    return merge_chunk_scans([scan], report_all)
+
+
 def partner_window(n: int, cfg: SearchConfig) -> tuple[int, int, bool]:
     """(lo, hi, degenerate) for the partner scan of n.
 
-    n = 1 gets the empty window [2, 1]: it is degenerate-separable by
-    convention (it interlocks with every prime vacuously), so nothing needs
-    scanning and the partner list stays empty.
+    n = 1 gets the empty window [2, 1], whatever the bound override: it is
+    degenerate-separable by convention (it interlocks with every prime
+    vacuously), so nothing needs scanning and the partner list stays empty.
     """
     if n < 1:
         raise ValueError(f"partner search: n must be >= 1, got {n}")
     if n == 1:
-        lo, hi = 2, 1
-        degenerate = True
-    else:
-        lo, hi = partner_search_bound(n)
-        degenerate = tau(n) <= 2
+        return 2, 1, True
+    lo, hi = partner_search_bound(n)
     if cfg.bound_override is not None:
         hi = cfg.bound_override
-    return lo, hi, degenerate
+    return lo, hi, tau(n) <= 2
 
 
-def assemble_partner_result(
-    n: int,
-    hi: int,
-    degenerate: bool,
-    partners: tuple[int, ...],
-    tested: int,
+def find_partner(
+    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_window
 ) -> SeparabilityResult:
+    """Ascending search for interlocking partners of n inside the proven
+    window.  Returns the first partner unless cfg.report_all_partners; an
+    exhausted window yields separable = False with the bound recorded.
+    scan(n, lo, hi, cfg) -> (partners, tested) runs the window scan.
+    """
+    lo, hi, degenerate = partner_window(n, cfg)
+    partners, tested = scan(n, lo, hi, cfg)
     return SeparabilityResult(
         n=n,
         separable=bool(partners) or degenerate,
@@ -183,42 +205,6 @@ def assemble_partner_result(
         search_bound=hi,
         candidates_tested=tested,
     )
-
-
-def find_partner(n: int, cfg: SearchConfig = SearchConfig()) -> SeparabilityResult:
-    """Ascending search for interlocking partners of n inside the proven
-    window.  Returns the first partner unless cfg.report_all_partners; an
-    exhausted window yields separable = False with the bound recorded.
-    """
-    lo, hi, degenerate = partner_window(n, cfg)
-    if cfg.report_all_partners:
-        scan = scan_range(n, lo, hi, cfg)
-        partners, tested = merge_chunk_scans([scan], report_all=True)
-    else:
-        partners, tested = _scan_first_hit(n, lo, hi, cfg)
-    return assemble_partner_result(n, hi, degenerate, partners, tested)
-
-
-def _scan_first_hit(
-    n: int, lo: int, hi: int, cfg: SearchConfig
-) -> tuple[tuple[int, ...], int]:
-    """Serial ascending scan stopping at the first partner."""
-    tau_n = tau(n)
-    allowed = _tau_filter(tau_n) if cfg.use_tau_pruning else None
-    odd_only = cfg.use_parity_pruning and _is_power_of_two(n) and n >= 4
-    skip_self = tau_n >= 3
-    passed = 0
-    start = lo if not odd_only else lo | 1
-    step = 2 if odd_only else 1
-    for m in range(start, hi + 1, step):
-        if skip_self and m == n:
-            continue
-        if allowed is not None and tau(m) not in allowed:
-            continue
-        passed += 1
-        if check_interlock(m, n).verdict:
-            return (m,), passed
-    return (), passed
 
 
 def census(x: int, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
@@ -302,9 +288,13 @@ class Pow2Report:
 
     The window (2^(k-1), 2^(k+2)) provably contains every possible partner:
     a partner must place a divisor strictly inside the top gap
-    (2^(k-1), 2^k) of 2^k, so it exceeds 2^(k-1); and the general search
-    bound caps it below 2^k * d3(2^k) = 2^(k+2).  confirmed = True means no
-    candidate in the window interlocks with 2^k.
+    (2^(k-1), 2^k) of 2^k, so it exceeds 2^(k-1) (the general lower bound
+    n/d2(n) + 1 of partner_search_bound); and the general search bound caps
+    it below 2^k * d3(2^k) = 2^(k+2).  odd_candidates counts the odd m in the
+    window; tau_filtered counts those that pass the position-aware tau
+    filter (tau(m) = k below 2^k, k + 1 above), each of which gets the full
+    interlock check.  confirmed = True means no candidate in the window
+    interlocks with 2^k.
     """
 
     k: int
@@ -314,43 +304,18 @@ class Pow2Report:
     window_size: int
     odd_candidates: int
     tau_filtered: int
-    fully_checked: int
     partners: tuple[int, ...]
     confirmed: bool
 
 
-def pow2_scan_chunk(k: int, lo: int, hi: int) -> tuple[tuple[int, ...], int, int]:
-    """Scan odd candidates in [lo, hi] for partners of 2^k.
-
-    Returns (partners, odd_count, tau_survivors).  The tau filter is
-    position-aware: an odd m below 2^k needs tau(m) = k, above it k + 1.
-    Pure; chunkable.
-    """
-    n = 1 << k
-    partners: list[int] = []
-    odd_count = 0
-    survivors = 0
-    if lo > hi:
-        return (), 0, 0
-    taus = divisor_count_range(lo, hi) if hi - lo >= _TAU_SIEVE_THRESHOLD else None
-    for m in range(lo | 1, hi + 1, 2):
-        odd_count += 1
-        tm = taus[m - lo] if taus is not None else tau(m)
-        if tm != (k if m < n else k + 1):
-            continue
-        survivors += 1
-        if check_interlock(m, n).verdict:
-            partners.append(m)
-    return tuple(partners), odd_count, survivors
-
-
-def verify_pow2_nonseparable(k: int) -> Pow2Report:
+def verify_pow2_nonseparable(k: int, scan=scan_window) -> Pow2Report:
     """Exhaustively confirm that 2^k has no interlocking partner.
 
     Only k > 2 with k = 1, 2, 9, 10 (mod 12) is accepted: those are the
     residue classes where non-separability is established; for other
     residues a partner may exist (e.g. 63 for k = 6), so exhaustion would
     be the wrong tool and find_partner should be used instead.
+    scan(n, lo, hi, cfg) -> (partners, tested) runs the window scan.
     """
     if k <= 2 or k % 12 not in VERIFIED_RESIDUES:
         raise ValueError(
@@ -360,37 +325,15 @@ def verify_pow2_nonseparable(k: int) -> Pow2Report:
         )
     n = 1 << k
     lo, hi = (1 << (k - 1)) + 1, (1 << (k + 2)) - 1
-    partners, odd_count, survivors = pow2_scan_chunk(k, lo, hi)
+    partners, tested = scan(n, lo, hi, SearchConfig(report_all_partners=True))
     return Pow2Report(
         k=k,
         n=n,
         lo=lo,
         hi=hi,
         window_size=hi - lo + 1,
-        odd_candidates=odd_count,
-        tau_filtered=survivors,
-        fully_checked=survivors,
-        partners=partners,
-        confirmed=not partners,
-    )
-
-
-def assemble_pow2_report(
-    k: int, chunks: list[tuple[tuple[int, ...], int, int]], lo: int, hi: int
-) -> Pow2Report:
-    """Merge pow2_scan_chunk outputs (any order) into one report."""
-    partners = tuple(sorted(m for c in chunks for m in c[0]))
-    odd_count = sum(c[1] for c in chunks)
-    survivors = sum(c[2] for c in chunks)
-    return Pow2Report(
-        k=k,
-        n=1 << k,
-        lo=lo,
-        hi=hi,
-        window_size=hi - lo + 1,
-        odd_candidates=odd_count,
-        tau_filtered=survivors,
-        fully_checked=survivors,
+        odd_candidates=len(range(lo | 1, hi + 1, 2)),
+        tau_filtered=tested,
         partners=partners,
         confirmed=not partners,
     )

@@ -6,6 +6,7 @@ import json
 import mpmath
 import pytest
 
+from interlock import cli
 from interlock.cli import run
 
 
@@ -52,6 +53,9 @@ def test_partner_payloads(capsys):
     assert code == 1
     assert rec["result"]["partners"] == []
     assert rec["result"]["search_bound"] == 2048
+    code, rec = invoke(capsys, "--jsonl", "partner", "1", "--bound", "10")
+    assert code == 0
+    assert rec["result"]["partners"] == [] and rec["result"]["search_bound"] == 1
 
 
 def test_partner_jobs_determinism(capsys):
@@ -83,6 +87,64 @@ def test_pow2_jobs_determinism(capsys):
     _, rec1 = invoke(capsys, "--jsonl", "pow2", "--k", "10", "--jobs", "1")
     _, rec2 = invoke(capsys, "--jsonl", "pow2", "--k", "10", "--jobs", "4")
     assert strip_volatile(rec1) == strip_volatile(rec2)
+
+
+def test_pow2_search_mode_jobs_determinism(capsys):
+    for k in ("6", "8", "12"):
+        _, rec1 = invoke(capsys, "--jsonl", "pow2", "--k", k, "--jobs", "1")
+        _, rec2 = invoke(capsys, "--jsonl", "pow2", "--k", k, "--jobs", "2")
+        assert rec1["result"]["mode"] == "partner-search", k
+        assert strip_volatile(rec1) == strip_volatile(rec2), k
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records (max_workers, tasks) and
+    runs the tasks here, in order."""
+
+    def __init__(self, log, max_workers=None):
+        self.log, self.max_workers = log, max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        tasks = list(zip(*iterables))
+        self.log.append((self.max_workers, len(tasks)))
+        return [fn(*task) for task in tasks]
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    log = []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", lambda **kw: RecordingPool(log, **kw)
+    )
+    return log
+
+
+def test_pools_never_outnumber_tasks(capsys, pool_log):
+    code, rec = invoke(capsys, "--jsonl", "--jobs", "64", "census", "--max", "20")
+    assert code == 0 and rec["result"]["computed"] == 20
+    assert pool_log == [(20, 20)]
+    pool_log.clear()
+    _, serial = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "1")
+    _, pooled = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "64")
+    assert strip_volatile(serial) == strip_volatile(pooled)
+    assert len(pool_log) == 1 and pool_log[0][0] == pool_log[0][1] > 1
+    pool_log.clear()
+    invoke(capsys, "--jsonl", "pow2", "--k", "10", "--jobs", "3")
+    assert len(pool_log) == 1 and pool_log[0][0] == 3 < pool_log[0][1]
+
+
+def test_jobs_below_one_usage_error(capsys, pool_log):
+    for jobs in ("0", "-2"):
+        code, rec = invoke(capsys, "--jsonl", "--jobs", jobs, "census", "--max", "20")
+        assert code == 2, jobs
+        assert rec["result"]["error"] == "usage"
+    assert pool_log == []
 
 
 def test_construct_and_reload(tmp_path, capsys):

@@ -105,6 +105,13 @@ def test_count_against_oracle():
     assert count_bounded_jumps(2000, JumpParams.from_override(3)) == expected
 
 
+def test_count_matches_membership_t_form():
+    # The t-form threshold outside the vacuous regime: e^c = 2^4 < 3000.
+    params = JumpParams.from_t(4)
+    expected = sum(has_bounded_jumps(n, params).bounded for n in range(1, 3001))
+    assert count_bounded_jumps(3000, params) == expected
+
+
 def test_gap_census_examples():
     assert gap_census(100, 2, 100) == 1  # only n = 1 avoids [2, 100]
     assert gap_census(30, 3, 5) == 12

@@ -46,9 +46,9 @@ def oracle_partner_set(n: int, table) -> list[int]:
 
 
 def test_bound_examples():
-    assert partner_search_bound(64) == (2, 4 * 64)
-    assert partner_search_bound(2**9) == (2, 4 * 2**9)
-    assert partner_search_bound(12) == (2, 36)
+    assert partner_search_bound(64) == (33, 4 * 64)
+    assert partner_search_bound(2**9) == (2**8 + 1, 4 * 2**9)
+    assert partner_search_bound(12) == (7, 36)
     assert partner_search_bound(7) == (2, 49)
     with pytest.raises(ValueError):
         partner_search_bound(1)
@@ -70,6 +70,10 @@ def test_find_partner_examples():
 def test_bound_override_and_validation():
     r = find_partner(64, SearchConfig(bound_override=50))
     assert not r.partners and r.search_bound == 50
+    # n = 1 keeps its empty window whatever the override.
+    r = find_partner(1, SearchConfig(bound_override=10))
+    assert r == find_partner(1)
+    assert r.partners == () and r.candidates_tested == 0 and r.search_bound == 1
     with pytest.raises(ValueError):
         SearchConfig(bound_override=1)
 
@@ -89,16 +93,21 @@ def test_oracle_equivalence_small():
 
 
 def test_bound_soundness_exhaustive_scan():
-    # Every interlocking pair with tau(n) >= 3 fits under m <= n * d3(n).
+    # Every interlocking pair with tau(n) >= 3 fits in n/d2(n) < m <= n * d3(n).
     limit = 500
     table = divisor_table(limit)
     worst_delta = 0
     for n in range(2, limit + 1):
         divs = table[n]
+        k = n.bit_length() - 1 if n >= 4 and n & (n - 1) == 0 else None
         for m in range(1, limit + 1):
             if oracle_interlock(m, n, table):
                 if len(divs) >= 3:
                     assert m <= n * divs[2], (m, n)
+                    assert m > n // divs[1], (m, n)
+                if k is not None and m % 2:
+                    # position-aware tau filter for n = 2^k
+                    assert len(table[m]) == (k if m < n else k + 1), (m, n)
                 worst_delta = max(worst_delta, abs(len(table[m]) - len(divs)))
     # tau filter soundness over the same scan: differences never exceed 1.
     assert worst_delta <= 1
@@ -199,8 +208,9 @@ def test_every_reported_partner_interlocks(n):
 def test_partner_window_contains_all_partners(n):
     # Property form of the bound guarantee.
     lo, hi = partner_search_bound(n)
-    assert lo == 2
     if tau(n) >= 3:
+        assert lo == n // divisors(n)[1] + 1
         assert hi == n * divisors(n)[2]
     else:
+        assert lo == 2
         assert hi == n * n
