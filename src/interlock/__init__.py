@@ -48,7 +48,6 @@ from .pairs import (
     TauRelation,
     check_alternation,
     check_interlock,
-    check_interlock_divisors,
     tau_relation,
 )
 from .precision import PrecisionError, precision_bits

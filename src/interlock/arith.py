@@ -3,12 +3,12 @@
 All values are plain Python ints, so every operation is exact at arbitrary
 size (the partner construction routinely produces 2^128-scale numbers).
 A factorization is an ascending tuple of (prime, exponent) pairs; a divisor
-list is the full ascending tuple of divisors, starting at 1.
+list is the full ascending tuple of divisors, starting at 1, built afresh on
+each call: callers testing many pairs against one n compute it once.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import gcd, isqrt
 
 # Largest n for which the fixed Miller-Rabin base set below is a proven
@@ -216,6 +216,17 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         raise ValueError(f"factorize: n must be >= 1, got {n}")
     if n == 1:
         return ()
+    if n < len(_spf):
+        # spf never decreases as n is divided down: the pairs come out ascending
+        fac = []
+        while n > 1:
+            p = _spf[n]
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            fac.append((p, e))
+        return tuple(fac)
     factors: dict[int, int] = {}
 
     def _accumulate(m: int) -> None:
@@ -230,13 +241,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             d = _pollard_rho(v)
             stack.append(d)
             stack.append(v // d)
-
-    if n < len(_spf):
-        while n > 1:
-            p = _spf[n]
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        return tuple(sorted(factors.items()))
 
     for p in _SMALL_PRIMES:
         while n % p == 0:
@@ -273,22 +277,19 @@ def divisors_from_factorization(fac) -> tuple[int, ...]:
         )
     divs = [1]
     for p, e in fac:
-        powers = [p**i for i in range(1, e + 1)]
-        divs += [d * q for d in divs for q in powers]
+        layer = divs  # the divisors free of p; each pass multiplies by p once
+        for _ in range(e):
+            layer = [d * p for d in layer]
+            divs += layer
     divs.sort()
     return tuple(divs)
-
-
-@cache
-def _divisor_tuple(n: int) -> tuple[int, ...]:
-    return divisors_from_factorization(factorize(n))
 
 
 def divisors(n: int) -> tuple[int, ...]:
     """All divisors of n >= 1, ascending, starting at 1 and ending at n."""
     if n < 1:
         raise ValueError(f"divisors: n must be >= 1, got {n}")
-    return _divisor_tuple(n)
+    return divisors_from_factorization(factorize(n))
 
 
 def tau(n: int) -> int:
@@ -305,19 +306,7 @@ def smallest_prime_divisor(n: int) -> int:
     """Least prime dividing n (n >= 2); equals the second-smallest divisor."""
     if n < 2:
         raise ValueError(f"smallest_prime_divisor: n must be >= 2, got {n}")
-    if n < len(_spf):
-        return _spf[n]
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return p
-    d = 41
-    while d * d <= n and d < 1 << 16:
-        if n % d == 0:
-            return d
-        d += 2
-    if d * d > n:
-        return n
-    return min(p for p, _ in factorize(n))
+    return factorize(n)[0][0]
 
 
 def first_primes(k: int) -> tuple[int, ...]:

@@ -22,7 +22,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from pathlib import Path
 
 from . import __version__
 from .arith import warm_sieve
@@ -159,18 +158,14 @@ def _cmd_census(args):
         use_parity_pruning=not args.no_prune,
         report_all_partners=args.all,
     )
-    cached = {}
-    if args.cache and not args.recompute:
-        cached = load_census_cache(args.cache)
+    cached = load_census_cache(args.cache, cfg) if args.cache and not args.recompute else {}
     todo = [n for n in range(1, args.max + 1) if n not in cached]
     warm_sieve(min(4 * args.max, 1 << 22))
     # A pool costs more than it saves on a handful of rows.
     jobs = args.jobs if len(todo) > 8 else 1
     fresh = _pool_map(find_partner, [(n, cfg) for n in todo], jobs, chunksize=16)
     if args.cache:
-        if args.recompute and Path(args.cache).exists():
-            Path(args.cache).unlink()
-        append_census_cache(args.cache, fresh)
+        append_census_cache(args.cache, fresh, cfg)
     rows = sorted(
         [r for r in cached.values() if r.n <= args.max] + fresh, key=lambda r: r.n
     )

@@ -43,7 +43,7 @@ from .arith import (
     primality_is_certified,
     warm_sieve,
 )
-from .pairs import InterlockReport, check_interlock_divisors
+from .pairs import InterlockReport, check_interlock
 from .precision import (
     escalating,
     exp_lt_fraction,
@@ -88,7 +88,6 @@ class JumpParams:
 
     t: int | None = None
     override: Fraction | None = None
-    bits: int | None = None  # working precision; None = environment default
 
     def __post_init__(self):
         if (self.t is None) == (self.override is None):
@@ -99,12 +98,12 @@ class JumpParams:
             raise ValueError("JumpParams: override threshold must be positive")
 
     @classmethod
-    def from_t(cls, t: int, bits: int | None = None) -> "JumpParams":
-        return cls(t=t, bits=bits)
+    def from_t(cls, t: int) -> "JumpParams":
+        return cls(t=t)
 
     @classmethod
-    def from_override(cls, value, bits: int | None = None) -> "JumpParams":
-        return cls(override=Fraction(value), bits=bits)
+    def from_override(cls, value) -> "JumpParams":
+        return cls(override=Fraction(value))
 
     @property
     def exp_threshold_log2(self) -> int | None:
@@ -113,14 +112,10 @@ class JumpParams:
 
     def threshold_value(self) -> mpmath.mpf:
         """The threshold constant as a high-precision float (display only)."""
-        saved = mpmath.mp.prec
-        mpmath.mp.prec = self.bits or precision_bits()
-        try:
+        with mpmath.workprec(precision_bits()):
             if self.t is not None:
                 return mpmath.log(2) * mpmath.mpf(2) ** (self.t - 2)
             return mpmath.mpf(self.override.numerator) / self.override.denominator
-        finally:
-            mpmath.mp.prec = saved
 
     def describe(self) -> str:
         if self.t is not None:
@@ -137,12 +132,12 @@ class JumpConstant:
     exp_log2: int  # e^value = 2^exp_log2 exactly
 
 
-def jump_constant(t: int, bits: int | None = None) -> JumpConstant:
+def jump_constant(t: int) -> JumpConstant:
     """Threshold constant for a given t >= 2, with e^c kept symbolic as a
     power of two (materializing 2^(2^48) is neither possible nor needed)."""
     if t < 2:
         raise ValueError(f"jump_constant: t must be >= 2, got {t}")
-    params = JumpParams.from_t(t, bits)
+    params = JumpParams.from_t(t)
     return JumpConstant(t=t, value=params.threshold_value(), exp_log2=1 << (t - 2))
 
 
@@ -161,7 +156,7 @@ def _le_exp_threshold(d: int, params: JumpParams) -> bool:
     if params.t is not None:
         # d <= 2^E  <=>  bit_length(d - 1) <= E; never materializes 2^E.
         return (d - 1).bit_length() <= params.exp_threshold_log2
-    return log_le(d, params.override, params.bits)
+    return log_le(d, params.override)
 
 
 def _exp_threshold_floor(params: JumpParams) -> int | None:
@@ -175,7 +170,7 @@ def _exp_threshold_floor(params: JumpParams) -> int | None:
         enc = iv.exp(iv_fraction(q))
         return interval_floor(enc)
 
-    return escalating(step, f"floor(e^{q})", params.bits)
+    return escalating(step, f"floor(e^{q})")
 
 
 def _first_jump(
@@ -218,8 +213,8 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
     """Number of n <= x in the slow-growth set.
 
     When e^threshold >= x every divisor comparison is vacuous and the count
-    is x without enumeration.  Divisors come from the factorization rather
-    than the divisors() memo, which a sweep over every n <= x would fill.
+    is x without enumeration.  Otherwise floor(e^threshold) is computed once
+    and each n's divisor list is built from the sieve-backed factorization.
     """
     if x < 1:
         raise ValueError(f"count_bounded_jumps: x must be >= 1, got {x}")
@@ -228,8 +223,7 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
     warm_sieve(x)
     exp_floor = _exp_threshold_floor(params)
     return sum(
-        _first_jump(divisors_from_factorization(factorize(n)), params, exp_floor) is None
-        for n in range(1, x + 1)
+        _first_jump(divisors(n), params, exp_floor) is None for n in range(1, x + 1)
     )
 
 
@@ -334,7 +328,7 @@ def _coverage_level(x: int, params: JumpParams) -> int | None:
             return None
         return ("ok", fl)
 
-    result = escalating(step, f"coverage level for x={x}", params.bits)
+    result = escalating(step, f"coverage level for x={x}")
     if result[0] == "vacuous" or result[1] < 0:
         return None
     return result[1]
@@ -360,7 +354,7 @@ def _interval_bounds(params: JumpParams, power_log2: int) -> tuple[int, int]:
             return None
         return (ce, fl)
 
-    return escalating(step, f"interval endpoint e^(c^2^{power_log2})", params.bits)
+    return escalating(step, f"interval endpoint e^(c^2^{power_log2})")
 
 
 def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
@@ -406,10 +400,12 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     union_missing = x - covered
     sum_missing = sum(ic.missing for ic in intervals)
 
-    covered_in = 0
-    for n in range(1, x + 1):
-        if has_all[n] and has_bounded_jumps(n, params).bounded:
-            covered_in += 1
+    exp_floor = _exp_threshold_floor(params)
+    covered_in = sum(
+        1
+        for n in range(1, x + 1)
+        if has_all[n] and _first_jump(divisors(n), params, exp_floor) is None
+    )
 
     return CoverageReport(
         x=x,
@@ -701,7 +697,7 @@ def verify_construction(
     if direct_interlock:
         div_m = plan_divisors(plan)
         div_n = tuple(1 << i for i in range(k + 1))
-        interlock_report = check_interlock_divisors(plan.m, 1 << k, div_m, div_n)
+        interlock_report = check_interlock(plan.m, 1 << k, div_m, div_n)
         verified = verified and interlock_report.verdict
 
     plan.claims = claims

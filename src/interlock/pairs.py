@@ -8,7 +8,9 @@ imposes no condition at all; pairs that interlock only through such vacuous
 sides are flagged as degenerate rather than filtered out.
 
 Two deciders are provided.  check_interlock implements the definition
-directly and is the canonical semantics.  check_alternation decides the same
+directly and is the canonical semantics; callers that hold the divisor
+lists (a scanner, or a factorization known by construction) pass them in.
+check_alternation decides the same
 question for coprime inputs by merging the two divisor lists and requiring
 the sources to alternate strictly; a common divisor > 1 shows up as a tie
 and is reported as a violation instead of being broken arbitrarily.
@@ -69,10 +71,6 @@ class TauRelation:
     consistent: bool
 
 
-def _above_one(n: int) -> tuple[int, ...]:
-    return divisors(n)[1:]
-
-
 def _first_unseparated_gap(
     own: tuple[int, ...], other: tuple[int, ...]
 ) -> tuple[int, int] | None:
@@ -84,27 +82,23 @@ def _first_unseparated_gap(
     return None
 
 
-def check_interlock(m: int, n: int) -> InterlockReport:
+def check_interlock(
+    m: int, n: int,
+    div_m: tuple[int, ...] | None = None, div_n: tuple[int, ...] | None = None,
+) -> InterlockReport:
     """Decide interlocking by the definition (the canonical semantics).
 
-    On success the trace is the merged ascending list of all divisors > 1 of
-    either member (duplicates collapsed).  On failure the witness names the
-    first unseparated gap, checking the first argument's gaps first.
+    div_m / div_n, when given, are the complete ascending divisor lists of m
+    and n (starting at 1), e.g. from divisors_from_factorization; a missing
+    one is computed with divisors().  On success the trace is the merged
+    ascending list of all divisors > 1 of either member (duplicates
+    collapsed).  On failure the witness names the first unseparated gap,
+    checking the first argument's gaps first.
     """
     if m < 1 or n < 1:
         raise ValueError(f"check_interlock: inputs must be >= 1, got ({m}, {n})")
-    return check_interlock_divisors(m, n, divisors(m), divisors(n))
-
-
-def check_interlock_divisors(
-    m: int, n: int, div_m: tuple[int, ...], div_n: tuple[int, ...]
-) -> InterlockReport:
-    """check_interlock for callers that already hold the complete sorted
-    divisor lists (including 1), e.g. for numbers whose factorization is
-    known by construction and should not be recomputed.
-    """
-    dm = div_m[1:] if div_m and div_m[0] == 1 else div_m
-    dn = div_n[1:] if div_n and div_n[0] == 1 else div_n
+    dm = (divisors(m) if div_m is None else div_m)[1:]
+    dn = (divisors(n) if div_n is None else div_n)[1:]
     degenerate = len(dm) < 2 or len(dn) < 2
     gap = _first_unseparated_gap(dm, dn)
     if gap is not None:
@@ -129,8 +123,8 @@ def check_alternation(m: int, n: int) -> InterlockReport:
     """
     if m < 1 or n < 1:
         raise ValueError(f"check_alternation: inputs must be >= 1, got ({m}, {n})")
-    dm = _above_one(m)
-    dn = _above_one(n)
+    dm = divisors(m)[1:]
+    dn = divisors(n)[1:]
     degenerate = len(dm) < 2 or len(dn) < 2
     merged = sorted([(d, FIRST) for d in dm] + [(d, SECOND) for d in dn])
     for (a, src_a), (b, src_b) in zip(merged, merged[1:]):

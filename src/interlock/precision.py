@@ -57,14 +57,15 @@ def iv_fraction(q: Fraction):
     return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
 
 
-def escalating(step: Callable[..., T | None], what: str, bits: int | None = None) -> T:
+def escalating(step: Callable[..., T | None], what: str, base: int | None = None) -> T:
     """Run step(iv) at growing precision until it returns a non-None value.
 
-    step must return None exactly when the intervals it computed were too
-    wide to decide; after an 8x escalation the failure becomes a
-    PrecisionError carrying `what`.
+    The precision starts at base bits (default: precision_bits()).  step
+    must return None exactly when the intervals it computed were too wide
+    to decide; after an 8x escalation the failure becomes a PrecisionError
+    carrying `what`.
     """
-    base = bits if bits is not None else precision_bits()
+    base = base or precision_bits()
     for factor in _ESCALATION_FACTORS:
         with iv_precision(base * factor) as iv:
             result = step(iv)
@@ -101,7 +102,7 @@ def interval_ceil(x) -> int | None:
     return c_lo if c_lo == c_hi else None
 
 
-def log_le(value: int, bound: Fraction | int, bits: int | None = None) -> bool:
+def log_le(value: int, bound: Fraction | int) -> bool:
     """Decide ln(value) <= bound for integer value >= 1 and rational bound.
 
     ln of an integer >= 2 is irrational, so the comparison is never a tie;
@@ -117,10 +118,10 @@ def log_le(value: int, bound: Fraction | int, bits: int | None = None) -> bool:
         lt = _lt(iv_fraction(bound), iv.log(iv.mpf(value)))
         return None if lt is None else not lt
 
-    return escalating(step, f"ln({value}) <= {bound}", bits)
+    return escalating(step, f"ln({value}) <= {bound}")
 
 
-def fraction_lt_exp(q: Fraction, exponent: Fraction, bits: int | None = None) -> bool:
+def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
     """Decide q < e^exponent for positive rational q and rational exponent.
 
     e^r is irrational for rational r != 0, and the r = 0 tie (q = 1) is
@@ -137,21 +138,21 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction, bits: int | None = None) ->
         lhs = iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
         return _lt(lhs, iv_fraction(exponent))
 
-    return escalating(step, f"{q} < exp({exponent})", bits)
+    return escalating(step, f"{q} < exp({exponent})")
 
 
-def exp_lt_fraction(exponent: Fraction, q: Fraction, bits: int | None = None) -> bool:
+def exp_lt_fraction(exponent: Fraction, q: Fraction) -> bool:
     """Decide e^exponent < q; the mirror of fraction_lt_exp."""
     q = Fraction(q)
     if q <= 0:
         return False
     if q == 1:
         return Fraction(exponent) < 0
-    return not fraction_lt_exp(q, exponent, bits)
+    return not fraction_lt_exp(q, exponent)
 
 
 @lru_cache(maxsize=4096)
-def floor_exp(a: int, bits: int | None = None) -> int:
+def floor_exp(a: int) -> int:
     """Exact floor(e^a) for integer a >= 0 (e^a is irrational for a >= 1)."""
     if a < 0:
         raise ValueError(f"floor_exp: a must be >= 0, got {a}")
@@ -163,4 +164,4 @@ def floor_exp(a: int, bits: int | None = None) -> int:
     def step(iv):
         return interval_floor(iv.exp(iv.mpf(a)))
 
-    return escalating(step, f"floor(e^{a})", needed if bits is None else max(bits, needed))
+    return escalating(step, f"floor(e^{a})", needed)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import prod
 
 from .arith import first_primes
-from .pairs import check_interlock_divisors
+from .pairs import check_interlock
 
 MAX_SPLIT_K = 14  # 2^13 splits with <= 2^14-entry divisor lists: desk scale
 
@@ -79,7 +79,7 @@ class PlacementReport:
     parity_certificate: ParityCertificate | None
 
 
-def _squarefree_divisors(primes: tuple[int, ...]) -> tuple[int, ...]:
+def _squarefree_divisors(primes) -> tuple[int, ...]:
     divs = [1]
     for p in primes:
         divs += [d * p for d in divs]
@@ -114,7 +114,7 @@ def enumerate_primorial_pairs(k: int) -> list[PrimorialSplit]:
         n = prod(n_side)
         div_m = _squarefree_divisors(m_side)
         div_n = _squarefree_divisors(n_side)
-        report = check_interlock_divisors(m, n, div_m, div_n)
+        report = check_interlock(m, n, div_m, div_n)
         if report.verdict:
             found.append(
                 PrimorialSplit(
@@ -167,15 +167,6 @@ def _possible_divisor(
     return True
 
 
-def _definite_divisors(side: str, assignment: dict[int, str]) -> list[int]:
-    owned = sorted(p for p, s in assignment.items() if s == side)
-    divs = [1]
-    for p in owned:
-        divs += [d * p for d in divs]
-    divs.sort()
-    return divs
-
-
 def _find_contradiction(
     assignment: dict[int, str], primes: tuple[int, ...]
 ) -> ChainContradiction | None:
@@ -186,7 +177,7 @@ def _find_contradiction(
     a gap dooms every extension of the assignment."""
     other = {"m": "n", "n": "m"}
     for side in ("m", "n"):
-        definite = _definite_divisors(side, assignment)
+        definite = _squarefree_divisors([p for p, s in assignment.items() if s == side])
         above_one = [d for d in definite if d > 1]
         for lo, hi in zip(above_one, above_one[1:]):
             if hi - lo > _GAP_SCAN_LIMIT:

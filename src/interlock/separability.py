@@ -29,10 +29,18 @@ pruning-free oracle in the test suite rather than assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import os
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .arith import divisor_count_range, divisors, tau, warm_sieve
+from .arith import (
+    divisor_count_range,
+    divisors,
+    divisors_from_factorization,
+    factorize,
+    tau,
+    warm_sieve,
+)
 from .pairs import check_interlock
 
 # Window sizes above this use one multiples sieve for all tau values instead
@@ -99,11 +107,13 @@ def scan_range(
 
     With first_hit the scan stops at the first partner and takes tau per
     candidate (the hit is usually near lo); otherwise it checks the whole
-    range, sieving tau over it when the range is wide.  Pure: no shared
-    state beyond the sieve and divisor caches; safe to run per-chunk in
+    range, sieving tau over it when the range is wide.  Each candidate is
+    factorized at most once, for its tau and its divisor list.  Pure: no
+    shared state beyond the factorization sieve; safe to run per-chunk in
     parallel workers and merge with merge_chunk_scans.
     """
-    tau_n = tau(n)
+    div_n = divisors(n)
+    tau_n = len(div_n)
     odd_only = cfg.use_parity_pruning and n >= 4 and n & (n - 1) == 0
     skip_self = tau_n >= 3
     if not cfg.use_tau_pruning:
@@ -123,12 +133,20 @@ def scan_range(
     for m in range(start, hi + 1, step):
         if skip_self and m == n:
             continue
+        fac = None
         if below is not None:
-            tm = taus[m - lo] if taus is not None else tau(m)
+            if taus is None:
+                fac = factorize(m)
+                tm = 1
+                for _, e in fac:
+                    tm *= e + 1
+            else:
+                tm = taus[m - lo]
             if tm not in (below if m < n else above):
                 continue
         passed += 1
-        if check_interlock(m, n).verdict:
+        div_m = divisors_from_factorization(factorize(m) if fac is None else fac)
+        if check_interlock(m, n, div_m, div_n).verdict:
             hits.append((m, passed))
             if first_hit:
                 break
@@ -225,9 +243,14 @@ def count_separable(results, include_degenerate: bool = True) -> int:
     )
 
 
-# --- census cache (JSON lines, append-only) ---------------------------------
+# --- census cache (JSON lines: a config header, then one row per n) ---------
 
-_CACHE_FIELDS = ("n", "separable", "degenerate", "partners", "bound", "tested")
+
+def _cache_header(cfg: SearchConfig) -> str:
+    """First line of a cache file.  Its rows are served only to a run with an
+    equal header line: the same format tag and the same search config."""
+    config = {"format": "interlock-census/1", "config": asdict(cfg)}
+    return json.dumps(config, sort_keys=True)
 
 
 def result_to_record(r: SeparabilityResult) -> dict:
@@ -252,29 +275,40 @@ def record_to_result(rec: dict) -> SeparabilityResult:
     )
 
 
-def load_census_cache(path: str | Path) -> dict[int, SeparabilityResult]:
-    """Read cached rows; missing file means an empty cache."""
+def load_census_cache(
+    path: str | Path, cfg: SearchConfig = SearchConfig()
+) -> dict[int, SeparabilityResult]:
+    """Rows cached under cfg.  A missing file, a file written under another
+    config, or one without a header (older code) gives an empty cache."""
     path = Path(path)
-    cached: dict[int, SeparabilityResult] = {}
     if not path.exists():
-        return cached
+        return {}
     with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            r = record_to_result(rec)
-            cached[r.n] = r
-    return cached
+        if fh.readline().strip() != _cache_header(cfg):
+            return {}
+        rows = [record_to_result(json.loads(line)) for line in fh if line.strip()]
+    return {r.n: r for r in rows}
 
 
-def append_census_cache(path: str | Path, results) -> None:
+def append_census_cache(
+    path: str | Path, results, cfg: SearchConfig = SearchConfig()
+) -> None:
+    """Add rows to those cached under cfg (a row for the same n is replaced)
+    and rewrite the file; rows of another config or of older code are
+    dropped.  The file is written under a temporary name and moved into
+    place, so a crash leaves either the old file or the complete new one."""
     path = Path(path)
+    rows = load_census_cache(path, cfg)
+    rows.update((r.n, r) for r in results)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
-        for r in results:
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        fh.write(_cache_header(cfg) + "\n")
+        for r in rows.values():
             fh.write(json.dumps(result_to_record(r), sort_keys=True) + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 # --- exhaustive non-separability verification for powers of two -------------

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlock.arith import (
+    MAX_DIVISOR_LIST,
     divisor_count_range,
     divisors,
+    divisors_from_factorization,
     factorize,
     first_primes,
     is_prime,
@@ -57,6 +59,17 @@ def test_divisors_examples():
 def test_divisors_match_oracle():
     for n in range(1, 2000):
         assert list(divisors(n)) == oracle_divisors(n), n
+
+
+def test_divisors_from_factorization_high_powers():
+    # High exponents and several primes: every layer of the builder counts.
+    for n in (2**20, 3**12 * 5**3, 2**5 * 3**4 * 7**2 * 11):
+        assert divisors_from_factorization(factorize(n)) == tuple(oracle_divisors(n)), n
+
+
+def test_divisor_list_cap_refuses():
+    with pytest.raises(ValueError, match="cap"):
+        divisors_from_factorization(((2, MAX_DIVISOR_LIST),))
 
 
 def test_divisor_list_reconstructs_factorization():

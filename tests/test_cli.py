@@ -251,6 +251,41 @@ def test_census_cache_and_determinism(tmp_path, capsys):
     assert cold["result"]["separable_count"] == par["result"]["separable_count"]
 
 
+def test_census_cache_is_not_served_across_configs(tmp_path, capsys):
+    cache = str(tmp_path / "census.jsonl")
+    base = ("--jsonl", "--jobs", "1", "census", "--max", "5", "--cache", cache)
+    _, every = invoke(capsys, *base, "--all")
+    assert every["result"]["rows"][2]["partners"] == [2, 3, 4, 5, 7]
+    _, first = invoke(capsys, *base)
+    assert first["result"]["from_cache"] == 0 and first["result"]["computed"] == 5
+    assert first["result"]["rows"][2]["partners"] == [2]
+    # the file now holds the default config's rows, and serves them
+    _, again = invoke(capsys, *base)
+    assert again["result"]["from_cache"] == 5
+    assert again["result"]["rows"] == first["result"]["rows"]
+    # --recompute replaces the file in place and leaves it servable
+    invoke(capsys, *base, "--recompute")
+    _, after = invoke(capsys, *base)
+    assert after["result"]["from_cache"] == 5
+    assert after["result"]["rows"] == first["result"]["rows"]
+    assert [p.name for p in tmp_path.iterdir()] == ["census.jsonl"]
+
+
+def test_census_cache_without_header_is_recomputed(tmp_path, capsys):
+    # A file in the headerless format of older code, with a wrong row.
+    cache = tmp_path / "census.jsonl"
+    row = {"n": 3, "separable": True, "degenerate": True, "partners": [99],
+           "bound": 9, "tested": 1}
+    cache.write_text(json.dumps(row) + "\n")
+    _, rec = invoke(capsys, "--jsonl", "--jobs", "1", "census", "--max", "5",
+                    "--cache", str(cache))
+    assert rec["result"]["from_cache"] == 0 and rec["result"]["computed"] == 5
+    assert rec["result"]["rows"][2]["partners"] == [2]
+    header = json.loads(cache.read_text().splitlines()[0])
+    assert header["config"]["report_all_partners"] is False
+    assert len(cache.read_text().splitlines()) == 6
+
+
 def test_big_integers_cross_as_strings(capsys):
     code, rec = invoke(capsys, "--jsonl", "construct", "--k", "256", "--t", "4")
     assert code == 0

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlock import construction, precision
 from interlock.arith import tau
 from interlock.construction import (
     DIVISORS_OF_231,
@@ -27,7 +28,7 @@ from interlock.construction import (
     plan_to_dict,
     verify_construction,
 )
-from interlock.pairs import check_interlock_divisors
+from interlock.pairs import check_interlock
 from interlock.construction import plan_divisors
 from oracles import divisor_table
 
@@ -155,6 +156,31 @@ def test_coverage_diagnostic_standard_regime():
     # per-interval censuses agree with direct calls
     for ic in report.intervals:
         assert ic.missing == gap_census(10**4, ic.y_int, ic.z_int)
+
+
+def test_coverage_diagnostic_escalates_a_bounded_number_of_times(monkeypatch):
+    calls = []
+    escalating = precision.escalating
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return escalating(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "escalating", counted)
+    monkeypatch.setattr(precision, "escalating", counted)
+    params = JumpParams.from_override(2)
+    precision.floor_exp.cache_clear()
+    report = interval_coverage_diagnostic(10**4, params)
+    assert (report.covered, report.covered_in_set, report.covered_outside_set) == (3541, 3541, 0)
+    assert (report.sum_missing, report.union_missing) == (9263, 6459)
+    assert [ic.missing for ic in report.intervals] == [5715, 3548]
+    # One floor(e^C), the level, the interval endpoints and a few floor_exp
+    # values; not one interval exp per covered n (3,547 calls before).
+    assert len(calls) < 16
+    calls.clear()
+    precision.floor_exp.cache_clear()
+    assert interval_coverage_diagnostic(2 * 10**4, params).covered == 7178
+    assert len(calls) < 16
 
 
 def test_coverage_diagnostic_vacuous_regimes():
@@ -295,7 +321,7 @@ def test_digit_map_reaches_every_divisor():
     assert len(divs) == 96
     report = verify_construction(plan)
     assert report.injective and report.tau_m == len(divs)
-    assert check_interlock_divisors(
+    assert check_interlock(
         plan.m, 1 << 96, divs, tuple(1 << i for i in range(97))
     ).verdict
 

@@ -11,7 +11,6 @@ from interlock.arith import divisors, smallest_prime_divisor, tau
 from interlock.pairs import (
     check_alternation,
     check_interlock,
-    check_interlock_divisors,
     tau_relation,
 )
 from oracles import divisor_table, oracle_interlock
@@ -79,8 +78,23 @@ def test_alternation_tie_witness():
 
 
 def test_check_interlock_divisors_entry_point():
-    report = check_interlock_divisors(63, 64, divisors(63), divisors(64))
+    report = check_interlock(63, 64, divisors(63), divisors(64))
     assert report.verdict and report.trace == (2, 3, 4, 7, 8, 9, 16, 21, 32, 63, 64)
+
+
+def test_given_divisor_lists_match_computed():
+    divs = {m: divisors(m) for m in range(1, 201)}
+    for m in range(1, 201):
+        for n in range(1, 201):
+            given = check_interlock(m, n, divs[m], divs[n])
+            assert given == check_interlock(m, n), (m, n)
+
+
+def test_check_interlock_rejects_nonpositive_with_lists():
+    with pytest.raises(ValueError):
+        check_interlock(0, 6, (1,), divisors(6))
+    with pytest.raises(ValueError):
+        check_interlock(6, -1, divisors(6), (1,))
 
 
 def test_tau_relation_examples():

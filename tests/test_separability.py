@@ -181,8 +181,9 @@ def test_census_cache_roundtrip(tmp_path):
     assert set(cached) == set(range(1, 26))
     for r in rows:
         assert cached[r.n] == r
-    # records are append-only JSON lines with the fixed field set
+    # records are JSON lines with the fixed field set, after the header line
     with path.open() as fh:
+        fh.readline()
         first = json.loads(fh.readline())
     assert set(first) == {"n", "separable", "degenerate", "partners", "bound", "tested"}
     assert record_to_result(result_to_record(rows[5])) == rows[5]
