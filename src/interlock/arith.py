@@ -9,6 +9,7 @@ each call: callers testing many pairs against one n compute it once.
 
 from __future__ import annotations
 
+from array import array
 from math import gcd, isqrt
 
 # Largest n for which the fixed Miller-Rabin base set below is a proven
@@ -165,21 +166,20 @@ def next_prime(n: int) -> int:
 # direct arithmetic when the input exceeds the sieved range.  Parallel
 # drivers should call warm_sieve() once before forking workers.
 
-_spf: list[int] = []
+_spf = array("I")
 
 
 def warm_sieve(limit: int) -> None:
-    """Build the smallest-prime-factor table up to limit (idempotent)."""
+    """Build the smallest-prime-factor table up to limit (idempotent), four
+    bytes an entry.  Primes p <= isqrt(limit) overwrite their multiples from
+    p^2 on, largest p first, so each entry keeps its least prime factor."""
     global _spf
     if limit < len(_spf):
         return
     limit = max(limit, 1 << 10)
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+    spf = array("I", range(limit + 1))
+    for p in reversed([p for p in range(2, isqrt(limit) + 1) if is_prime(p)]):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
     _spf = spf
 
 
@@ -329,17 +329,23 @@ def primorial(k: int) -> int:
     return result
 
 
-def divisor_count_range(lo: int, hi: int) -> list[int]:
-    """tau(m) for every m in [lo, hi], as a list indexed by m - lo.
+def divisor_count_range(lo: int, hi: int, step: int = 1) -> list[int]:
+    """tau(m) for every m in range(lo, hi + 1, step), indexed by (m - lo) // step.
 
-    Windowed multiples sieve; used by searches that tau-filter a whole
-    candidate interval at once.
+    Divisor-pair sieve: each d <= isqrt(hi) adds 2 to its multiples m >= d^2
+    (for d and m/d), and m = d^2 takes 1 back; about W*ln(sqrt(hi)) + sqrt(hi)
+    steps for W entries.  step = 2 (odd lo) sieves only odd m with odd d, as
+    odd m has only odd divisors.  Either way d's multiples lie d entries apart.
     """
-    if lo < 1 or hi < lo:
-        raise ValueError(f"divisor_count_range: bad window [{lo}, {hi}]")
-    counts = [0] * (hi - lo + 1)
-    for d in range(1, hi + 1):
-        first = ((lo + d - 1) // d) * d
-        for mult in range(first, hi + 1, d):
-            counts[mult - lo] += 1
+    if lo < 1 or hi < lo or step not in (1, 2) or (step == 2 and lo % 2 == 0):
+        raise ValueError(f"divisor_count_range: bad window [{lo}, {hi}], step {step}")
+    counts = [0] * len(range(lo, hi + 1, step))
+    for d in range(1, isqrt(hi) + 1, step):
+        first = max(d * d, lo + (-lo) % d)
+        if (first - lo) % step:  # an even multiple of odd d: take the next one
+            first += d
+        i = (first - lo) // step
+        counts[i::d] = [c + 2 for c in counts[i::d]]
+        if d * d >= lo:
+            counts[(d * d - lo) // step] -= 1
     return counts

@@ -166,14 +166,13 @@ def _cmd_census(args):
     fresh = _pool_map(find_partner, [(n, cfg) for n in todo], jobs, chunksize=16)
     if args.cache:
         append_census_cache(args.cache, fresh, cfg)
-    rows = sorted(
-        [r for r in cached.values() if r.n <= args.max] + fresh, key=lambda r: r.n
-    )
+    served = [r for r in cached.values() if r.n <= args.max]
+    rows = sorted(served + fresh, key=lambda r: r.n)
     payload = {
         "max": args.max,
         "separable_count": count_separable(rows),
         "separable_count_nondegenerate": count_separable(rows, include_degenerate=False),
-        "from_cache": len(cached),
+        "from_cache": len(served),
         "computed": len(fresh),
         "rows": [result_to_record(r) for r in rows],
     }

@@ -23,7 +23,9 @@ merged back by merge_chunk_scans.  Candidate pruning inside the window:
     of an odd partner m, and at most one divisor of m exceeds 2^k, so
     tau(m) = k when m < 2^k and tau(m) = k + 1 when m > 2^k.
 All three prunings, and the window, are cross-validated against a
-pruning-free oracle in the test suite rather than assumed.
+pruning-free oracle in the test suite rather than assumed.  Every scan
+sieves tau over its own candidates (arith.divisor_count_range) and
+factorizes only those that pass the filters, for their divisor lists.
 """
 
 from __future__ import annotations
@@ -31,21 +33,14 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
-from .arith import (
-    divisor_count_range,
-    divisors,
-    divisors_from_factorization,
-    factorize,
-    tau,
-    warm_sieve,
-)
+from .arith import divisor_count_range, divisors, tau, warm_sieve
 from .pairs import check_interlock
 
-# Window sizes above this use one multiples sieve for all tau values instead
-# of per-candidate factorization.
-_TAU_SIEVE_THRESHOLD = 2048
+# Largest tau segment a scan sieves at once, in entries.
+_SEGMENT_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -105,12 +100,13 @@ def scan_range(
 ) -> ChunkScan:
     """Scan the candidates in [lo, hi] against n in ascending order.
 
-    With first_hit the scan stops at the first partner and takes tau per
-    candidate (the hit is usually near lo); otherwise it checks the whole
-    range, sieving tau over it when the range is wide.  Each candidate is
-    factorized at most once, for its tau and its divisor list.  Pure: no
-    shared state beyond the factorization sieve; safe to run per-chunk in
-    parallel workers and merge with merge_chunk_scans.
+    With first_hit the scan stops at the first partner; otherwise it checks
+    the whole range.  tau is sieved over the scan's own candidates (odd m
+    only when the parity filter is on) in segments of 64, 128, ... entries,
+    at most _SEGMENT_CAP: a first-hit scan sieves little past its hit, and
+    a long scan holds one segment at a time.  Pure: no shared state beyond
+    the factorization sieve; safe to run per-chunk in parallel workers and
+    merge with merge_chunk_scans.
     """
     div_n = divisors(n)
     tau_n = len(div_n)
@@ -122,34 +118,25 @@ def scan_range(
         below, above = {tau_n - 1}, {tau_n}
     else:
         below = above = {tau_n - 1, tau_n, tau_n + 1}
-    taus = None
-    if below is not None and not first_hit and hi - lo >= _TAU_SIEVE_THRESHOLD:
-        taus = divisor_count_range(lo, hi)
 
     hits: list[tuple[int, int]] = []
     passed = 0
-    start = lo if not odd_only else lo | 1
     step = 2 if odd_only else 1
-    for m in range(start, hi + 1, step):
-        if skip_self and m == n:
-            continue
-        fac = None
-        if below is not None:
-            if taus is None:
-                fac = factorize(m)
-                tm = 1
-                for _, e in fac:
-                    tm *= e + 1
-            else:
-                tm = taus[m - lo]
-            if tm not in (below if m < n else above):
+    start, size = lo | (step - 1), 64  # odd_only: the first odd m >= lo
+    while start <= hi:
+        end = min(start + step * (size - 1), hi)
+        taus = repeat(None) if below is None else divisor_count_range(start, end, step)
+        for m, tm in zip(range(start, end + 1, step), taus):
+            if skip_self and m == n:
                 continue
-        passed += 1
-        div_m = divisors_from_factorization(factorize(m) if fac is None else fac)
-        if check_interlock(m, n, div_m, div_n).verdict:
-            hits.append((m, passed))
-            if first_hit:
-                break
+            if tm is not None and tm not in (below if m < n else above):
+                continue
+            passed += 1
+            if check_interlock(m, n, divisors(m), div_n).verdict:
+                hits.append((m, passed))
+                if first_hit:
+                    return ChunkScan(lo, hi, tuple(hits), passed)
+        start, size = end + step, min(2 * size, _SEGMENT_CAP)
     return ChunkScan(lo, hi, tuple(hits), passed)
 
 
@@ -279,14 +266,18 @@ def load_census_cache(
     path: str | Path, cfg: SearchConfig = SearchConfig()
 ) -> dict[int, SeparabilityResult]:
     """Rows cached under cfg.  A missing file, a file written under another
-    config, or one without a header (older code) gives an empty cache."""
+    config, one without a header (older code) or one with a row that does
+    not parse gives an empty cache; the next write replaces the file."""
     path = Path(path)
     if not path.exists():
         return {}
     with path.open("r", encoding="utf-8") as fh:
-        if fh.readline().strip() != _cache_header(cfg):
+        try:
+            if fh.readline().strip() != _cache_header(cfg):
+                return {}
+            rows = [record_to_result(json.loads(line)) for line in fh if line.strip()]
+        except (ValueError, KeyError, TypeError):  # a damaged file
             return {}
-        rows = [record_to_result(json.loads(line)) for line in fh if line.strip()]
     return {r.n: r for r in rows}
 
 

@@ -1,11 +1,14 @@
 """Arithmetic primitives against naive oracles and a prime sieve."""
 
+import random
+from array import array
 from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlock import arith
 from interlock.arith import (
     MAX_DIVISOR_LIST,
     divisor_count_range,
@@ -184,11 +187,41 @@ def test_first_primes():
 
 
 def test_divisor_count_range():
-    taus = tau_table(5000)
-    assert divisor_count_range(1000, 2000) == taus[1000:2001]
-    assert divisor_count_range(1, 1) == [1]
-    with pytest.raises(ValueError):
-        divisor_count_range(5, 4)
+    taus = tau_table(20_000)
+
+    def check(lo, hi):
+        assert divisor_count_range(lo, hi) == taus[lo : hi + 1], (lo, hi)
+        odd = lo | 1
+        if odd <= hi:
+            assert divisor_count_range(odd, hi, 2) == taus[odd : hi + 1 : 2], (odd, hi)
+
+    check(1000, 2000)
+    rng = random.Random(4)
+    for _ in range(400):
+        lo = rng.randint(1, 19_000)
+        check(lo, rng.randint(lo, min(lo + rng.choice((3, 70, 900)), 20_000)))
+    for hi in range(1, 300):
+        check(1, hi)
+    for r in (1, 2, 3, 11, 40, 99, 141):
+        sq = r * r
+        # windows that sit at, start at, end at (hi a square) or hold a square
+        below = max(1, sq - 50)
+        for lo, hi in ((sq, sq), (sq, sq + 50), (below, sq), (below, sq + 50)):
+            check(lo, hi)
+    assert divisor_count_range(1, 1) == divisor_count_range(1, 1, 2) == [1]
+    assert divisor_count_range(9, 9, 2) == [3]
+    bad = ((5, 4, 1), (5, 4, 2), (0, 4, 1), (4, 9, 2), (2, 2, 2), (1, 5, 3))
+    for lo, hi, step in bad:
+        with pytest.raises(ValueError):
+            divisor_count_range(lo, hi, step)
+
+
+def test_spf_sieve_is_compact_and_exact():
+    warm_sieve(50_000)
+    assert isinstance(arith._spf, array) and arith._spf.typecode == "I"
+    assert len(arith._spf) > 50_000
+    for n in range(1, 50_001):
+        assert dict(factorize(n)) == oracle_factorize(n), n
 
 
 @given(st.integers(min_value=1, max_value=10**12))

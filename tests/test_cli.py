@@ -286,6 +286,50 @@ def test_census_cache_without_header_is_recomputed(tmp_path, capsys):
     assert len(cache.read_text().splitlines()) == 6
 
 
+def test_census_from_cache_counts_rows_served(tmp_path, capsys):
+    cache = str(tmp_path / "census.jsonl")
+    base = ("--jsonl", "--jobs", "1", "census", "--cache", cache)
+    invoke(capsys, *base, "--max", "40")
+    _, rec = invoke(capsys, *base, "--max", "20")
+    assert rec["result"]["from_cache"] == 20 and rec["result"]["computed"] == 0
+    assert [row["n"] for row in rec["result"]["rows"]] == list(range(1, 21))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: text.rindex("}")],  # the last row cut short
+        lambda text: text.replace(', "tested": 0', "", 1),  # a row lacks a field
+    ],
+    ids=["truncated-row", "missing-field"],
+)
+def test_damaged_census_cache_is_recomputed(tmp_path, capsys, damage):
+    cache = tmp_path / "census.jsonl"
+    base = ("--jsonl", "--jobs", "1", "census", "--max", "8", "--cache", str(cache))
+    _, good = invoke(capsys, *base)
+    for extra in ((), ("--recompute",)):
+        text = cache.read_text()
+        cache.write_text(damage(text))
+        assert cache.read_text() != text
+        code, rec = invoke(capsys, *base, *extra)
+        assert code == 0, extra
+        assert rec["result"]["from_cache"] == 0 and rec["result"]["computed"] == 8
+        assert rec["result"]["rows"] == good["result"]["rows"]
+        # the one writer replaced the damaged file with a servable one
+        _, again = invoke(capsys, *base)
+        assert again["result"]["from_cache"] == 8, extra
+        assert again["result"]["rows"] == good["result"]["rows"]
+
+
+def test_jobs_do_not_change_scan_payloads(capsys):
+    commands = [("pow2", "--k", k) for k in ("9", "10", "13", "14")]
+    commands.append(("partner", "524288", "--bound", "524288"))
+    for command in commands:
+        _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
+        _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+        assert strip_volatile(serial) == strip_volatile(pooled), command
+
+
 def test_big_integers_cross_as_strings(capsys):
     code, rec = invoke(capsys, "--jsonl", "construct", "--k", "256", "--t", "4")
     assert code == 0

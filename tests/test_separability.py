@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlock import separability
 from interlock.arith import divisors, tau
 from interlock.pairs import check_interlock
 from interlock.separability import (
@@ -20,12 +21,13 @@ from interlock.separability import (
     load_census_cache,
     merge_chunk_scans,
     partner_search_bound,
+    partner_window,
     record_to_result,
     result_to_record,
     scan_range,
     verify_pow2_nonseparable,
 )
-from oracles import divisor_table, oracle_interlock
+from oracles import divisor_table, oracle_interlock, tau_table
 
 NO_PRUNE = SearchConfig(
     use_tau_pruning=False, use_parity_pruning=False, report_all_partners=True
@@ -130,6 +132,55 @@ def test_scan_chunks_merge_like_serial():
         partners, tested = merge_chunk_scans(parts, report_all=False)
         assert partners == first.partners, n
         assert tested == first.candidates_tested, n
+
+
+def test_first_hit_scan_matches_full_scan():
+    # A first-hit scan stops inside a sieve segment; its hit and rank must be
+    # the full scan's first, and a scan with no hit must count the same.
+    def agree(n):
+        lo, hi, _ = partner_window(n, SearchConfig())
+        full = scan_range(n, lo, hi, SearchConfig())
+        first = scan_range(n, lo, hi, SearchConfig(), first_hit=True)
+        assert first.hits == full.hits[:1], n
+        if not full.hits:
+            assert first.passed == full.passed, n
+        return hi - lo + 1
+
+    for n in range(1, 301):
+        agree(n)
+    # windows of more than four segments (64 + 128 + 256 + 512 odd entries)
+    for n in (1000, 1024, 1260, 2048, 2310, 4096):
+        assert agree(n) > 2 * 960, n
+
+
+def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
+    """The default-config scan of [lo, hi] in one ascending pass over a tau
+    table: (hits with their ranks, candidates that passed the filters)."""
+    tn = taus[n]
+    pow2 = n >= 4 and n & (n - 1) == 0
+    hits, passed = [], 0
+    for m in range(lo, hi + 1):
+        if (pow2 and m % 2 == 0) or (tn >= 3 and m == n):
+            continue
+        allowed = ({tn - 1} if m < n else {tn}) if pow2 else {tn - 1, tn, tn + 1}
+        if taus[m] in allowed:
+            passed += 1
+            if check_interlock(m, n).verdict:
+                hits.append((m, passed))
+    return tuple(hits), passed
+
+
+@pytest.mark.parametrize("cap", [None, 64])
+def test_scan_range_matches_tau_table_scan(monkeypatch, cap):
+    # The segmented sieve must feed the filter every candidate exactly once;
+    # the smallest cap crosses a segment boundary every 64 entries.
+    if cap is not None:
+        monkeypatch.setattr(separability, "_SEGMENT_CAP", cap)
+    taus = tau_table(150 * 150)
+    for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
+        lo, hi, _ = partner_window(n, ALL)
+        scan = scan_range(n, lo, hi, ALL)
+        assert (scan.hits, scan.passed) == table_scan(n, lo, hi, taus), n
 
 
 def test_pow2_verifier():
