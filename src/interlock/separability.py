@@ -22,21 +22,34 @@ merged back by merge_chunk_scans.  Candidate pruning inside the window:
     position-aware: each gap (2^i, 2^(i+1)) of n holds exactly one divisor
     of an odd partner m, and at most one divisor of m exceeds 2^k, so
     tau(m) = k when m < 2^k and tau(m) = k + 1 when m > 2^k.
-All three prunings, and the window, are cross-validated against a
+  * end-gap rules (tau filter on, tau(m), tau(n) >= 3): each gap of either
+    member, lowest and top included, holds a divisor of the other.  With
+    p < q the least divisors > 1 of n, pm the least prime of m and
+    d3(m) = min(pm^2, m's second prime):
+    1. pm != p, else n's gap (p, q) needs d3(m) < q and m's gap (p, d3(m))
+       needs q < d3(m);
+    2. n's largest divisor below m exceeds m/pm (m's top gap);
+    3. m's largest divisor below n (m, or m/pm if m > n > m/pm) exceeds n/p;
+    4. p < d3(m) if pm < p (p is n's least divisor above pm), and pm < q
+       if p < pm (pm is m's least divisor above p).
+All four prunings, and the window, are cross-validated against a
 pruning-free oracle in the test suite rather than assumed.  Every scan
-sieves tau over its own candidates (arith.divisor_count_range) and
-factorizes only those that pass the filters, for their divisor lists.
+sieves tau over its own candidates (arith.divisor_count_range), factorizes
+those that pass the tau and parity filters, and builds divisor lists only
+for those that pass the end-gap rules too.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .arith import divisor_count_range, divisors, tau, warm_sieve
+from .arith import divisor_count_range, divisors, factorize, tau, warm_sieve
+from .arith import divisors_from_factorization
 from .pairs import check_interlock
 
 # Largest tau segment a scan sieves at once, in entries.
@@ -70,7 +83,7 @@ class ChunkScan:
     """Result of scanning one candidate sub-range.
 
     hits pairs each partner with its 1-based rank among the candidates that
-    reached the full interlock check inside this chunk, so drivers can
+    passed the tau/parity filters inside this chunk, so drivers can
     reconstruct the deterministic ascending-order test count regardless of
     how the range was split.
     """
@@ -93,6 +106,21 @@ def partner_search_bound(n: int) -> tuple[int, int]:
     if len(divs) >= 3:
         return n // divs[1] + 1, n * divs[2]
     return 2, n * n
+
+
+def _end_gaps_allow(m: int, fac, n: int, div_n: tuple[int, ...]) -> bool:
+    """False only when the end-gap rules of the module doc rule out (m, n),
+    from m's factorization fac and n's divisor list div_n."""
+    if len(div_n) < 3 or not fac or fac[0][0] == m:  # tau(n) or tau(m) <= 2
+        return True
+    p, q = div_n[1], div_n[2]
+    pm, e = fac[0]
+    top = m // pm
+    below_n = m if m < n else top  # m's largest divisor below n, unless top >= n
+    if pm == p or div_n[bisect_left(div_n, m) - 1] <= top or below_n <= n // p:
+        return False  # rules 1, 2, 3
+    d3m = min(pm * pm if e > 1 else m, fac[1][0] if len(fac) > 1 else m)
+    return p < d3m if pm < p else pm < q  # rule 4
 
 
 def scan_range(
@@ -132,7 +160,10 @@ def scan_range(
             if tm is not None and tm not in (below if m < n else above):
                 continue
             passed += 1
-            if check_interlock(m, n, divisors(m), div_n).verdict:
+            fac = factorize(m)
+            if tm is not None and not _end_gaps_allow(m, fac, n, div_n):
+                continue
+            if check_interlock(m, n, divisors_from_factorization(fac), div_n).verdict:
                 hits.append((m, passed))
                 if first_hit:
                     return ChunkScan(lo, hi, tuple(hits), passed)
@@ -317,9 +348,8 @@ class Pow2Report:
     n/d2(n) + 1 of partner_search_bound); and the general search bound caps
     it below 2^k * d3(2^k) = 2^(k+2).  odd_candidates counts the odd m in the
     window; tau_filtered counts those that pass the position-aware tau
-    filter (tau(m) = k below 2^k, k + 1 above), each of which gets the full
-    interlock check.  confirmed = True means no candidate in the window
-    interlocks with 2^k.
+    filter (tau(m) = k below 2^k, k + 1 above).  confirmed = True means no
+    candidate in the window interlocks with 2^k.
     """
 
     k: int

@@ -330,6 +330,18 @@ def test_jobs_do_not_change_scan_payloads(capsys):
         assert strip_volatile(serial) == strip_volatile(pooled), command
 
 
+def test_census_accounting_contract(capsys):
+    # Pinned funnel counts: a scan change that alters what counts as tested
+    # shows here, whatever the --jobs setting.
+    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", "census", "--max", "200")
+    _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", "census", "--max", "200")
+    assert strip_volatile(serial) == strip_volatile(pooled)
+    result = serial["result"]
+    assert sum(row["tested"] for row in result["rows"]) == 3718
+    assert result["separable_count"] == 149
+    assert result["separable_count_nondegenerate"] == 102
+
+
 def test_big_integers_cross_as_strings(capsys):
     code, rec = invoke(capsys, "--jsonl", "construct", "--k", "256", "--t", "4")
     assert code == 0

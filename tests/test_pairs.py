@@ -1,6 +1,7 @@
 """Interlock deciders: worked examples, equivalence, and the divisor-count
 relation as an empirical theorem over an exhaustive small-range scan."""
 
+from functools import cache
 from math import gcd
 
 import pytest
@@ -19,11 +20,15 @@ SCAN = 300
 TABLE = divisor_table(SCAN)
 
 
+@cache
 def interlocking_pairs(limit):
-    for m in range(1, limit + 1):
-        for n in range(1, limit + 1):
-            if check_interlock(m, n).verdict:
-                yield m, n
+    """Every interlocking (m, n) with m, n <= limit; computed once a run."""
+    return tuple(
+        (m, n)
+        for m in range(1, limit + 1)
+        for n in range(1, limit + 1)
+        if check_interlock(m, n).verdict
+    )
 
 
 def test_worked_example_63_64():

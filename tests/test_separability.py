@@ -2,13 +2,14 @@
 power-of-two exhaustion, and the census cache."""
 
 import json
+from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interlock import separability
-from interlock.arith import divisors, tau
+from interlock import arith, separability
+from interlock.arith import divisors, factorize, tau
 from interlock.pairs import check_interlock
 from interlock.separability import (
     ChunkScan,
@@ -27,7 +28,7 @@ from interlock.separability import (
     scan_range,
     verify_pow2_nonseparable,
 )
-from oracles import divisor_table, oracle_interlock, tau_table
+from oracles import divisor_table, oracle_factorize, oracle_interlock, tau_table
 
 NO_PRUNE = SearchConfig(
     use_tau_pruning=False, use_parity_pruning=False, report_all_partners=True
@@ -45,6 +46,18 @@ def oracle_partner_set(n: int, table) -> list[int]:
         if oracle_interlock(m, n, table):
             hits.append(m)
     return hits
+
+
+@cache
+def oracle_pairs(limit: int) -> tuple[tuple[int, int], ...]:
+    """Every interlocking (m, n) with m, n <= limit, by the oracle."""
+    table = divisor_table(limit)
+    return tuple(
+        (m, n)
+        for n in range(1, limit + 1)
+        for m in range(1, limit + 1)
+        if oracle_interlock(m, n, table)
+    )
 
 
 def test_bound_examples():
@@ -99,20 +112,89 @@ def test_bound_soundness_exhaustive_scan():
     limit = 500
     table = divisor_table(limit)
     worst_delta = 0
-    for n in range(2, limit + 1):
+    for m, n in oracle_pairs(limit):
         divs = table[n]
         k = n.bit_length() - 1 if n >= 4 and n & (n - 1) == 0 else None
-        for m in range(1, limit + 1):
-            if oracle_interlock(m, n, table):
-                if len(divs) >= 3:
-                    assert m <= n * divs[2], (m, n)
-                    assert m > n // divs[1], (m, n)
-                if k is not None and m % 2:
-                    # position-aware tau filter for n = 2^k
-                    assert len(table[m]) == (k if m < n else k + 1), (m, n)
-                worst_delta = max(worst_delta, abs(len(table[m]) - len(divs)))
+        if len(divs) >= 3:
+            assert m <= n * divs[2], (m, n)
+            assert m > n // divs[1], (m, n)
+        if k is not None and m % 2:
+            # position-aware tau filter for n = 2^k
+            assert len(table[m]) == (k if m < n else k + 1), (m, n)
+        worst_delta = max(worst_delta, abs(len(table[m]) - len(divs)))
     # tau filter soundness over the same scan: differences never exceed 1.
     assert worst_delta <= 1
+
+
+def naive_end_gap_rules(m: int, n: int, dm, dn) -> set[int]:
+    """The end-gap rules (separability module doc) that (m, n) breaks, read
+    off the two oracle divisor lists; tau(m), tau(n) >= 3."""
+    pm, p, q = dm[1], dn[1], dn[2]
+    broken = set()
+    if pm == p:
+        broken.add(1)
+    if not any(m // pm < d < m for d in dn):
+        broken.add(2)
+    if not any(n // p < d < n for d in dm):
+        broken.add(3)
+    if not (p < dm[2] if pm < p else pm < q):
+        broken.add(4)
+    return broken
+
+
+def test_end_gap_soundness_exhaustive_scan():
+    # No end-gap rule, and not the scan's helper fed m's factorization,
+    # rejects an interlocking pair with m, n <= 500.
+    limit = 500
+    table = divisor_table(limit)
+    checked = 0
+    for m, n in oracle_pairs(limit):
+        dn = tuple(table[n])
+        assert separability._end_gaps_allow(m, factorize(m), n, dn), (m, n)
+        if len(table[m]) >= 3 and len(dn) >= 3:
+            assert not naive_end_gap_rules(m, n, table[m], dn), (m, n)
+            checked += 1
+    assert checked > 1000  # the scan is not vacuous
+
+
+def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
+    # Of the candidates that pass the tau/parity filters in the census
+    # scans up to 200 (3,718 of them), the helper rejects at least 80%, each
+    # rejection breaks one of the naive end-gap rules, and every rule is
+    # broken by some rejected candidate.
+    helper, seen = separability._end_gaps_allow, []
+
+    def recording(m, fac, n, div_n):
+        allowed = helper(m, fac, n, div_n)
+        seen.append((m, n, allowed))
+        return allowed
+
+    monkeypatch.setattr(separability, "_end_gaps_allow", recording)
+    census(200)
+    assert len(seen) == 3718
+    rejected = [(m, n) for m, n, allowed in seen if not allowed]
+    assert len(rejected) >= 0.8 * len(seen)
+    broken = set()
+    for m, n in rejected:
+        rules = naive_end_gap_rules(m, n, divisors(m), divisors(n))
+        assert rules, (m, n)
+        broken |= rules
+    assert broken == {1, 2, 3, 4}
+
+
+@given(st.integers(1 << 24, 1 << 27), st.integers(1 << 24, 1 << 27))
+@example(19191826, 67108865)  # an interlocking pair
+@settings(max_examples=60, deadline=None)
+def test_end_gap_rules_above_the_sieve(m, n):
+    # m lies above the warmed smallest-prime-factor sieve, so factorize
+    # takes its trial-division path before the helper sees the result.
+    assert m >= len(arith._spf)
+    fac, dn = factorize(m), divisors(n)
+    assert fac == tuple(sorted(oracle_factorize(m).items()))
+    if not separability._end_gaps_allow(m, fac, n, dn):
+        assert not oracle_interlock(m, n), (m, n)
+    if m == 19191826 and n == 67108865:
+        assert oracle_interlock(m, n)
 
 
 def test_scan_chunks_merge_like_serial():
@@ -238,6 +320,39 @@ def test_census_cache_roundtrip(tmp_path):
         first = json.loads(fh.readline())
     assert set(first) == {"n", "separable", "degenerate", "partners", "bound", "tested"}
     assert record_to_result(result_to_record(rows[5])) == rows[5]
+
+
+@pytest.mark.parametrize("crash_at", ["third-row", "fsync"])
+def test_census_cache_survives_a_crash_mid_write(tmp_path, monkeypatch, crash_at):
+    path = tmp_path / "census.jsonl"
+    rows = census(30)
+    append_census_cache(path, rows[:10])
+    before = path.read_bytes()
+    to_record, written = separability.result_to_record, []
+
+    def crash_on_third_row(r):
+        written.append(r)
+        if len(written) == 3:
+            raise OSError("injected crash")
+        return to_record(r)
+
+    def crash_on_fsync(fd):
+        raise OSError("injected crash")
+
+    with monkeypatch.context() as patch:
+        if crash_at == "fsync":
+            patch.setattr(separability.os, "fsync", crash_on_fsync)
+        else:
+            patch.setattr(separability, "result_to_record", crash_on_third_row)
+        with pytest.raises(OSError, match="injected crash"):
+            append_census_cache(path, rows)
+    # the old file is untouched and still served; the next write replaces it
+    assert (tmp_path / "census.jsonl.tmp").exists()
+    assert path.read_bytes() == before
+    assert load_census_cache(path) == {r.n: r for r in rows[:10]}
+    append_census_cache(path, rows[10:])
+    assert load_census_cache(path) == {r.n: r for r in rows}
+    assert [p.name for p in tmp_path.iterdir()] == ["census.jsonl"]
 
 
 def test_load_census_cache_missing_file(tmp_path):
