@@ -55,7 +55,6 @@ from .primorials import (
     PlacementReport,
     PrimorialSplit,
     enumerate_primorial_pairs,
-    forced_placement_chain,
     placement_consensus,
 )
 from .separability import (

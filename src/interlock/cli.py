@@ -153,6 +153,8 @@ def _cmd_partner(args):
 
 
 def _cmd_census(args):
+    if args.max < 1:
+        raise ValueError(f"census: x must be >= 1, got {args.max}")
     cfg = SearchConfig(
         use_tau_pruning=not args.no_prune,
         use_parity_pruning=not args.no_prune,
@@ -278,8 +280,12 @@ def _format_primorial_table(splits, consensus_report) -> str:
 
 
 def _cmd_primorial(args):
-    splits = enumerate_primorial_pairs(args.k)
-    consensus_report = placement_consensus(args.k) if args.consensus else None
+    if args.consensus:
+        consensus_report = placement_consensus(args.k)
+        splits = consensus_report.survivors
+    else:
+        consensus_report = None
+        splits = enumerate_primorial_pairs(args.k)
     if args.table:
         print(_format_primorial_table(splits, consensus_report))
     payload = {
@@ -419,6 +425,7 @@ def run(argv=None) -> int:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         result, code = args.fn(args)
+        result = _jsonify(result)
     except PrecisionError as exc:
         result = {"error": "precision-indeterminate", "message": str(exc)}
         code, stream = EXIT_PRECISION, sys.stderr
@@ -431,7 +438,7 @@ def run(argv=None) -> int:
     record = {
         "command": args.command,
         "inputs": _inputs_echo(args),
-        "result": _jsonify(result),
+        "result": result,
         "timing_ms": round((time.perf_counter() - started) * 1000, 3),
         "version": __version__,
     }

@@ -1,18 +1,24 @@
 """Interlocking pairs whose product is a primorial.
 
 A split of the first k primes into two disjoint sets gives m * n = P_k with
-m, n squarefree and coprime.  Enumeration runs over the 2^(k-1) canonical
-splits (2 always on the m side; the mirrored pair is implied) and keeps the
-interlocking ones.  The boundary behaviour: a unique nondegenerate split for
-each even k up to 8, nothing at all from k = 9 on.
+m, n squarefree and coprime.  Only the 2^(k-1) canonical splits are
+considered (2 always on the m side; the mirrored pair is implied).  The
+boundary behaviour: a unique nondegenerate split for each even k up to 8,
+nothing at all from k = 9 on.
 
-placement_consensus also replays the argument for why large k dies: with 2
-on the m side, each next prime is forced to one side because the other side
-creates a gap between two certain divisors that no completion could
-separate, until the forced assignment itself becomes contradictory (at
-k >= 9 the m side owns 23 and 26, and neither 24 nor 25 can divide a
-squarefree complement).  The chain is computed mechanically from the partial
-assignments, not hard-coded.
+One depth-first search decides every k.  It places the primes in ascending
+order, 2 on the m side, and drops a partial assignment as soon as it has a
+gap between two certain divisors of one side that no completion could
+separate; check_interlock runs only on complete splits.  Every canonical
+split is thus either pruned or tested, and `splits_scanned` counts all
+2^(k-1) of them.  The search's path from the root, while exactly one side
+survives at each prime, is the forced chain that placement_consensus
+reports: it explains why large k dies, ending in a forced assignment that
+is itself contradictory (at k >= 9 the m side owns 23 and 26, and neither
+24 nor 25 can divide a squarefree complement).  The chain is computed
+mechanically from the partial assignments, not hard-coded.  For every k
+tried (up to 1,000) each prime was forced, so the search was a single path
+of at most 9 primes; the code does not rely on that.
 """
 
 from __future__ import annotations
@@ -23,10 +29,8 @@ from math import prod
 from .arith import first_primes
 from .pairs import check_interlock
 
-MAX_SPLIT_K = 14  # 2^13 splits with <= 2^14-entry divisor lists: desk scale
-
-# Definite-divisor gaps wider than this are not scanned during forced
-# placement; the contradictions the chain needs all sit below ~30.
+# Definite-divisor gaps wider than this are not scanned during the search;
+# the contradictions the chain needs all sit below ~30.
 _GAP_SCAN_LIMIT = 64
 
 
@@ -87,58 +91,13 @@ def _squarefree_divisors(primes) -> tuple[int, ...]:
     return tuple(divs)
 
 
-def enumerate_primorial_pairs(k: int) -> list[PrimorialSplit]:
-    """All interlocking canonical splits of P_k, sorted by m.
-
-    k = 0 yields nothing: P_0 = 1 admits only the trivial (1, 1) split,
-    which has no canonical orientation to report.  Splits that interlock
-    only vacuously (a side that is 1 or a single prime) are returned with
-    degenerate = True rather than dropped.
-    """
-    if k < 0:
-        raise ValueError(f"enumerate_primorial_pairs: k must be >= 0, got {k}")
-    if k > MAX_SPLIT_K:
-        raise ValueError(
-            f"enumerate_primorial_pairs: k = {k} exceeds the desk-scale cap "
-            f"{MAX_SPLIT_K} (2^(k-1) splits with 2^k-entry divisor lists)"
-        )
-    if k == 0:
-        return []
-    primes = first_primes(k)
-    rest = primes[1:]
-    found: list[PrimorialSplit] = []
-    for mask in range(1 << (k - 1)):
-        n_side = tuple(p for j, p in enumerate(rest) if mask >> j & 1)
-        m_side = (2,) + tuple(p for j, p in enumerate(rest) if not mask >> j & 1)
-        m = prod(m_side)
-        n = prod(n_side)
-        div_m = _squarefree_divisors(m_side)
-        div_n = _squarefree_divisors(n_side)
-        report = check_interlock(m, n, div_m, div_n)
-        if report.verdict:
-            found.append(
-                PrimorialSplit(
-                    k=k,
-                    m_primes=m_side,
-                    n_primes=n_side,
-                    m=m,
-                    n=n,
-                    interlocking=True,
-                    degenerate=report.degenerate,
-                    trace=report.trace,
-                )
-            )
-    found.sort(key=lambda s: s.m)
-    return found
-
-
 def _parity_certificate(k: int) -> ParityCertificate:
     """Direct computation of min |tau(m) - tau(n)| over all splits."""
     gap = min(abs((1 << a) - (1 << (k - a))) for a in range(k + 1))
     return ParityCertificate(k=k, min_tau_gap=gap, required_max=1)
 
 
-# --- forced placement chain ---------------------------------------------------
+# --- the pruned search -------------------------------------------------------
 
 
 def _possible_divisor(
@@ -202,58 +161,89 @@ def _find_contradiction(
     return None
 
 
-def forced_placement_chain(
+def _search(
     k: int,
-) -> tuple[tuple[ForcedStep, ...], ChainContradiction | None]:
-    """Replay the forced side-assignment of each prime in ascending order.
+) -> tuple[list[PrimorialSplit], tuple[ForcedStep, ...], ChainContradiction | None]:
+    """Depth-first search over the canonical splits of P_k.
 
-    A prime is forced to one side when placing it on the other side creates
-    an unseparable certain gap.  The chain stops at the first prime that is
-    not forced, or returns the contradiction that survives even the forced
-    placement (which certifies that no split of P_k interlocks).
+    At each prime both extensions go to _find_contradiction, and a side is
+    dropped once it fires.  Returns the interlocking complete splits sorted
+    by m, the forced chain (the path from the root while exactly one side
+    survives, each step naming the pruned side's gap) and, when neither
+    side survives on that path, the m side's contradiction.
     """
+    if k < 0:
+        raise ValueError(f"enumerate_primorial_pairs: k must be >= 0, got {k}")
+    if k == 0:
+        return [], (), None
     primes = first_primes(k)
-    assignment: dict[int, str] = {2: "m"}
-    steps: list[ForcedStep] = [ForcedStep(2, "m", "canonical orientation")]
-    for p in primes[1:]:
-        on_m = {**assignment, p: "m"}
-        on_n = {**assignment, p: "n"}
-        contra_m = _find_contradiction(on_m, primes)
-        contra_n = _find_contradiction(on_n, primes)
-        if contra_m and contra_n:
-            steps.append(ForcedStep(p, "m", "both sides contradictory"))
-            return tuple(steps), contra_m
-        if contra_m:
-            assignment[p] = "n"
-            steps.append(
-                ForcedStep(p, "n", f"on m: gap ({contra_m.lower}, {contra_m.upper})")
+    found: list[PrimorialSplit] = []
+    chain = [ForcedStep(2, "m", "canonical orientation")]
+    contradiction = None
+    stack = [({2: "m"}, True)]  # (partial assignment, still on the chain)
+    while stack:
+        assignment, forced = stack.pop()
+        if len(assignment) == k:
+            m_side = tuple(p for p in primes if assignment[p] == "m")
+            n_side = tuple(p for p in primes if assignment[p] == "n")
+            m, n = prod(m_side), prod(n_side)
+            report = check_interlock(
+                m, n, _squarefree_divisors(m_side), _squarefree_divisors(n_side)
             )
-        elif contra_n:
-            assignment[p] = "m"
-            steps.append(
-                ForcedStep(p, "m", f"on n: gap ({contra_n.lower}, {contra_n.upper})")
+            if report.verdict:
+                found.append(
+                    PrimorialSplit(
+                        k=k,
+                        m_primes=m_side,
+                        n_primes=n_side,
+                        m=m,
+                        n=n,
+                        interlocking=True,
+                        degenerate=report.degenerate,
+                        trace=report.trace,
+                    )
+                )
+            continue
+        p = primes[len(assignment)]
+        contra = {s: _find_contradiction({**assignment, p: s}, primes) for s in "mn"}
+        live = [s for s in "mn" if contra[s] is None]
+        if forced and len(live) == 1:
+            pruned = "n" if live[0] == "m" else "m"
+            gap = contra[pruned]
+            chain.append(
+                ForcedStep(p, live[0], f"on {pruned}: gap ({gap.lower}, {gap.upper})")
             )
-        else:
-            return tuple(steps), None  # no longer forced; chain ends
-        final = _find_contradiction(assignment, primes)
-        if final is not None:
-            return tuple(steps), final
-    return tuple(steps), None
+        elif forced and not live:
+            chain.append(ForcedStep(p, "m", "both sides contradictory"))
+            contradiction = contra["m"]
+        stack += [({**assignment, p: s}, forced and len(live) == 1) for s in live]
+    found.sort(key=lambda s: s.m)
+    return found, tuple(chain), contradiction
+
+
+def enumerate_primorial_pairs(k: int) -> list[PrimorialSplit]:
+    """All interlocking canonical splits of P_k, sorted by m.
+
+    k = 0 yields nothing: P_0 = 1 admits only the trivial (1, 1) split,
+    which has no canonical orientation to report.  Splits that interlock
+    only vacuously (a side that is 1 or a single prime) are returned with
+    degenerate = True rather than dropped.
+    """
+    return _search(k)[0]
 
 
 def placement_consensus(k: int) -> PlacementReport:
     """Per-prime placement consensus over the surviving splits, with the
     forced chain attached; for empty k the report carries an emptiness
     certificate (parity for odd k, the chain contradiction for even k)."""
-    survivors = tuple(enumerate_primorial_pairs(k))
-    primes = first_primes(k)
-    steps, contradiction = forced_placement_chain(k) if k >= 1 else ((), None)
+    found, steps, contradiction = _search(k)
+    survivors = tuple(found)
 
     consensus: dict[int, str] | None = None
     parity = None
     if survivors:
         consensus = {}
-        for p in primes:
+        for p in first_primes(k):
             sides = {("m" if p in s.m_primes else "n") for s in survivors}
             consensus[p] = sides.pop() if len(sides) == 1 else "disagree"
     elif k % 2 == 1 and k > 1:

@@ -8,7 +8,8 @@ under test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import isqrt
+from itertools import combinations
+from math import isqrt, prod
 
 
 def oracle_factorize(n: int) -> dict[int, int]:
@@ -63,9 +64,11 @@ def tau_table(limit: int) -> list[int]:
     return counts
 
 
-def oracle_interlock(m: int, n: int, table: list[list[int]] | None = None) -> bool:
+def oracle_interlock(m: int, n: int, table=None) -> bool:
     """The definition, verbatim: between consecutive divisors > 1 of each
-    member there must lie a divisor of the other, strictly."""
+    member there must lie a divisor of the other, strictly.  table, when
+    given, maps m and n to their ascending divisor lists (a divisor_table,
+    or a dict)."""
     dm = [d for d in (table[m] if table else oracle_divisors(m)) if d > 1]
     dn = [d for d in (table[n] if table else oracle_divisors(n)) if d > 1]
     for own, other in ((dm, dn), (dn, dm)):
@@ -79,3 +82,33 @@ def oracle_interlock(m: int, n: int, table: list[list[int]] | None = None) -> bo
 def oracle_has_divisor_free_of(n_divisors: list[int], y: int, z: int) -> bool:
     """True when none of the given divisors lies in [y, z]."""
     return not any(y <= d <= z for d in n_divisors)
+
+
+def oracle_canonical_splits(k: int):
+    """Every split of the first k primes (k >= 1) into (m side, n side),
+    each side ascending, with 2 on the m side."""
+    limit = 8
+    while sum(prime_sieve(limit)) < k:
+        limit *= 2
+    primes = [p for p, flag in enumerate(prime_sieve(limit)) if flag][:k]
+    for r in range(k):
+        for n_side in combinations(primes[1:], r):
+            yield tuple(p for p in primes if p not in n_side), n_side
+
+
+def oracle_primorial_pairs(k: int) -> list[tuple[int, int]]:
+    """Every interlocking canonical split (m, n) of the first k primes,
+    sorted by m: each side's divisor list is the products of all subsets of
+    its primes."""
+    found = []
+    for sides in oracle_canonical_splits(k):
+        table = {
+            prod(side): sorted(
+                prod(c) for r in range(len(side) + 1) for c in combinations(side, r)
+            )
+            for side in sides
+        }
+        m, n = map(prod, sides)
+        if oracle_interlock(m, n, table):
+            found.append((m, n))
+    return sorted(found)

@@ -2,6 +2,7 @@
 the census cache."""
 
 import json
+import sys
 
 import mpmath
 import pytest
@@ -227,11 +228,39 @@ def test_primorial_payloads(capsys):
 
 
 def test_primorial_consensus_payload(capsys):
-    code, rec = invoke(capsys, "--jsonl", "primorial", "--k", "10", "--consensus")
-    assert code == 0
-    consensus = rec["result"]["consensus"]
-    assert consensus["contradiction"]["lower"] == 23
-    assert consensus["contradiction"]["upper"] == 26
+    for k in (10, 100):
+        code, rec = invoke(capsys, "--jsonl", "primorial", "--k", str(k), "--consensus")
+        assert code == 0
+        assert rec["result"]["count"] == 0
+        consensus = rec["result"]["consensus"]
+        assert consensus["contradiction"]["side"] == "m"
+        assert consensus["contradiction"]["lower"] == 23
+        assert consensus["contradiction"]["upper"] == 26
+    assert consensus["splits_scanned"] == str(1 << 99)  # beyond a signed 64-bit word
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="this interpreter converts ints of any size to str",
+)
+def test_unconvertible_payload_is_a_usage_error(capsys):
+    # splits_scanned = 2^14299 has more decimal digits than int -> str allows.
+    code = run(["--jsonl", "primorial", "--k", "14300", "--consensus"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    rec = json.loads(out.err)
+    assert rec["result"]["error"] == "usage"
+
+
+def test_census_rejects_max_below_one(capsys):
+    for bound in ("0", "-3"):
+        code, rec = invoke(capsys, "--jsonl", "census", "--max", bound)
+        assert code == 2
+        assert rec["result"] == {
+            "error": "usage",
+            "message": f"census: x must be >= 1, got {bound}",
+        }
 
 
 def test_census_cache_and_determinism(tmp_path, capsys):

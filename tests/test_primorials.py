@@ -1,15 +1,19 @@
-"""Primorial splits: the k <= 8 boundary, certificates, and the forced
-placement chain."""
+"""Primorial splits: the k <= 8 boundary, certificates, the forced
+placement chain, and the pruned search against a naive enumerator."""
+
+from math import prod
 
 import pytest
 
 from interlock.arith import first_primes, primorial, tau
 from interlock.pairs import check_interlock, tau_relation
 from interlock.primorials import (
+    _find_contradiction,
     enumerate_primorial_pairs,
-    forced_placement_chain,
     placement_consensus,
 )
+
+from oracles import oracle_canonical_splits, oracle_primorial_pairs
 
 
 def test_known_boundary():
@@ -52,28 +56,14 @@ def test_tau_parity_kills_odd_k():
     # canonical splits.
     for k in (3, 5, 7, 9):
         min_gap = min(
-            abs(tau(s_m) - tau(s_n))
-            for s_m, s_n in _all_split_products(k)
+            abs(tau(prod(m_side)) - tau(prod(n_side)))
+            for m_side, n_side in oracle_canonical_splits(k)
         )
         assert min_gap == 2 ** ((k - 1) // 2)
         assert min_gap > 1
         report = placement_consensus(k)
         assert report.parity_certificate is not None
         assert report.parity_certificate.min_tau_gap == min_gap
-
-
-def _all_split_products(k):
-    primes = first_primes(k)
-    rest = primes[1:]
-    for mask in range(1 << (k - 1)):
-        m = 2
-        n = 1
-        for j, p in enumerate(rest):
-            if mask >> j & 1:
-                n *= p
-            else:
-                m *= p
-        yield m, n
 
 
 def test_consensus_reports():
@@ -88,20 +78,26 @@ def test_consensus_reports():
 
 
 def test_forced_chain_matches_unique_split():
-    steps, contradiction = forced_placement_chain(8)
-    assert contradiction is None
-    placed = {s.prime: s.side for s in steps}
+    report = placement_consensus(8)
+    assert report.contradiction is None
+    placed = {s.prime: s.side for s in report.forced_chain}
     assert placed == {2: "m", 3: "n", 5: "m", 7: "n", 11: "n", 13: "m", 17: "n", 19: "m"}
 
 
 def test_forced_chain_contradiction_at_k_10_and_12():
-    for k in (10, 12):
+    # The same chain and certificate for every even k >= 10, far past the
+    # point where the 2^(k-1) splits could be tried one by one.
+    chain = placement_consensus(10).forced_chain
+    for k in (10, 12, 20, 40, 100):
         report = placement_consensus(k)
         assert report.survivors == ()
+        assert enumerate_primorial_pairs(k) == []
         assert report.consensus is None
+        assert report.splits_scanned == 1 << (k - 1)
         c = report.contradiction
         assert c is not None
         assert (c.side, c.lower, c.upper) == ("m", 23, 26)
+        assert report.forced_chain == chain
         placed = {s.prime: s.side for s in report.forced_chain}
         assert placed[23] == "m" and placed[19] == "m" and placed[17] == "n"
 
@@ -115,6 +111,32 @@ def test_empty_k9_has_both_certificates():
 
 def test_scaling_rejection():
     with pytest.raises(ValueError):
-        enumerate_primorial_pairs(15)
-    with pytest.raises(ValueError):
         enumerate_primorial_pairs(-1)
+
+
+def test_search_matches_naive_enumerator():
+    for k in range(1, 15):
+        assert [(s.m, s.n) for s in enumerate_primorial_pairs(k)] == (
+            oracle_primorial_pairs(k)
+        ), k
+
+
+def test_pruned_prefixes_have_no_interlocking_completion():
+    # Soundness of the pruning rule: a partial assignment that
+    # _find_contradiction flags is never the prefix of an interlocking split.
+    flagged_total = 0
+    for k in range(1, 13):
+        primes = first_primes(k)
+        interlocking = {m for m, _ in oracle_primorial_pairs(k)}
+        for j in range(1, k + 1):
+            prefix_primes = primes[:j]
+            for m_side, n_side in oracle_canonical_splits(j):
+                assignment = {p: "m" for p in m_side} | {p: "n" for p in n_side}
+                if _find_contradiction(assignment, primes) is None:
+                    continue
+                flagged_total += 1
+                for m in interlocking:
+                    assert any(
+                        (m % p == 0) != (assignment[p] == "m") for p in prefix_primes
+                    ), (k, assignment, m)
+    assert flagged_total > 0
