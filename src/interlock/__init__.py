@@ -6,66 +6,52 @@ it has such a partner.  This package decides interlocking, searches proven
 finite windows for partners, constructs explicit partners for suitable
 powers of two with exact verification, and enumerates the interlocking
 splits of primorials.
+
+The names below are imported from their submodule on first use, so
+``import interlock`` (or a CLI run) loads only the modules it needs.
 """
 
-from .arith import (
-    divisors,
-    divisors_from_factorization,
-    factorize,
-    first_primes,
-    is_prime,
-    next_prime,
-    primorial,
-    smallest_prime_divisor,
-    tau,
-    warm_sieve,
-)
-from .construction import (
-    ClaimDiagnostics,
-    ConstructionPlan,
-    ConstructionReport,
-    CoverageReport,
-    JumpConstant,
-    JumpParams,
-    MixedRadixDigits,
-    SearchBudgetError,
-    build_pow2_partner,
-    count_bounded_jumps,
-    gap_census,
-    gap_ratio,
-    has_bounded_jumps,
-    interval_coverage_diagnostic,
-    jump_constant,
-    mixed_radix_compose,
-    mixed_radix_decompose,
-    plan_from_dict,
-    plan_to_dict,
-    verify_construction,
-)
-from .pairs import (
-    GapWitness,
-    InterlockReport,
-    TauRelation,
-    check_alternation,
-    check_interlock,
-    tau_relation,
-)
-from .precision import PrecisionError, precision_bits
-from .primorials import (
-    PlacementReport,
-    PrimorialSplit,
-    enumerate_primorial_pairs,
-    placement_consensus,
-)
-from .separability import (
-    Pow2Report,
-    SearchConfig,
-    SeparabilityResult,
-    census,
-    count_separable,
-    find_partner,
-    partner_search_bound,
-    verify_pow2_nonseparable,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+# submodule -> the names it exports here
+_EXPORTS = {
+    "arith": (
+        "divisors divisors_from_factorization factorize first_primes is_prime next_prime "
+        "primorial smallest_prime_divisor tau warm_sieve"
+    ),
+    "construction": (
+        "ClaimDiagnostics ConstructionPlan ConstructionReport CoverageReport JumpConstant "
+        "JumpParams MixedRadixDigits SearchBudgetError build_pow2_partner "
+        "count_bounded_jumps gap_census gap_ratio has_bounded_jumps "
+        "interval_coverage_diagnostic jump_constant mixed_radix_compose "
+        "mixed_radix_decompose plan_from_dict plan_to_dict verify_construction"
+    ),
+    "pairs": (
+        "GapWitness InterlockReport TauRelation check_alternation check_interlock "
+        "tau_relation"
+    ),
+    "precision": "PrecisionError precision_bits",
+    "primorials": (
+        "PlacementReport PrimorialSplit enumerate_primorial_pairs placement_consensus"
+    ),
+    "separability": (
+        "Pow2Report SearchConfig SeparabilityResult census count_separable find_partner "
+        "partner_search_bound verify_pow2_nonseparable"
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_SOURCE[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -19,28 +19,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, is_dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
 from .arith import warm_sieve
-from .construction import (
-    ConstructionPlan,
-    JumpParams,
-    SearchBudgetError,
-    build_pow2_partner,
-    count_bounded_jumps,
-    gap_census,
-    gap_ratio,
-    has_bounded_jumps,
-    plan_from_dict,
-    plan_to_dict,
-    verify_construction,
-)
 from .pairs import check_alternation, check_interlock
-from .precision import PrecisionError
-from .primorials import enumerate_primorial_pairs, placement_consensus
 from .separability import (
     SearchConfig,
     append_census_cache,
@@ -55,6 +40,9 @@ from .separability import (
     VERIFIED_RESIDUES,
 )
 
+# concurrent.futures.ProcessPoolExecutor, imported by _pool_map on first use.
+ProcessPoolExecutor = None
+
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
@@ -62,8 +50,12 @@ EXIT_PRECISION = 3
 
 _INT64_MAX = (1 << 63) - 1
 
-# Below this many candidates a parallel pool costs more than it saves.
+# The smallest chunk _chunks cuts a window into.
 _MIN_CHUNK = 512
+# A window scan starts a pool only from this many entries.  A pool costs a
+# CLI run about 60 ms, so on two cores it pays once a --jobs 1 scan takes
+# over 120 ms: near 2^20 entries of a 2^k window (see CHANGES.md).
+_MIN_POOL_WINDOW = 1 << 20
 
 
 def _jsonify(value):
@@ -74,7 +66,9 @@ def _jsonify(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return value if -_INT64_MAX <= value <= _INT64_MAX else str(value)
+        # Decimal prints any int; str() refuses one beyond the interpreter's
+        # int -> str digit limit.
+        return value if -_INT64_MAX <= value <= _INT64_MAX else str(Decimal(value))
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
@@ -86,12 +80,8 @@ def _jsonify(value):
     return str(value)
 
 
-def _emit(record: dict, jsonl: bool, stream=None) -> None:
-    stream = stream or sys.stdout
-    if jsonl:
-        stream.write(json.dumps(record, sort_keys=True) + "\n")
-    else:
-        stream.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+def _emit(record: dict, jsonl: bool, stream) -> None:
+    stream.write(json.dumps(record, sort_keys=True, indent=None if jsonl else 2) + "\n")
 
 
 def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
@@ -112,21 +102,26 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
 def _pool_map(fn, tasks: list[tuple], jobs: int, chunksize: int = 1) -> list:
     """[fn(*task) for task in tasks], in order, over at most jobs worker
     processes: never more workers than tasks."""
+    global ProcessPoolExecutor
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(*task) for task in tasks]
+    if ProcessPoolExecutor is None:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
 
 
 def _window_scanner(jobs: int):
     """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable
-    that splits a wide window into chunks over the pool."""
+    that splits a wide window into chunks; the chunks run over a pool when
+    the window has at least _MIN_POOL_WINDOW entries, else in this process."""
 
     def scan(n, lo, hi, cfg):
         windows = _chunks(lo, hi, jobs)
         if jobs <= 1 or len(windows) <= 1:
             return scan_window(n, lo, hi, cfg)
-        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], jobs)
+        workers = jobs if hi - lo + 1 >= _MIN_POOL_WINDOW else 1
+        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], workers)
         return merge_chunk_scans(scans, cfg.report_all_partners)
 
     return scan
@@ -194,6 +189,8 @@ def _cmd_pow2(args):
 
 
 def _cmd_construct(args):
+    from .construction import build_pow2_partner, plan_from_dict
+    from .construction import plan_to_dict, verify_construction
     if args.load:
         with open(args.load, "r", encoding="utf-8") as fh:
             plan = plan_from_dict(json.load(fh))
@@ -211,7 +208,8 @@ def _cmd_construct(args):
     return payload, EXIT_OK if report.verified else EXIT_NEGATIVE
 
 
-def _params_from_args(args) -> JumpParams:
+def _params_from_args(args):
+    from .construction import JumpParams
     if (args.t is None) == (args.C is None):
         raise ValueError("provide exactly one of --t / --C")
     if args.t is not None:
@@ -220,6 +218,7 @@ def _params_from_args(args) -> JumpParams:
 
 
 def _cmd_s_member(args):
+    from .construction import has_bounded_jumps
     params = _params_from_args(args)
     check = has_bounded_jumps(args.n, params)
     payload = {
@@ -232,6 +231,7 @@ def _cmd_s_member(args):
 
 
 def _cmd_s_count(args):
+    from .construction import count_bounded_jumps
     params = _params_from_args(args)
     count = count_bounded_jumps(args.max, params)
     payload = {"max": args.max, "threshold": params.describe(), "count": count}
@@ -239,6 +239,7 @@ def _cmd_s_count(args):
 
 
 def _cmd_gaps(args):
+    from .construction import gap_census, gap_ratio
     count = gap_census(args.x, args.y, args.z)
     payload = {
         "x": args.x,
@@ -280,6 +281,7 @@ def _format_primorial_table(splits, consensus_report) -> str:
 
 
 def _cmd_primorial(args):
+    from .primorials import enumerate_primorial_pairs, placement_consensus
     if args.consensus:
         consensus_report = placement_consensus(args.k)
         splits = consensus_report.survivors
@@ -416,6 +418,21 @@ def _inputs_echo(args) -> dict:
     return {k: _jsonify(v) for k, v in vars(args).items() if k not in skip}
 
 
+def _error_kind(exc: Exception):
+    """(error, exit code) of the record run emits for exc, or None to let it
+    propagate.  The precision and budget errors are looked up only in modules
+    already imported: a module that was never imported cannot have raised."""
+    precision = sys.modules.get(f"{__package__}.precision")
+    if precision is not None and isinstance(exc, precision.PrecisionError):
+        return "precision-indeterminate", EXIT_PRECISION
+    construction = sys.modules.get(f"{__package__}.construction")
+    if construction is not None and isinstance(exc, construction.SearchBudgetError):
+        return "budget-exceeded", EXIT_USAGE
+    if isinstance(exc, (ValueError, OSError)):
+        return "usage", EXIT_USAGE
+    return None
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -426,15 +443,12 @@ def run(argv=None) -> int:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
         result, code = args.fn(args)
         result = _jsonify(result)
-    except PrecisionError as exc:
-        result = {"error": "precision-indeterminate", "message": str(exc)}
-        code, stream = EXIT_PRECISION, sys.stderr
-    except SearchBudgetError as exc:
-        result = {"error": "budget-exceeded", "message": str(exc)}
-        code, stream = EXIT_USAGE, sys.stderr
-    except (ValueError, OSError) as exc:
-        result = {"error": "usage", "message": str(exc)}
-        code, stream = EXIT_USAGE, sys.stderr
+    except Exception as exc:
+        kind = _error_kind(exc)
+        if kind is None:
+            raise
+        result = {"error": kind[0], "message": str(exc)}
+        code, stream = kind[1], sys.stderr
     record = {
         "command": args.command,
         "inputs": _inputs_echo(args),

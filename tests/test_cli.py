@@ -2,12 +2,13 @@
 the census cache."""
 
 import json
-import sys
+from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 
 import mpmath
 import pytest
 
-from interlock import cli
+from interlock import cli, construction, precision
 from interlock.cli import run
 
 
@@ -117,13 +118,19 @@ class RecordingPool:
         return [fn(*task) for task in tasks]
 
 
-@pytest.fixture
-def pool_log(monkeypatch):
+def record_pools(monkeypatch):
     log = []
     monkeypatch.setattr(
         cli, "ProcessPoolExecutor", lambda **kw: RecordingPool(log, **kw)
     )
     return log
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    # Every split window scan starts a pool, however small its window.
+    monkeypatch.setattr(cli, "_MIN_POOL_WINDOW", 1)
+    return record_pools(monkeypatch)
 
 
 def test_pools_never_outnumber_tasks(capsys, pool_log):
@@ -138,6 +145,43 @@ def test_pools_never_outnumber_tasks(capsys, pool_log):
     pool_log.clear()
     invoke(capsys, "--jsonl", "pow2", "--k", "10", "--jobs", "3")
     assert len(pool_log) == 1 and pool_log[0][0] == 3 < pool_log[0][1]
+
+
+def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
+    assert cli._MIN_POOL_WINDOW > 1 << 18
+    pools = record_pools(monkeypatch)
+    chunks = []
+    scan_range = cli.scan_range
+    monkeypatch.setattr(
+        cli, "scan_range", lambda *task: chunks.append(task[1:3]) or scan_range(*task)
+    )
+    command = ("partner", "524288", "--bound", "524288")  # a window of 2^18 entries
+    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
+    assert chunks == []
+    _, split = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+    assert pools == []
+    assert len(chunks) == 8 and chunks[0][0] == 262145 and chunks[-1][1] == 524288
+    assert strip_volatile(serial) == strip_volatile(split)
+
+
+class CountingPool(ProcessPoolExecutor):
+    """The real process pool, counting the pools started."""
+
+    started = []
+
+    def __init__(self, max_workers=None):
+        self.started.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+def test_window_scan_over_a_real_pool(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_MIN_POOL_WINDOW", 1)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    CountingPool.started.clear()
+    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "10")
+    _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", "pow2", "--k", "10")
+    assert CountingPool.started == [2]
+    assert strip_volatile(serial) == strip_volatile(pooled)
 
 
 def test_jobs_below_one_usage_error(capsys, pool_log):
@@ -239,18 +283,30 @@ def test_primorial_consensus_payload(capsys):
     assert consensus["splits_scanned"] == str(1 << 99)  # beyond a signed 64-bit word
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
-    reason="this interpreter converts ints of any size to str",
-)
-def test_unconvertible_payload_is_a_usage_error(capsys):
-    # splits_scanned = 2^14299 has more decimal digits than int -> str allows.
-    code = run(["--jsonl", "primorial", "--k", "14300", "--consensus"])
+def test_ints_beyond_the_str_digit_limit_are_emitted(capsys):
+    # splits_scanned = 2^14299 has more decimal digits than int -> str
+    # allows by default (4,300 on CPython 3.11).
+    code, rec = invoke(capsys, "--jsonl", "primorial", "--k", "14300", "--consensus")
+    assert code == 0
+    assert rec["result"]["count"] == 0
+    scanned = rec["result"]["consensus"]["splits_scanned"]
+    assert scanned.isdigit() and Decimal(scanned) == 1 << 14299
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, RuntimeError])
+def test_unexpected_errors_propagate(capsys, monkeypatch, error):
+    # Both modules are imported, and their errors' bases must still propagate.
+    assert issubclass(precision.PrecisionError, ArithmeticError)
+    assert issubclass(construction.SearchBudgetError, RuntimeError)
+
+    def handler(args):
+        raise error("not a domain error")
+
+    monkeypatch.setattr(cli, "_cmd_check", handler)
+    with pytest.raises(error, match="not a domain error"):
+        run(["--jsonl", "check", "6", "7"])
     out = capsys.readouterr()
-    assert code == 2
-    assert out.out == ""
-    rec = json.loads(out.err)
-    assert rec["result"]["error"] == "usage"
+    assert out.out == "" and out.err == ""
 
 
 def test_census_rejects_max_below_one(capsys):
