@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": (
         "divisors divisors_from_factorization factorize first_primes is_prime next_prime "
-        "primorial smallest_prime_divisor tau warm_sieve"
+        "primorial smallest_prime_divisor tau"
     ),
     "construction": (
         "ClaimDiagnostics ConstructionPlan ConstructionReport CoverageReport JumpConstant "

@@ -5,11 +5,13 @@ size (the partner construction routinely produces 2^128-scale numbers).
 A factorization is an ascending tuple of (prime, exponent) pairs; a divisor
 list is the full ascending tuple of divisors, starting at 1, built afresh on
 each call: callers testing many pairs against one n compute it once.
+The module holds no mutable state: factorize trial-divides by a fixed tuple
+of the primes below 2^16 and hands a larger cofactor to Pollard rho.
 """
 
 from __future__ import annotations
 
-from array import array
+from itertools import compress
 from math import gcd, isqrt
 
 # Largest n for which the fixed Miller-Rabin base set below is a proven
@@ -159,38 +161,26 @@ def next_prime(n: int) -> int:
         c += 2
 
 
-# --- smallest-prime-factor sieve cache -------------------------------------
-#
-# The sieve is the only shared state in this module.  It is grown
-# monotonically and is only an accelerator: every routine falls back to
-# direct arithmetic when the input exceeds the sieved range.  Parallel
-# drivers should call warm_sieve() once before forking workers.
+def _primes_below(limit: int) -> tuple[int, ...]:
+    """The primes below an even limit, from an odd-only sieve (flag i is 2i + 1)."""
+    flags = bytearray([1]) * (limit // 2)
+    flags[0] = 0  # 1 is not prime
+    for p in range(3, isqrt(limit) + 1, 2):
+        if flags[p // 2]:
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(flags), p)))
+    return (2, *compress(range(1, limit, 2), flags))
 
-_spf = array("I")
 
-
-def warm_sieve(limit: int) -> None:
-    """Build the smallest-prime-factor table up to limit (idempotent), four
-    bytes an entry.  Primes p <= isqrt(limit) overwrite their multiples from
-    p^2 on, largest p first, so each entry keeps its least prime factor."""
-    global _spf
-    if limit < len(_spf):
-        return
-    limit = max(limit, 1 << 10)
-    spf = array("I", range(limit + 1))
-    for p in reversed([p for p in range(2, isqrt(limit) + 1) if is_prime(p)]):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
-    _spf = spf
+# factorize's trial divisors: every prime below 2^16, built once at import.
+_TRIAL_PRIMES = _primes_below(1 << 16)
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite n via Brent's cycle method.
+    """A nontrivial factor of odd composite n via Brent's cycle method.
 
     Fully deterministic: the polynomial offset is retried as c = 1, 2, 3, ...
     until a proper factor appears, which always happens for composite n.
     """
-    if n % 2 == 0:
-        return 2
     c = 1
     while True:
         x = y = 2
@@ -208,57 +198,39 @@ def _pollard_rho(n: int) -> int:
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs.
 
-    factorize(1) is the empty tuple.  Trial division handles the sieved
-    range and small factors; Pollard rho (deterministic retry) splits any
-    large cofactor.
+    factorize(1) is the empty tuple.  Trial division by the primes below
+    2^16 stops once p exceeds the square root of what is left, which is
+    then 1 or a prime.  If the table runs out first, what is left has no
+    prime factor below 2^16, and is_prime with Pollard rho splits it.
     """
     if n < 1:
         raise ValueError(f"factorize: n must be >= 1, got {n}")
-    if n == 1:
-        return ()
-    if n < len(_spf):
-        # spf never decreases as n is divided down: the pairs come out ascending
-        fac = []
-        while n > 1:
-            p = _spf[n]
+    fac = []
+    root = isqrt(n)
+    for p in _TRIAL_PRIMES:
+        if p > root:
+            break
+        if n % p == 0:
             e = 0
             while n % p == 0:
                 n //= p
                 e += 1
             fac.append((p, e))
-        return tuple(fac)
-    factors: dict[int, int] = {}
-
-    def _accumulate(m: int) -> None:
-        stack = [m]
+            root = isqrt(n)
+    else:
+        tail: dict[int, int] = {}
+        stack = [n] if n > 1 else []  # the last table prime can leave 1
         while stack:
             v = stack.pop()
-            if v == 1:
-                continue
             if is_prime(v):
-                factors[v] = factors.get(v, 0) + 1
-                continue
-            d = _pollard_rho(v)
-            stack.append(d)
-            stack.append(v // d)
-
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    # Trial division up to a fixed threshold, then rho on what is left.
-    d = 41
-    while d * d <= n and d < 1 << 16:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 2
+                tail[v] = tail.get(v, 0) + 1
+            else:
+                d = _pollard_rho(v)
+                stack += (d, v // d)
+        return (*fac, *sorted(tail.items()))
     if n > 1:
-        if d * d > n:
-            factors[n] = factors.get(n, 0) + 1
-        else:
-            _accumulate(n)
-    return tuple(sorted(factors.items()))
+        fac.append((n, 1))
+    return tuple(fac)
 
 
 def divisors_from_factorization(fac) -> tuple[int, ...]:

@@ -24,7 +24,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 from . import __version__
-from .arith import warm_sieve
 from .pairs import check_alternation, check_interlock
 from .separability import (
     SearchConfig,
@@ -157,7 +156,6 @@ def _cmd_census(args):
     )
     cached = load_census_cache(args.cache, cfg) if args.cache and not args.recompute else {}
     todo = [n for n in range(1, args.max + 1) if n not in cached]
-    warm_sieve(min(4 * args.max, 1 << 22))
     # A pool costs more than it saves on a handful of rows.
     jobs = args.jobs if len(todo) > 8 else 1
     fresh = _pool_map(find_partner, [(n, cfg) for n in todo], jobs, chunksize=16)
@@ -178,6 +176,8 @@ def _cmd_census(args):
 
 def _cmd_pow2(args):
     k = args.k
+    if k < 0:
+        raise ValueError(f"pow2: k must be >= 0, got {k}")
     scan = _window_scanner(args.jobs)
     if k > 2 and k % 12 in VERIFIED_RESIDUES:
         report = verify_pow2_nonseparable(k, scan)

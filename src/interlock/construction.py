@@ -39,9 +39,9 @@ from .arith import (
     divisors,
     divisors_from_factorization,
     factorize,
+    is_prime,
     next_prime,
     primality_is_certified,
-    warm_sieve,
 )
 from .pairs import InterlockReport, check_interlock
 from .precision import (
@@ -214,13 +214,12 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
 
     When e^threshold >= x every divisor comparison is vacuous and the count
     is x without enumeration.  Otherwise floor(e^threshold) is computed once
-    and each n's divisor list is built from the sieve-backed factorization.
+    and each n's divisor list is built from its factorization.
     """
     if x < 1:
         raise ValueError(f"count_bounded_jumps: x must be >= 1, got {x}")
     if _le_exp_threshold(x, params):
         return x
-    warm_sieve(x)
     exp_floor = _exp_threshold_floor(params)
     return sum(
         _first_jump(divisors(n), params, exp_floor) is None for n in range(1, x + 1)
@@ -774,30 +773,58 @@ def plan_to_dict(plan: ConstructionPlan) -> dict:
     }
 
 
+def _fields(data, keys: str, convert=int, where: str = "") -> dict:
+    """{key: convert(data[key])} per key; a bad or missing value names its field."""
+    out = {}
+    for key in keys.split():
+        try:
+            out[key] = convert(data[key])
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ValueError(f"plan: bad or missing field '{where}{key}'") from exc
+    return out
+
+
+def _check_plan_factorization(plan: ConstructionPlan) -> None:
+    """Raise ValueError unless m, k and the levels agree: verify_construction
+    takes m's divisors from the levels and never factorizes m."""
+    primes = [l.prime for l in plan.levels]
+    for l in plan.levels:
+        # p^e > 2^e, so a larger exponent cannot divide m (and p^e is not built)
+        if not (l.prime > 11 and primes.count(l.prime) == 1 and is_prime(l.prime)
+                and 1 <= l.exponent < plan.m.bit_length()):
+            raise ValueError(f"plan: level {l.index}: {l.prime}^{l.exponent} is not "
+                             "a prime > 11, used once, to a power in range")
+        if (l.pow2 < 1 or l.pow2 & (l.pow2 - 1) or l.pow2.bit_length() != l.bits + 1
+                or l.certified != primality_is_certified(l.prime)):
+            raise ValueError(f"plan: level {l.index}: pow2 or certified is wrong")
+    if plan.probabilistic_primes != tuple(l.prime for l in plan.levels if not l.certified):
+        raise ValueError("plan: probabilistic_primes does not list the uncertified primes")
+    if 8 * math.prod(l.exponent + 1 for l in plan.levels) != plan.k:
+        raise ValueError(f"plan: the levels give tau(m) != k = {plan.k}")
+    if 231 * math.prod(l.prime**l.exponent for l in plan.levels) != plan.m:
+        raise ValueError("plan: m is not 231 * prod(p_i^e_i) over the levels")
+
+
 def plan_from_dict(data: dict) -> ConstructionPlan:
+    """The plan plan_to_dict wrote.  A missing or malformed field, or a plan
+    whose m, k and levels disagree, raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"plan: expected a JSON object, got {type(data).__name__}")
     levels = tuple(
-        PlanLevel(
-            index=int(l["index"]),
-            exponent=int(l["exponent"]),
-            bits=int(l["bits"]),
-            pow2=int(l["pow2"]),
-            prime=int(l["prime"]),
-            certified=bool(l["certified"]),
-        )
-        for l in data["levels"]
+        PlanLevel(**_fields(l, "index exponent bits pow2 prime", int, f"levels[{i}]."),
+                  **_fields(l, "certified", bool, f"levels[{i}]."))
+        for i, l in enumerate(_fields(data, "levels", list)["levels"])
     )
-    claims = None if data.get("claims") is None else _claims_from_dict(data["claims"])
-    return ConstructionPlan(
-        k=int(data["k"]),
-        t=int(data["t"]),
-        r=int(data["r"]),
-        exponents=tuple(int(e) for e in data["exponents"]),
+    plan = ConstructionPlan(
+        **_fields(data, "k t r m"),
+        **_fields(data, "exponents probabilistic_primes", lambda v: tuple(map(int, v))),
         levels=levels,
-        m=int(data["m"]),
-        probabilistic_primes=tuple(int(p) for p in data["probabilistic_primes"]),
-        claims=claims,
-        verified=bool(data["verified"]),
+        **_fields(data, "verified", bool),
     )
+    if data.get("claims") is not None:
+        plan.claims = _fields(data, "claims", _claims_from_dict)["claims"]
+    _check_plan_factorization(plan)
+    return plan
 
 
 def _check_fixed_divisor_table() -> None:

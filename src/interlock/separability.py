@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 from itertools import repeat
 from pathlib import Path
 
-from .arith import divisor_count_range, divisors, factorize, tau, warm_sieve
+from .arith import divisor_count_range, divisors, factorize, tau
 from .arith import divisors_from_factorization
 from .pairs import check_interlock
 
@@ -132,9 +132,8 @@ def scan_range(
     the whole range.  tau is sieved over the scan's own candidates (odd m
     only when the parity filter is on) in segments of 64, 128, ... entries,
     at most _SEGMENT_CAP: a first-hit scan sieves little past its hit, and
-    a long scan holds one segment at a time.  Pure: no shared state beyond
-    the factorization sieve; safe to run per-chunk in parallel workers and
-    merge with merge_chunk_scans.
+    a long scan holds one segment at a time.  Pure: safe to run per-chunk in
+    parallel workers and merge with merge_chunk_scans.
     """
     div_n = divisors(n)
     tau_n = len(div_n)
@@ -247,7 +246,6 @@ def census(x: int, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResul
     """Separability results for every n <= x, ascending."""
     if x < 1:
         raise ValueError(f"census: x must be >= 1, got {x}")
-    warm_sieve(min(4 * x, 1 << 22))
     return [find_partner(n, cfg) for n in range(1, x + 1)]
 
 

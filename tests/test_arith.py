@@ -21,7 +21,6 @@ from interlock.arith import (
     primorial,
     smallest_prime_divisor,
     tau,
-    warm_sieve,
 )
 from oracles import oracle_divisors, oracle_factorize, prime_sieve, tau_table
 
@@ -78,7 +77,6 @@ def test_divisor_list_cap_refuses():
 def test_divisor_list_reconstructs_factorization():
     # The divisor list pins down the factorization: for each prime p in the
     # list, the exponent is the largest k with p^k present.
-    warm_sieve(100_000)
     for n in range(1, 100_001):
         divs = divisors(n)
         dset = set(divs)
@@ -216,12 +214,37 @@ def test_divisor_count_range():
             divisor_count_range(lo, hi, step)
 
 
-def test_spf_sieve_is_compact_and_exact():
-    warm_sieve(50_000)
-    assert isinstance(arith._spf, array) and arith._spf.typecode == "I"
-    assert len(arith._spf) > 50_000
+def test_factorize_exact_below_50000_and_at_the_trial_bound():
     for n in range(1, 50_001):
         assert dict(factorize(n)) == oracle_factorize(n), n
+    # Around 2^16, where trial division by the prime table stops: the early
+    # break (p^2 > n), the table running out with 1, a prime or a composite
+    # left, and Pollard rho on factors above 2^16.
+    assert arith._TRIAL_PRIMES[-1] == 65521 and next_prime(65521) == 65537
+    edges = {
+        65521**2: ((65521, 2),),
+        65521 * 65537: ((65521, 1), (65537, 1)),
+        65537 * 65539: ((65537, 1), (65539, 1)),
+        65537**2: ((65537, 2),),
+        (2**61 - 1) * 65537: ((65537, 1), (2**61 - 1, 1)),
+        65519 * 65521 * 65537: ((65519, 1), (65521, 1), (65537, 1)),
+        2 * 65537 * 65539: ((2, 1), (65537, 1), (65539, 1)),
+        2**64: ((2, 64),),
+    }
+    for n, fac in edges.items():
+        assert factorize(n) == fac, n
+
+
+def test_arith_holds_no_mutable_globals():
+    # factorize keeps no table that grows, and a forked worker inherits
+    # nothing that changes an answer.
+    mutable = (list, dict, set, bytearray, array)
+    shared = [
+        name
+        for name, value in vars(arith).items()
+        if not name.startswith("__") and isinstance(value, mutable)
+    ]
+    assert shared == []
 
 
 @given(st.integers(min_value=1, max_value=10**12))

@@ -223,6 +223,42 @@ def test_construct_usage_errors(capsys):
     assert rec["result"]["error"] == "budget-exceeded"
 
 
+def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
+    saved = tmp_path / "plan.json"
+    code, _ = invoke(
+        capsys, "--jsonl", "construct", "--k", "16", "--t", "4", "--save", str(saved)
+    )
+    assert code == 0
+    plan = json.loads(saved.read_text())
+    assert [l["prime"] for l in plan["levels"]] == ["257"]
+    # 12345 does not interlock with 2^16; 259 = 7 * 37 is no level prime.
+    bad_m = {**plan, "m": "12345"}
+    bad_prime = {**plan, "levels": [{**plan["levels"][0], "prime": "259"}]}
+    bad_k = {**plan, "k": "32"}  # the levels give tau(m) = 16
+    cases = (
+        (bad_m, "m is not 231"),
+        (bad_prime, "259^1 is not a prime"),
+        ({"k": "16"}, "missing field 'levels'"),
+        ([plan], "JSON object"),
+        (bad_k, "tau(m) != k"),
+    )
+    for i, (data, message) in enumerate(cases):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(data))
+        code, rec = invoke(capsys, "--jsonl", "construct", "--load", str(path))
+        assert code == 2, message
+        assert rec["result"]["error"] == "usage"
+        assert message in rec["result"]["message"]
+    code, check = invoke(capsys, "--jsonl", "check", "12345", "65536")
+    assert code == 1 and check["result"]["verdict"] is False
+
+
+def test_pow2_rejects_negative_k(capsys):
+    code, rec = invoke(capsys, "--jsonl", "pow2", "--k", "-1")
+    assert code == 2
+    assert rec["result"] == {"error": "usage", "message": "pow2: k must be >= 0, got -1"}
+
+
 def test_s_member_and_exit_codes(capsys):
     code, rec = invoke(capsys, "--jsonl", "s-member", "12", "--t", "5")
     assert code == 0 and rec["result"]["member"] is True

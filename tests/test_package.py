@@ -15,7 +15,6 @@ EXPORTS = {
     "arith": [
         "divisors", "divisors_from_factorization", "factorize", "first_primes",
         "is_prime", "next_prime", "primorial", "smallest_prime_divisor", "tau",
-        "warm_sieve",
     ],
     "construction": [
         "ClaimDiagnostics", "ConstructionPlan", "ConstructionReport", "CoverageReport",
