@@ -6,11 +6,17 @@ A factorization is an ascending tuple of (prime, exponent) pairs; a divisor
 list is the full ascending tuple of divisors, starting at 1, built afresh on
 each call: callers testing many pairs against one n compute it once.
 The module holds no mutable state: factorize trial-divides by a fixed tuple
-of the primes below 2^16 and hands a larger cofactor to Pollard rho.
+of the primes below 2^16 and hands a larger cofactor to Pollard rho.  A
+caller that needs tau and least primes of many small m builds its own
+FactorTable, which holds them for every m up to the largest m asked for so
+far, never past FACTOR_TABLE_CAP.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+from collections import defaultdict
 from itertools import compress
 from math import gcd, isqrt
 
@@ -28,6 +34,12 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Divisor lists with more entries than this are refused rather than built.
 MAX_DIVISOR_LIST = 2_000_000
+
+# Largest m a FactorTable covers: about 8 bytes an entry, 32 MB at the cap.
+FACTOR_TABLE_CAP = 1 << 22
+# A FactorTable grows by whole pieces of this many entries, and builds each
+# piece with one tau sieve, which holds about 24 bytes an entry while it runs.
+_TABLE_PIECE = 1 << 14
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -278,7 +290,13 @@ def smallest_prime_divisor(n: int) -> int:
     """Least prime dividing n (n >= 2); equals the second-smallest divisor."""
     if n < 2:
         raise ValueError(f"smallest_prime_divisor: n must be >= 2, got {n}")
-    return factorize(n)[0][0]
+    root = isqrt(n)
+    for p in _TRIAL_PRIMES:
+        if p > root:
+            return n
+        if n % p == 0:
+            return p
+    return factorize(n)[0][0]  # no prime factor below 2^16
 
 
 def first_primes(k: int) -> tuple[int, ...]:
@@ -321,3 +339,57 @@ def divisor_count_range(lo: int, hi: int, step: int = 1) -> list[int]:
         if d * d >= lo:
             counts[(d * d - lo) // step] -= 1
     return counts
+
+
+class FactorTable:
+    """tau and least prime of every m in [1, size], for scans over many windows
+    of small m.  by_tau[t] holds the m <= size with tau(m) = t, ascending, and
+    lpf[m] is m's least prime (lpf[1] = 1, lpf[m] = m for prime m), both
+    array('I').  cover(hi) grows size to hi, rounded up to whole pieces of
+    _TABLE_PIECE entries, never past cap: the table holds at most one piece
+    more than its scans read.
+    """
+
+    def __init__(self, cap: int = FACTOR_TABLE_CAP):
+        if not 1 <= cap < 1 << 32:  # array('I') entries; sqrt(cap) < 2^16
+            raise ValueError(f"FactorTable: cap must be in [1, 2^32), got {cap}")
+        self.cap = cap
+        self.size = 0
+        self.by_tau: defaultdict[int, array] = defaultdict(lambda: array("I"))
+        self.lpf = array("I", [0])
+
+    def cover(self, hi: int) -> bool:
+        """Grow the table to hold every m <= hi; False if hi is above the cap."""
+        if hi <= self.size:
+            return True
+        if hi > self.cap:
+            return False
+        self._extend(min(-(-hi // _TABLE_PIECE) * _TABLE_PIECE, self.cap))
+        return True
+
+    def _extend(self, size: int) -> None:
+        # tau by the divisor-pair sieve, least primes by striking out the
+        # multiples of each prime <= sqrt(hi), largest prime first, one
+        # [lo, hi] piece at a time.
+        by_tau = self.by_tau
+        for lo in range(self.size + 1, size + 1, _TABLE_PIECE):
+            hi = min(lo + _TABLE_PIECE - 1, size)
+            for m, t in zip(range(lo, hi + 1), divisor_count_range(lo, hi)):
+                by_tau[t].append(m)
+            least = array("I", range(lo, hi + 1))
+            for p in reversed(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, isqrt(hi))]):
+                first = max(p * p, lo + (-lo) % p) - lo
+                least[first::p] = array("I", [p]) * len(range(first, len(least), p))
+            self.lpf += least
+        self.size = size
+
+    def factorize(self, m: int) -> tuple[tuple[int, int], ...]:
+        """factorize(m) for 1 <= m <= size, read off the least-prime chain."""
+        lpf, fac = self.lpf, []
+        while m > 1:
+            p, e = lpf[m], 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            fac.append((p, e))
+        return tuple(fac)

@@ -4,8 +4,9 @@ Every invocation emits one JSON record {command, inputs, result, timing_ms,
 version}: pretty-printed by default, one compact line with --jsonl.  Integers
 that do not fit in a signed 64-bit word are emitted as decimal strings so no
 downstream JSON tooling silently truncates them.  Payloads are byte-identical
-across --jobs settings (timing aside): parallel scans are range-partitioned
-and merged back in ascending order, reproducing the serial accounting.
+across --jobs settings (timing aside): parallel window scans are
+range-partitioned and merged back in ascending order, reproducing the serial
+accounting, and parallel census batches are merged back in order of n.
 
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
 not a member); 2 usage or domain error; 3 a comparison that the configured
@@ -22,12 +23,14 @@ import time
 from dataclasses import asdict, is_dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .pairs import check_alternation, check_interlock
 from .separability import (
     SearchConfig,
     append_census_cache,
+    census_batch,
     count_separable,
     find_partner,
     load_census_cache,
@@ -55,6 +58,9 @@ _MIN_CHUNK = 512
 # CLI run about 60 ms, so on two cores it pays once a --jobs 1 scan takes
 # over 120 ms: near 2^20 entries of a 2^k window (see CHANGES.md).
 _MIN_POOL_WINDOW = 1 << 20
+# A census starts a pool only from this many rows to compute: on two cores
+# --jobs 2 ties --jobs 1 between 1,000 and 1,200 rows (see CHANGES.md).
+_MIN_POOL_CENSUS = 1100
 
 
 def _jsonify(value):
@@ -98,7 +104,7 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return out
 
 
-def _pool_map(fn, tasks: list[tuple], jobs: int, chunksize: int = 1) -> list:
+def _pool_map(fn, tasks: list[tuple], jobs: int) -> list:
     """[fn(*task) for task in tasks], in order, over at most jobs worker
     processes: never more workers than tasks."""
     global ProcessPoolExecutor
@@ -107,20 +113,19 @@ def _pool_map(fn, tasks: list[tuple], jobs: int, chunksize: int = 1) -> list:
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
+        return list(pool.map(fn, *zip(*tasks)))
 
 
 def _window_scanner(jobs: int):
     """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable
-    that splits a wide window into chunks; the chunks run over a pool when
-    the window has at least _MIN_POOL_WINDOW entries, else in this process."""
+    that splits a window of at least _MIN_POOL_WINDOW entries into chunks
+    and runs them over a pool; a smaller window is one scan in this process."""
 
     def scan(n, lo, hi, cfg):
-        windows = _chunks(lo, hi, jobs)
-        if jobs <= 1 or len(windows) <= 1:
+        if jobs <= 1 or hi - lo + 1 < _MIN_POOL_WINDOW:
             return scan_window(n, lo, hi, cfg)
-        workers = jobs if hi - lo + 1 >= _MIN_POOL_WINDOW else 1
-        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], workers)
+        windows = _chunks(lo, hi, jobs)
+        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], jobs)
         return merge_chunk_scans(scans, cfg.report_all_partners)
 
     return scan
@@ -156,9 +161,11 @@ def _cmd_census(args):
     )
     cached = load_census_cache(args.cache, cfg) if args.cache and not args.recompute else {}
     todo = [n for n in range(1, args.max + 1) if n not in cached]
-    # A pool costs more than it saves on a handful of rows.
-    jobs = args.jobs if len(todo) > 8 else 1
-    fresh = _pool_map(find_partner, [(n, cfg) for n in todo], jobs, chunksize=16)
+    # One batch per worker, n dealt round-robin so every batch gets its share
+    # of the large n; each batch shares one factor table across its scans.
+    jobs = min(args.jobs, len(todo)) if len(todo) >= _MIN_POOL_CENSUS else 1
+    batches = _pool_map(census_batch, [(todo[i::jobs], cfg) for i in range(jobs)], jobs)
+    fresh = sorted(chain.from_iterable(batches), key=lambda r: r.n)
     if args.cache:
         append_census_cache(args.cache, fresh, cfg)
     served = [r for r in cached.values() if r.n <= args.max]

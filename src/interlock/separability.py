@@ -33,23 +33,29 @@ merged back by merge_chunk_scans.  Candidate pruning inside the window:
     4. p < d3(m) if pm < p (p is n's least divisor above pm), and pm < q
        if p < pm (pm is m's least divisor above p).
 All four prunings, and the window, are cross-validated against a
-pruning-free oracle in the test suite rather than assumed.  Every scan
-sieves tau over its own candidates (arith.divisor_count_range), factorizes
-those that pass the tau and parity filters, and builds divisor lists only
-for those that pass the end-gap rules too.
+pruning-free oracle in the test suite rather than assumed.  A scan takes
+tau and least primes from one of two sources, chosen by its caller.  A
+census shares one arith.FactorTable across all its n: the tau filter reads
+ascending per-tau lists of m, and least primes and factorizations come from
+the table's least-prime chain.  A single partner or pow2 window, and any
+census window above the table's cap, sieves tau over its own candidates
+(arith.divisor_count_range) and finds least primes by trial division.
+Either way the end-gap rules run from m's least prime, and only the
+candidates that pass them are factorized into divisor lists.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from itertools import repeat
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
-from .arith import divisor_count_range, divisors, factorize, tau
-from .arith import divisors_from_factorization
+from .arith import FactorTable, divisor_count_range, divisors, factorize, tau
+from .arith import divisors_from_factorization, smallest_prime_divisor
 from .pairs import check_interlock
 
 # Largest tau segment a scan sieves at once, in entries.
@@ -108,43 +114,75 @@ def partner_search_bound(n: int) -> tuple[int, int]:
     return 2, n * n
 
 
-def _end_gaps_allow(m: int, fac, n: int, div_n: tuple[int, ...]) -> bool:
+def _end_gaps_allow(m: int, n: int, div_n: tuple[int, ...], least_prime) -> bool:
     """False only when the end-gap rules of the module doc rule out (m, n),
-    from m's factorization fac and n's divisor list div_n."""
-    if len(div_n) < 3 or not fac or fac[0][0] == m:  # tau(n) or tau(m) <= 2
+    from n's divisor list div_n and least_prime(r), the least prime of r >= 2.
+    m's second prime is looked up only for rule 4 with pm < p."""
+    if len(div_n) < 3:  # tau(n) <= 2
+        return True
+    pm = least_prime(m)
+    if pm == m:  # tau(m) <= 2
         return True
     p, q = div_n[1], div_n[2]
-    pm, e = fac[0]
     top = m // pm
     below_n = m if m < n else top  # m's largest divisor below n, unless top >= n
     if pm == p or div_n[bisect_left(div_n, m) - 1] <= top or below_n <= n // p:
         return False  # rules 1, 2, 3
-    d3m = min(pm * pm if e > 1 else m, fac[1][0] if len(fac) > 1 else m)
-    return p < d3m if pm < p else pm < q  # rule 4
+    if p < pm:
+        return pm < q  # rule 4
+    # rule 4, pm < p: p < d3(m) = min(pm^2 if pm^2 | m, m's second prime)
+    rest = top
+    if rest % pm == 0:
+        if pm * pm <= p:
+            return False
+        while rest % pm == 0:
+            rest //= pm
+    return rest == 1 or p < least_prime(rest)
+
+
+def _sieved_candidates(start: int, end: int, step: int, n: int, below, above):
+    """The m in range(start, end + 1, step) with tau(m) in below (m < n) or
+    above (m >= n), from a tau sieve over just those m."""
+    taus = divisor_count_range(start, end, step)
+    ms = range(start, end + 1, step)
+    return [m for m, t in zip(ms, taus) if t in (below if m < n else above)]
+
+
+def _table_candidates(table, start: int, end: int, step: int, n: int, below, above):
+    """_sieved_candidates read from table's per-tau lists, which hold end."""
+    runs = []
+    for taus, a, b in ((below, start, min(end, n - 1)), (above, max(start, n), end)):
+        for t in taus if a <= b else ():
+            ms = table.by_tau.get(t, ())
+            runs.append(ms[bisect_left(ms, a) : bisect_right(ms, b)])
+    merged = sorted(chain.from_iterable(runs))
+    return merged if step == 1 else [m for m in merged if m & 1]
 
 
 def scan_range(
-    n: int, lo: int, hi: int, cfg: SearchConfig, first_hit: bool = False
+    n: int, lo: int, hi: int, cfg: SearchConfig, first_hit: bool = False,
+    table: FactorTable | None = None,
 ) -> ChunkScan:
     """Scan the candidates in [lo, hi] against n in ascending order.
 
     With first_hit the scan stops at the first partner; otherwise it checks
-    the whole range.  tau is sieved over the scan's own candidates (odd m
-    only when the parity filter is on) in segments of 64, 128, ... entries,
-    at most _SEGMENT_CAP: a first-hit scan sieves little past its hit, and
-    a long scan holds one segment at a time.  Pure: safe to run per-chunk in
-    parallel workers and merge with merge_chunk_scans.
+    the whole range.  The range is read in segments of 64, 128, ... entries,
+    at most _SEGMENT_CAP, so a first-hit scan reads little past its hit.
+    tau and least primes come from table, which grows to hold each segment,
+    or, without a table or above its cap, from a tau sieve over the
+    segment's own candidates (odd m only when the parity filter is on) and
+    trial division.  Pure but for the table's growth: safe to run per-chunk
+    in parallel workers and merge with merge_chunk_scans.
     """
     div_n = divisors(n)
     tau_n = len(div_n)
     odd_only = cfg.use_parity_pruning and n >= 4 and n & (n - 1) == 0
     skip_self = tau_n >= 3
-    if not cfg.use_tau_pruning:
-        below = above = None
-    elif odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
-        below, above = {tau_n - 1}, {tau_n}
+    prune = cfg.use_tau_pruning
+    if odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
+        below, above = (tau_n - 1,), (tau_n,)
     else:
-        below = above = {tau_n - 1, tau_n, tau_n + 1}
+        below = above = (tau_n - 1, tau_n, tau_n + 1)
 
     hits: list[tuple[int, int]] = []
     passed = 0
@@ -152,16 +190,23 @@ def scan_range(
     start, size = lo | (step - 1), 64  # odd_only: the first odd m >= lo
     while start <= hi:
         end = min(start + step * (size - 1), hi)
-        taus = repeat(None) if below is None else divisor_count_range(start, end, step)
-        for m, tm in zip(range(start, end + 1, step), taus):
+        if table is not None and table.cover(end):
+            least_prime, factor = table.lpf.__getitem__, table.factorize
+            candidates = partial(_table_candidates, table)
+        else:
+            least_prime, factor = smallest_prime_divisor, factorize
+            candidates = _sieved_candidates
+        if prune:
+            ms = candidates(start, end, step, n, below, above)
+        else:
+            ms = range(start, end + 1, step)
+        for m in ms:
             if skip_self and m == n:
                 continue
-            if tm is not None and tm not in (below if m < n else above):
-                continue
             passed += 1
-            fac = factorize(m)
-            if tm is not None and not _end_gaps_allow(m, fac, n, div_n):
+            if prune and not _end_gaps_allow(m, n, div_n, least_prime):
                 continue
+            fac = factor(m)
             if check_interlock(m, n, divisors_from_factorization(fac), div_n).verdict:
                 hits.append((m, passed))
                 if first_hit:
@@ -193,15 +238,16 @@ def merge_chunk_scans(
 
 
 def scan_window(
-    n: int, lo: int, hi: int, cfg: SearchConfig
+    n: int, lo: int, hi: int, cfg: SearchConfig, table: FactorTable | None = None
 ) -> tuple[tuple[int, ...], int]:
     """(partners, tested) for [lo, hi] in one serial scan_range call.
 
     The default scanner of find_partner and verify_pow2_nonseparable; the
-    CLI passes a chunked, parallel one with the same signature.
+    CLI passes a chunked, parallel one with the same signature, and census
+    one bound to its FactorTable.
     """
     report_all = cfg.report_all_partners
-    scan = scan_range(n, lo, hi, cfg, first_hit=not report_all)
+    scan = scan_range(n, lo, hi, cfg, not report_all, table)
     return merge_chunk_scans([scan], report_all)
 
 
@@ -242,11 +288,18 @@ def find_partner(
     )
 
 
+def census_batch(ns, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
+    """find_partner(n, cfg) for each n of ns, in order, with every scan reading
+    tau and least primes from one FactorTable."""
+    scan = partial(scan_window, table=FactorTable())
+    return [find_partner(n, cfg, scan) for n in ns]
+
+
 def census(x: int, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
     """Separability results for every n <= x, ascending."""
     if x < 1:
         raise ValueError(f"census: x must be >= 1, got {x}")
-    return [find_partner(n, cfg) for n in range(1, x + 1)]
+    return census_batch(range(1, x + 1), cfg)
 
 
 def count_separable(results, include_degenerate: bool = True) -> int:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from interlock import arith
 from interlock.arith import (
+    FACTOR_TABLE_CAP,
     MAX_DIVISOR_LIST,
+    FactorTable,
     divisor_count_range,
     divisors,
     divisors_from_factorization,
@@ -25,6 +27,7 @@ from interlock.arith import (
 from oracles import oracle_divisors, oracle_factorize, prime_sieve, tau_table
 
 SIEVE_LIMIT = 1_000_000
+PIECE = arith._TABLE_PIECE
 FLAGS = prime_sieve(SIEVE_LIMIT + 100)
 
 
@@ -119,6 +122,10 @@ def test_smallest_prime_divisor():
         smallest_prime_divisor(1)
     for n in range(2, 10_001):
         assert smallest_prime_divisor(n) == divisors(n)[1], n
+    # a prime or a square of a prime past the trial primes' reach, and a
+    # composite with no factor below 2^16 (Pollard rho)
+    for n, p in ((65521**2, 65521), (2**61 - 1, 2**61 - 1), (65537 * (2**61 - 1), 65537)):
+        assert smallest_prime_divisor(n) == p, n
 
 
 def test_is_prime_examples():
@@ -233,6 +240,48 @@ def test_factorize_exact_below_50000_and_at_the_trial_bound():
     }
     for n, fac in edges.items():
         assert factorize(n) == fac, n
+
+
+def check_factor_table(table: FactorTable, taus) -> None:
+    """table's per-tau lists and least primes against a tau table and
+    trial division, for every m it holds."""
+    size = table.size
+    for t, ms in table.by_tau.items():
+        assert list(ms) == [m for m in range(1, size + 1) if taus[m] == t], t
+    assert sum(map(len, table.by_tau.values())) == size
+    assert len(table.lpf) == size + 1 and table.lpf[1] == 1
+    for m in range(2, size + 1):
+        assert table.lpf[m] == smallest_prime_divisor(m), m
+    # The chain factorization against the oracle: every m to 5,000, then a
+    # run on each side of every piece boundary.
+    runs = [range(2, min(size, 5000) + 1)]
+    runs += [range(b - 100, min(b + 100, size) + 1) for b in range(PIECE, size + 1, PIECE)]
+    for m in (m for r in runs for m in r):
+        assert table.factorize(m) == tuple(sorted(oracle_factorize(m).items())), m
+
+
+def test_factor_table_against_the_oracles():
+    taus = tau_table(8 * PIECE)
+    table = FactorTable()
+    assert table.size == 0 and table.cover(0) and table.size == 0
+    grown = ((1, PIECE), (PIECE, PIECE), (PIECE + 1, 2 * PIECE), (5 * PIECE - 1, 5 * PIECE))
+    for hi, size in (*grown, (8 * PIECE, 8 * PIECE)):
+        assert table.cover(hi) and table.size == size, hi
+        check_factor_table(table, taus)
+    assert table.factorize(1) == () and table.factorize(2) == ((2, 1),)
+    assert table.cap == FACTOR_TABLE_CAP
+
+
+def test_factor_table_never_grows_past_its_cap():
+    taus = tau_table(6000)
+    table = FactorTable(cap=3000)
+    assert table.cover(2500) and table.size == 3000
+    check_factor_table(table, taus)
+    assert not table.cover(3001) and table.size == 3000
+    assert not FactorTable(cap=500).cover(501)
+    for cap in (0, 1 << 32):
+        with pytest.raises(ValueError):
+            FactorTable(cap)
 
 
 def test_arith_holds_no_mutable_globals():

@@ -128,15 +128,21 @@ def record_pools(monkeypatch):
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    # Every split window scan starts a pool, however small its window.
+    # Every window scan and every census starts a pool, however small.
     monkeypatch.setattr(cli, "_MIN_POOL_WINDOW", 1)
+    monkeypatch.setattr(cli, "_MIN_POOL_CENSUS", 1)
     return record_pools(monkeypatch)
 
 
 def test_pools_never_outnumber_tasks(capsys, pool_log):
+    # A census sends one batch of n per worker, and never more batches than n.
     code, rec = invoke(capsys, "--jsonl", "--jobs", "64", "census", "--max", "20")
     assert code == 0 and rec["result"]["computed"] == 20
     assert pool_log == [(20, 20)]
+    pool_log.clear()
+    _, rec3 = invoke(capsys, "--jsonl", "--jobs", "3", "census", "--max", "20")
+    assert pool_log == [(3, 3)]
+    assert strip_volatile(rec3) == strip_volatile(rec)
     pool_log.clear()
     _, serial = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "1")
     _, pooled = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "64")
@@ -148,20 +154,40 @@ def test_pools_never_outnumber_tasks(capsys, pool_log):
 
 
 def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
+    # Below the threshold --jobs 2 scans the window once, as --jobs 1 does.
     assert cli._MIN_POOL_WINDOW > 1 << 18
     pools = record_pools(monkeypatch)
-    chunks = []
-    scan_range = cli.scan_range
+    chunks, windows = [], []
+    scan_range, scan_window = cli.scan_range, cli.scan_window
     monkeypatch.setattr(
         cli, "scan_range", lambda *task: chunks.append(task[1:3]) or scan_range(*task)
     )
+    monkeypatch.setattr(
+        cli, "scan_window", lambda *task: windows.append(task[1:3]) or scan_window(*task)
+    )
     command = ("partner", "524288", "--bound", "524288")  # a window of 2^18 entries
     _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
-    assert chunks == []
-    _, split = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+    _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+    assert pools == [] and chunks == []
+    assert windows == [(262145, 524288)] * 2
+    assert strip_volatile(serial) == strip_volatile(pooled)
+
+
+def test_census_batches_over_a_pool_above_the_crossover(capsys, monkeypatch):
+    # At the crossover --jobs 2 deals the n to two batches over a pool (a
+    # recording one: no process starts), and the payload is --jobs 1's.
+    pools = record_pools(monkeypatch)
+    command = ("census", "--max", str(cli._MIN_POOL_CENSUS))
+    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
     assert pools == []
-    assert len(chunks) == 8 and chunks[0][0] == 262145 and chunks[-1][1] == 524288
-    assert strip_volatile(serial) == strip_volatile(split)
+    _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+    assert pools == [(2, 2)]
+    assert strip_volatile(serial) == strip_volatile(pooled)
+    rows = serial["result"]["rows"]
+    assert [row["n"] for row in rows] == list(range(1, cli._MIN_POOL_CENSUS + 1))
+    # one below the crossover runs in process
+    invoke(capsys, "--jsonl", "--jobs", "2", "census", "--max", str(cli._MIN_POOL_CENSUS - 1))
+    assert pools == [(2, 2)]
 
 
 class CountingPool(ProcessPoolExecutor):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from interlock import separability
-from interlock.arith import divisors, factorize, tau
+from interlock import arith, separability
+from interlock.arith import FactorTable, divisors, factorize, smallest_prime_divisor, tau
 from interlock.pairs import check_interlock
 from interlock.separability import (
     ChunkScan,
@@ -143,14 +143,18 @@ def naive_end_gap_rules(m: int, n: int, dm, dn) -> set[int]:
 
 
 def test_end_gap_soundness_exhaustive_scan():
-    # No end-gap rule, and not the scan's helper fed m's factorization,
-    # rejects an interlocking pair with m, n <= 500.
+    # No end-gap rule, and not the scan's helper fed least primes by trial
+    # division or from a factor table, rejects an interlocking pair with
+    # m, n <= 500.
     limit = 500
     table = divisor_table(limit)
+    factors = FactorTable()
+    factors.cover(limit)
     checked = 0
     for m, n in oracle_pairs(limit):
         dn = tuple(table[n])
-        assert separability._end_gaps_allow(m, factorize(m), n, dn), (m, n)
+        for least_prime in (smallest_prime_divisor, factors.lpf.__getitem__):
+            assert separability._end_gaps_allow(m, n, dn, least_prime), (m, n)
         if len(table[m]) >= 3 and len(dn) >= 3:
             assert not naive_end_gap_rules(m, n, table[m], dn), (m, n)
             checked += 1
@@ -164,8 +168,8 @@ def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
     # broken by some rejected candidate.
     helper, seen = separability._end_gaps_allow, []
 
-    def recording(m, fac, n, div_n):
-        allowed = helper(m, fac, n, div_n)
+    def recording(m, n, div_n, least_prime):
+        allowed = helper(m, n, div_n, least_prime)
         seen.append((m, n, allowed))
         return allowed
 
@@ -186,9 +190,10 @@ def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
 @example(19191826, 67108865)  # an interlocking pair
 @settings(max_examples=60, deadline=None)
 def test_end_gap_rules_above_the_sieve(m, n):
-    fac, dn = factorize(m), divisors(n)
-    assert fac == tuple(sorted(oracle_factorize(m).items()))
-    if not separability._end_gaps_allow(m, fac, n, dn):
+    dn, oracle = divisors(n), oracle_factorize(m)
+    assert factorize(m) == tuple(sorted(oracle.items()))
+    assert smallest_prime_divisor(m) == min(oracle)
+    if not separability._end_gaps_allow(m, n, dn, smallest_prime_divisor):
         assert not oracle_interlock(m, n), (m, n)
     if m == 19191826 and n == 67108865:
         assert oracle_interlock(m, n)
@@ -260,6 +265,38 @@ def test_scan_range_matches_tau_table_scan(monkeypatch, cap):
         lo, hi, _ = partner_window(n, ALL)
         scan = scan_range(n, lo, hi, ALL)
         assert (scan.hits, scan.passed) == table_scan(n, lo, hi, taus), n
+
+
+@pytest.mark.parametrize("cap", [1 << 22, 300])
+def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(cap):
+    # One table shared by every scan, as in a census; with cap 300 nearly
+    # every window runs past the table onto the sieve.
+    factors = FactorTable(cap)
+    taus = tau_table(150 * 150)
+    for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
+        lo, hi, _ = partner_window(n, ALL)
+        scan = scan_range(n, lo, hi, ALL, table=factors)
+        assert (scan.hits, scan.passed) == table_scan(n, lo, hi, taus), n
+    assert factors.size == min(cap, 2 * arith._TABLE_PIECE)  # 149^2 < 2^15
+
+
+@pytest.mark.parametrize("cap", [None, 256])
+@pytest.mark.parametrize(
+    "cfg, x",
+    [
+        (SearchConfig(), 300),
+        (ALL, 150),
+        (SearchConfig(use_tau_pruning=False, use_parity_pruning=False), 300),
+    ],
+    ids=["default", "all", "no-prune"],
+)
+def test_census_with_the_table_matches_scans_without_it(monkeypatch, cfg, x, cap):
+    # Every row, tested included, whether tau and least primes come from
+    # the census's shared table or each window's own sieve; with cap 256
+    # the census windows cross the table's cap.
+    if cap is not None:
+        monkeypatch.setattr(separability, "FactorTable", lambda: FactorTable(cap))
+    assert census(x, cfg) == [find_partner(n, cfg) for n in range(1, x + 1)]
 
 
 def test_pow2_verifier():
