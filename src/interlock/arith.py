@@ -14,7 +14,6 @@ far, never past FACTOR_TABLE_CAP.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from collections import defaultdict
 from itertools import compress
@@ -346,31 +345,32 @@ class FactorTable:
     of small m.  by_tau[t] holds the m <= size with tau(m) = t, ascending, and
     lpf[m] is m's least prime (lpf[1] = 1, lpf[m] = m for prime m), both
     array('I').  cover(hi) grows size to hi, rounded up to whole pieces of
-    _TABLE_PIECE entries, never past cap: the table holds at most one piece
-    more than its scans read.
+    _TABLE_PIECE entries, never past FACTOR_TABLE_CAP: the table holds at
+    most one piece more than its scans read.
     """
 
-    def __init__(self, cap: int = FACTOR_TABLE_CAP):
-        if not 1 <= cap < 1 << 32:  # array('I') entries; sqrt(cap) < 2^16
-            raise ValueError(f"FactorTable: cap must be in [1, 2^32), got {cap}")
-        self.cap = cap
+    def __init__(self):
+        from array import array  # loaded by a census, not by every command
+
         self.size = 0
-        self.by_tau: defaultdict[int, array] = defaultdict(lambda: array("I"))
+        self.by_tau = defaultdict(lambda: array("I"))
         self.lpf = array("I", [0])
 
     def cover(self, hi: int) -> bool:
         """Grow the table to hold every m <= hi; False if hi is above the cap."""
         if hi <= self.size:
             return True
-        if hi > self.cap:
+        if hi > FACTOR_TABLE_CAP:
             return False
-        self._extend(min(-(-hi // _TABLE_PIECE) * _TABLE_PIECE, self.cap))
+        self._extend(min(-(-hi // _TABLE_PIECE) * _TABLE_PIECE, FACTOR_TABLE_CAP))
         return True
 
     def _extend(self, size: int) -> None:
         # tau by the divisor-pair sieve, least primes by striking out the
         # multiples of each prime <= sqrt(hi), largest prime first, one
         # [lo, hi] piece at a time.
+        from array import array
+
         by_tau = self.by_tau
         for lo in range(self.size + 1, size + 1, _TABLE_PIECE):
             hi = min(lo + _TABLE_PIECE - 1, size)

@@ -118,14 +118,15 @@ def _pool_map(fn, tasks: list[tuple], jobs: int) -> list:
 
 def _window_scanner(jobs: int):
     """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable
-    that splits a window of at least _MIN_POOL_WINDOW entries into chunks
-    and runs them over a pool; a smaller window is one scan in this process."""
+    that splits a wide window into chunks; the chunks run over a pool when
+    the window has at least _MIN_POOL_WINDOW entries, else in this process."""
 
     def scan(n, lo, hi, cfg):
-        if jobs <= 1 or hi - lo + 1 < _MIN_POOL_WINDOW:
-            return scan_window(n, lo, hi, cfg)
         windows = _chunks(lo, hi, jobs)
-        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], jobs)
+        if jobs <= 1 or len(windows) <= 1:
+            return scan_window(n, lo, hi, cfg)
+        workers = jobs if hi - lo + 1 >= _MIN_POOL_WINDOW else 1
+        scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], workers)
         return merge_chunk_scans(scans, cfg.report_all_partners)
 
     return scan

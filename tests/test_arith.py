@@ -269,19 +269,15 @@ def test_factor_table_against_the_oracles():
         assert table.cover(hi) and table.size == size, hi
         check_factor_table(table, taus)
     assert table.factorize(1) == () and table.factorize(2) == ((2, 1),)
-    assert table.cap == FACTOR_TABLE_CAP
 
 
-def test_factor_table_never_grows_past_its_cap():
-    taus = tau_table(6000)
-    table = FactorTable(cap=3000)
+def test_factor_table_never_grows_past_its_cap(monkeypatch):
+    assert not FactorTable().cover(FACTOR_TABLE_CAP + 1)
+    monkeypatch.setattr(arith, "FACTOR_TABLE_CAP", 3000)
+    table = FactorTable()
     assert table.cover(2500) and table.size == 3000
-    check_factor_table(table, taus)
+    check_factor_table(table, tau_table(6000))
     assert not table.cover(3001) and table.size == 3000
-    assert not FactorTable(cap=500).cover(501)
-    for cap in (0, 1 << 32):
-        with pytest.raises(ValueError):
-            FactorTable(cap)
 
 
 def test_arith_holds_no_mutable_globals():

@@ -128,7 +128,7 @@ def record_pools(monkeypatch):
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    # Every window scan and every census starts a pool, however small.
+    # Every split window scan and every census starts a pool, however small.
     monkeypatch.setattr(cli, "_MIN_POOL_WINDOW", 1)
     monkeypatch.setattr(cli, "_MIN_POOL_CENSUS", 1)
     return record_pools(monkeypatch)
@@ -154,23 +154,20 @@ def test_pools_never_outnumber_tasks(capsys, pool_log):
 
 
 def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
-    # Below the threshold --jobs 2 scans the window once, as --jobs 1 does.
     assert cli._MIN_POOL_WINDOW > 1 << 18
     pools = record_pools(monkeypatch)
-    chunks, windows = [], []
-    scan_range, scan_window = cli.scan_range, cli.scan_window
+    chunks = []
+    scan_range = cli.scan_range
     monkeypatch.setattr(
         cli, "scan_range", lambda *task: chunks.append(task[1:3]) or scan_range(*task)
     )
-    monkeypatch.setattr(
-        cli, "scan_window", lambda *task: windows.append(task[1:3]) or scan_window(*task)
-    )
     command = ("partner", "524288", "--bound", "524288")  # a window of 2^18 entries
     _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
-    _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", *command)
-    assert pools == [] and chunks == []
-    assert windows == [(262145, 524288)] * 2
-    assert strip_volatile(serial) == strip_volatile(pooled)
+    assert chunks == []
+    _, split = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+    assert pools == []
+    assert len(chunks) == 8 and chunks[0][0] == 262145 and chunks[-1][1] == 524288
+    assert strip_volatile(serial) == strip_volatile(split)
 
 
 def test_census_batches_over_a_pool_above_the_crossover(capsys, monkeypatch):

@@ -267,11 +267,12 @@ def test_scan_range_matches_tau_table_scan(monkeypatch, cap):
         assert (scan.hits, scan.passed) == table_scan(n, lo, hi, taus), n
 
 
-@pytest.mark.parametrize("cap", [1 << 22, 300])
-def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(cap):
+@pytest.mark.parametrize("cap", [arith.FACTOR_TABLE_CAP, 300])
+def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(monkeypatch, cap):
     # One table shared by every scan, as in a census; with cap 300 nearly
     # every window runs past the table onto the sieve.
-    factors = FactorTable(cap)
+    monkeypatch.setattr(arith, "FACTOR_TABLE_CAP", cap)
+    factors = FactorTable()
     taus = tau_table(150 * 150)
     for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
         lo, hi, _ = partner_window(n, ALL)
@@ -295,7 +296,7 @@ def test_census_with_the_table_matches_scans_without_it(monkeypatch, cfg, x, cap
     # the census's shared table or each window's own sieve; with cap 256
     # the census windows cross the table's cap.
     if cap is not None:
-        monkeypatch.setattr(separability, "FactorTable", lambda: FactorTable(cap))
+        monkeypatch.setattr(arith, "FACTOR_TABLE_CAP", cap)
     assert census(x, cfg) == [find_partner(n, cfg) for n in range(1, x + 1)]
 
 
