@@ -144,8 +144,7 @@ def _cmd_check(args):
 def _cmd_partner(args):
     cfg = SearchConfig(
         bound_override=args.bound,
-        use_tau_pruning=not args.no_prune,
-        use_parity_pruning=not args.no_prune,
+        prune=not args.no_prune,
         report_all_partners=args.all,
     )
     result = find_partner(args.n, cfg, _window_scanner(args.jobs))
@@ -155,11 +154,7 @@ def _cmd_partner(args):
 def _cmd_census(args):
     if args.max < 1:
         raise ValueError(f"census: x must be >= 1, got {args.max}")
-    cfg = SearchConfig(
-        use_tau_pruning=not args.no_prune,
-        use_parity_pruning=not args.no_prune,
-        report_all_partners=args.all,
-    )
+    cfg = SearchConfig(prune=not args.no_prune, report_all_partners=args.all)
     cached = load_census_cache(args.cache, cfg) if args.cache and not args.recompute else {}
     todo = [n for n in range(1, args.max + 1) if n not in cached]
     # One batch per worker, n dealt round-robin so every batch gets its share

@@ -30,8 +30,9 @@ asymptotic claim diagnostics fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import compress
 
 import mpmath
 
@@ -123,24 +124,6 @@ class JumpParams:
         return f"{self.override}  (direct override)"
 
 
-@dataclass(frozen=True)
-class JumpConstant:
-    """The t-form threshold constant and its exact exponential."""
-
-    t: int
-    value: mpmath.mpf  # ln 2 * 2^(t-2) at working precision
-    exp_log2: int  # e^value = 2^exp_log2 exactly
-
-
-def jump_constant(t: int) -> JumpConstant:
-    """Threshold constant for a given t >= 2, with e^c kept symbolic as a
-    power of two (materializing 2^(2^48) is neither possible nor needed)."""
-    if t < 2:
-        raise ValueError(f"jump_constant: t must be >= 2, got {t}")
-    params = JumpParams.from_t(t)
-    return JumpConstant(t=t, value=params.threshold_value(), exp_log2=1 << (t - 2))
-
-
 # --- membership test ---------------------------------------------------------
 
 
@@ -229,14 +212,20 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
 # --- divisor-free-interval census --------------------------------------------
 
 
+def _divisor_marks(x: int, y: int, z: int) -> bytearray:
+    """marks[n] = 1 for the n <= x with a divisor d, y <= d <= z; index 0
+    stays 0."""
+    marks = bytearray(x + 1)
+    for d in range(y, z + 1):
+        marks[d::d] = b"\x01" * (x // d)
+    return marks
+
+
 def gap_census(x: int, y: int, z: int) -> int:
     """Exact count of n <= x having no divisor d with y <= d <= z."""
     if not 2 <= y <= z <= x:
         raise ValueError(f"gap_census: need 2 <= y <= z <= x, got ({x}, {y}, {z})")
-    marked = bytearray(x + 1)
-    for d in range(y, z + 1):
-        marked[d::d] = b"\x01" * (x // d)
-    return x - sum(marked)  # index 0 is never marked: n runs over [1, x]
+    return x - _divisor_marks(x, y, z).count(1)
 
 
 def gap_ratio(x: int, y: int, z: int, count: int) -> float:
@@ -362,18 +351,15 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     if x < 1:
         raise ValueError(f"interval_coverage_diagnostic: x must be >= 1, got {x}")
     threshold = params.describe()
-    if not _threshold_gt_one(params):
-        return CoverageReport(
-            x, threshold, "vacuous", None, (), None, None, None, None, None, None, None
-        )
-    level = _coverage_level(x, params)
-    if level is None:
+    if not _threshold_gt_one(params) or (level := _coverage_level(x, params)) is None:
         return CoverageReport(
             x, threshold, "vacuous", None, (), None, None, None, None, None, None, None
         )
 
     intervals = []
-    bounds = []
+    # Exact union through the marks: bit 8n of has_all is 1 when n has a
+    # divisor in every interval so far (each mark byte is 0 or 1).
+    has_all = int.from_bytes(b"\x00" + b"\x01" * x, "little")
     for i in range(level + 1):
         y_ceil, _ = _interval_bounds(params, i - 1)
         _, z_floor = _interval_bounds(params, i)
@@ -381,29 +367,20 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
         z_int = min(x, z_floor)
         if y_int > z_int:
             continue  # rounding emptied the interval; nothing to census
-        missing = gap_census(x, y_int, z_int)
+        marks = _divisor_marks(x, y_int, z_int)
+        missing = x - marks.count(1)
         intervals.append(
             IntervalCensus(i, y_int, z_int, missing, gap_ratio(x, y_int, z_int, missing))
         )
-        bounds.append((y_int, z_int))
-
-    # Exact union: n missing a divisor in at least one interval.
-    has_all = bytearray(b"\x01" * (x + 1))
-    for y_int, z_int in bounds:
-        cur = bytearray(x + 1)
-        for d in range(y_int, z_int + 1):
-            cur[d::d] = b"\x01" * (x // d)
-        for n in range(1, x + 1):
-            has_all[n] &= cur[n]
-    covered = sum(has_all[1:])
+        has_all &= int.from_bytes(marks, "little")
+    covered = has_all.bit_count()
     union_missing = x - covered
     sum_missing = sum(ic.missing for ic in intervals)
 
     exp_floor = _exp_threshold_floor(params)
     covered_in = sum(
-        1
-        for n in range(1, x + 1)
-        if has_all[n] and _first_jump(divisors(n), params, exp_floor) is None
+        _first_jump(divisors(n), params, exp_floor) is None
+        for n in compress(range(x + 1), has_all.to_bytes(x + 1, "little"))
     )
 
     return CoverageReport(
@@ -490,6 +467,12 @@ class ConstructionReport:
     interlock_report: InterlockReport | None
 
 
+def _tau_m(levels) -> int:
+    """tau(m) = 8 * prod(e_i + 1): 231's 8 divisors times each level's
+    distinct prime p_i > 11 to the power e_i."""
+    return 8 * math.prod(lvl.exponent + 1 for lvl in levels)
+
+
 def build_pow2_partner(
     k: int,
     t: int,
@@ -547,13 +530,8 @@ def build_pow2_partner(
             )
         partial *= e + 1
 
-    m = 231
-    for lvl in levels:
-        m *= lvl.prime**lvl.exponent
-    tau_m = 8
-    for lvl in levels:
-        tau_m *= lvl.exponent + 1
-    assert tau_m == k, "8 * prod(e_i + 1) over levels must reproduce k"
+    m = 231 * math.prod(lvl.prime**lvl.exponent for lvl in levels)
+    assert _tau_m(levels) == k, "8 * prod(e_i + 1) over levels must reproduce k"
 
     return ConstructionPlan(
         k=k,
@@ -682,9 +660,7 @@ def verify_construction(
             first_failure = d
     injective = len(seen) == k
 
-    tau_m = 8
-    for lvl in plan.levels:
-        tau_m *= lvl.exponent + 1
+    tau_m = _tau_m(plan.levels)
     tau_ok = tau_m == k
 
     claims = _compute_claims(plan)
@@ -722,19 +698,6 @@ def verify_construction(
 # survive any JSON tooling downstream.
 
 
-def _claims_to_dict(c: ClaimDiagnostics) -> dict:
-    return {
-        "exponent_fourth_root": [[str(i), ok] for i, ok in c.exponent_fourth_root],
-        "prime_ratio": [[str(i), ok] for i, ok in c.prime_ratio],
-        "digit_ratio": [[str(i), ok] for i, ok in c.digit_ratio],
-        "aggregate": f"{c.aggregate.numerator}/{c.aggregate.denominator}",
-        "aggregate_below_exp": c.aggregate_below_exp,
-        "aggregate_below_11_10": c.aggregate_below_11_10,
-        "exp_below_11_10": c.exp_below_11_10,
-        "all_hold": c.all_hold,
-    }
-
-
 def _claims_from_dict(d: dict) -> ClaimDiagnostics:
     num, den = d["aggregate"].split("/")
     return ClaimDiagnostics(
@@ -749,28 +712,24 @@ def _claims_from_dict(d: dict) -> ClaimDiagnostics:
     )
 
 
+def _encode(value):
+    """A plan field as JSON: ints become decimal strings, a Fraction "p/q",
+    tuples lists; bools and None stay as they are."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {key: _encode(v) for key, v in value.items()}
+    return [_encode(v) for v in value]
+
+
 def plan_to_dict(plan: ConstructionPlan) -> dict:
-    return {
-        "k": str(plan.k),
-        "t": str(plan.t),
-        "r": str(plan.r),
-        "exponents": [str(e) for e in plan.exponents],
-        "levels": [
-            {
-                "index": str(l.index),
-                "exponent": str(l.exponent),
-                "bits": str(l.bits),
-                "pow2": str(l.pow2),
-                "prime": str(l.prime),
-                "certified": l.certified,
-            }
-            for l in plan.levels
-        ],
-        "m": str(plan.m),
-        "probabilistic_primes": [str(p) for p in plan.probabilistic_primes],
-        "claims": None if plan.claims is None else _claims_to_dict(plan.claims),
-        "verified": plan.verified,
-    }
+    """The plan as JSON, keyed by the dataclass field names; plan_from_dict
+    reads it back."""
+    return _encode(asdict(plan))
 
 
 def _fields(data, keys: str, convert=int, where: str = "") -> dict:
@@ -799,7 +758,7 @@ def _check_plan_factorization(plan: ConstructionPlan) -> None:
             raise ValueError(f"plan: level {l.index}: pow2 or certified is wrong")
     if plan.probabilistic_primes != tuple(l.prime for l in plan.levels if not l.certified):
         raise ValueError("plan: probabilistic_primes does not list the uncertified primes")
-    if 8 * math.prod(l.exponent + 1 for l in plan.levels) != plan.k:
+    if _tau_m(plan.levels) != plan.k:
         raise ValueError(f"plan: the levels give tau(m) != k = {plan.k}")
     if 231 * math.prod(l.prime**l.exponent for l in plan.levels) != plan.m:
         raise ValueError("plan: m is not 231 * prod(p_i^e_i) over the levels")

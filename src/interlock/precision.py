@@ -35,7 +35,10 @@ def precision_bits() -> int:
     raw = os.environ.get(PRECISION_ENV_VAR)
     if raw is None:
         return DEFAULT_PRECISION_BITS
-    bits = int(raw)
+    try:
+        bits = int(raw)
+    except ValueError:
+        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from None
     if bits < 8:
         raise ValueError(f"{PRECISION_ENV_VAR} must be >= 8, got {bits}")
     return bits

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .arith import first_primes
+from .arith import divisors_from_factorization, first_primes
 from .pairs import check_interlock
 
 # Definite-divisor gaps wider than this are not scanned during the search;
@@ -84,11 +84,7 @@ class PlacementReport:
 
 
 def _squarefree_divisors(primes) -> tuple[int, ...]:
-    divs = [1]
-    for p in primes:
-        divs += [d * p for d in divs]
-    divs.sort()
-    return tuple(divs)
+    return divisors_from_factorization([(p, 1) for p in primes])
 
 
 def _parity_certificate(k: int) -> ParityCertificate:

@@ -12,7 +12,9 @@ vacuous pairs (any two distinct primes interlock degenerately) and are
 reported with degenerate = True.
 
 One scanner, scan_range, tests the candidates of a window; chunked scans are
-merged back by merge_chunk_scans.  Candidate pruning inside the window:
+merged back by merge_chunk_scans.  Candidate pruning inside the window,
+all of it on or off together through the one switch SearchConfig.prune
+(off with the CLI's --no-prune):
   * tau filter: an interlocking pair with distinct smallest prime divisors
     has |tau(m) - tau(n)| <= 1, so only tau(m) in {tau(n)-1, tau(n),
     tau(n)+1} is tested.
@@ -22,8 +24,8 @@ merged back by merge_chunk_scans.  Candidate pruning inside the window:
     position-aware: each gap (2^i, 2^(i+1)) of n holds exactly one divisor
     of an odd partner m, and at most one divisor of m exceeds 2^k, so
     tau(m) = k when m < 2^k and tau(m) = k + 1 when m > 2^k.
-  * end-gap rules (tau filter on, tau(m), tau(n) >= 3): each gap of either
-    member, lowest and top included, holds a divisor of the other.  With
+  * end-gap rules (tau(m), tau(n) >= 3): each gap of either member,
+    lowest and top included, holds a divisor of the other.  With
     p < q the least divisors > 1 of n, pm the least prime of m and
     d3(m) = min(pm^2, m's second prime):
     1. pm != p, else n's gap (p, q) needs d3(m) < q and m's gap (p, d3(m))
@@ -65,8 +67,7 @@ _SEGMENT_CAP = 1 << 16
 @dataclass(frozen=True)
 class SearchConfig:
     bound_override: int | None = None
-    use_tau_pruning: bool = True
-    use_parity_pruning: bool = True
+    prune: bool = True
     report_all_partners: bool = False
 
     def __post_init__(self):
@@ -176,9 +177,9 @@ def scan_range(
     """
     div_n = divisors(n)
     tau_n = len(div_n)
-    odd_only = cfg.use_parity_pruning and n >= 4 and n & (n - 1) == 0
+    prune = cfg.prune
+    odd_only = prune and n >= 4 and n & (n - 1) == 0
     skip_self = tau_n >= 3
-    prune = cfg.use_tau_pruning
     if odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
         below, above = (tau_n - 1,), (tau_n,)
     else:

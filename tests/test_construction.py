@@ -21,7 +21,6 @@ from interlock.construction import (
     gap_ratio,
     has_bounded_jumps,
     interval_coverage_diagnostic,
-    jump_constant,
     mixed_radix_compose,
     mixed_radix_decompose,
     plan_from_dict,
@@ -41,16 +40,16 @@ def naive_in_set(divs, c_value: float) -> bool:
 
 
 def test_jump_constant():
-    jc = jump_constant(2)
-    assert jc.exp_log2 == 1  # e^c = 2
-    assert abs(float(jc.value) - math.log(2)) < 1e-12
-    jc = jump_constant(5)
-    assert jc.exp_log2 == 8  # e^c = 256
-    assert abs(float(jc.value) - 8 * math.log(2)) < 1e-12
-    jc = jump_constant(50)
-    assert jc.exp_log2 == 2**48  # symbolic only; never materialized
+    jc = JumpParams.from_t(2)
+    assert jc.t == 2 and jc.exp_threshold_log2 == 1  # e^c = 2
+    assert abs(float(jc.threshold_value()) - math.log(2)) < 1e-12
+    jc = JumpParams.from_t(5)
+    assert jc.exp_threshold_log2 == 8  # e^c = 256
+    assert abs(float(jc.threshold_value()) - 8 * math.log(2)) < 1e-12
+    jc = JumpParams.from_t(50)
+    assert jc.exp_threshold_log2 == 2**48  # symbolic only; never materialized
     with pytest.raises(ValueError):
-        jump_constant(1)
+        JumpParams.from_t(1)
 
 
 def test_params_validation():
@@ -313,6 +312,42 @@ def test_plan_serialization_roundtrip(tmp_path):
     # a reloaded plan re-verifies identically
     report = verify_construction(back, direct_interlock=True)
     assert report.verified
+
+
+def test_plan_to_dict_pins_the_k16_plan():
+    # The JSON of the k = 16, t = 4 plan, before and after verification.
+    plan = build_pow2_partner(16, 4)
+    expected = {
+        "claims": None,
+        "exponents": ["1", "1", "1", "1"],
+        "k": "16",
+        "levels": [
+            {"bits": "8", "certified": True, "exponent": "1", "index": "4",
+             "pow2": "256", "prime": "257"},
+        ],
+        "m": "59367",
+        "probabilistic_primes": [],
+        "r": "4",
+        "t": "4",
+        "verified": False,
+    }
+    assert plan_to_dict(plan) == expected
+    verify_construction(plan)
+    expected["claims"] = {
+        "aggregate": "257/256",
+        "aggregate_below_11_10": True,
+        "aggregate_below_exp": True,
+        "all_hold": True,
+        "digit_ratio": [
+            ["0", True], ["1", True], ["2", True], ["3", True],
+            ["4", True], ["5", True], ["6", True], ["7", True],
+        ],
+        "exp_below_11_10": True,
+        "exponent_fourth_root": [],
+        "prime_ratio": [["4", True]],
+    }
+    expected["verified"] = True
+    assert plan_to_dict(plan) == expected
 
 
 def test_digit_map_reaches_every_divisor():

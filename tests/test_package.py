@@ -18,11 +18,10 @@ EXPORTS = {
     ],
     "construction": [
         "ClaimDiagnostics", "ConstructionPlan", "ConstructionReport", "CoverageReport",
-        "JumpConstant", "JumpParams", "MixedRadixDigits", "SearchBudgetError",
-        "build_pow2_partner", "count_bounded_jumps", "gap_census", "gap_ratio",
-        "has_bounded_jumps", "interval_coverage_diagnostic", "jump_constant",
-        "mixed_radix_compose", "mixed_radix_decompose", "plan_from_dict",
-        "plan_to_dict", "verify_construction",
+        "JumpParams", "MixedRadixDigits", "SearchBudgetError", "build_pow2_partner",
+        "count_bounded_jumps", "gap_census", "gap_ratio", "has_bounded_jumps",
+        "interval_coverage_diagnostic", "mixed_radix_compose", "mixed_radix_decompose",
+        "plan_from_dict", "plan_to_dict", "verify_construction",
     ],
     "pairs": [
         "GapWitness", "InterlockReport", "TauRelation", "check_alternation",

@@ -75,9 +75,10 @@ def test_precision_error_on_razor_margin(monkeypatch):
 
 
 def test_env_var_validation(monkeypatch):
-    monkeypatch.setenv("INTERLOCK_PRECISION_BITS", "4")
-    with pytest.raises(ValueError):
-        precision_bits()
+    for raw in ("4", "abc"):
+        monkeypatch.setenv("INTERLOCK_PRECISION_BITS", raw)
+        with pytest.raises(ValueError, match="INTERLOCK_PRECISION_BITS"):
+            precision_bits()
 
 
 @given(st.integers(min_value=2, max_value=10**9), st.integers(min_value=-20, max_value=40))

@@ -30,9 +30,7 @@ from interlock.separability import (
 )
 from oracles import divisor_table, oracle_factorize, oracle_interlock, tau_table
 
-NO_PRUNE = SearchConfig(
-    use_tau_pruning=False, use_parity_pruning=False, report_all_partners=True
-)
+NO_PRUNE = SearchConfig(prune=False, report_all_partners=True)
 ALL = SearchConfig(report_all_partners=True)
 
 
@@ -287,7 +285,7 @@ def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(monkeypatch, ca
     [
         (SearchConfig(), 300),
         (ALL, 150),
-        (SearchConfig(use_tau_pruning=False, use_parity_pruning=False), 300),
+        (SearchConfig(prune=False), 300),
     ],
     ids=["default", "all", "no-prune"],
 )
@@ -317,13 +315,9 @@ def test_pow2_verifier():
 
 def test_even_partner_restriction_is_validated_not_assumed():
     # The odd-only filter for powers of two must not drop partners: compare
-    # with parity pruning off.
+    # with the scan that prunes nothing.
     for k in (2, 3, 4, 5, 6, 7):
-        with_parity = find_partner(2**k, ALL)
-        without = find_partner(
-            2**k, SearchConfig(use_parity_pruning=False, report_all_partners=True)
-        )
-        assert with_parity.partners == without.partners, k
+        assert find_partner(2**k, ALL).partners == find_partner(2**k, NO_PRUNE).partners, k
 
 
 def test_census_counts_and_monotonicity():
