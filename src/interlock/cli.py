@@ -4,9 +4,10 @@ Every invocation emits one JSON record {command, inputs, result, timing_ms,
 version}: pretty-printed by default, one compact line with --jsonl.  Integers
 that do not fit in a signed 64-bit word are emitted as decimal strings so no
 downstream JSON tooling silently truncates them.  Payloads are byte-identical
-across --jobs settings (timing aside): parallel window scans are
-range-partitioned and merged back in ascending order, reproducing the serial
-accounting, and parallel census batches are merged back in order of n.
+across --jobs settings (timing aside): a search that stops at its first
+partner is one ascending scan at every --jobs; a report-all window scan is
+range-partitioned and its chunks merged back in ascending order, and
+parallel census batches are merged back in order of n.
 
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
 not a member); 2 usage or domain error; 3 a comparison that the configured
@@ -37,7 +38,6 @@ from .separability import (
     merge_chunk_scans,
     result_to_record,
     scan_range,
-    scan_window,
     verify_pow2_nonseparable,
     VERIFIED_RESIDUES,
 )
@@ -117,17 +117,19 @@ def _pool_map(fn, tasks: list[tuple], jobs: int) -> list:
 
 
 def _window_scanner(jobs: int):
-    """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable
-    that splits a wide window into chunks; the chunks run over a pool when
-    the window has at least _MIN_POOL_WINDOW entries, else in this process."""
+    """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable.
+    A first-hit search is one ascending scan_range call over the window.  A
+    report-all scan with jobs > 1 splits the window into chunks, which run
+    over a pool when the window has at least _MIN_POOL_WINDOW entries, else
+    in this process."""
 
     def scan(n, lo, hi, cfg):
         windows = _chunks(lo, hi, jobs)
-        if jobs <= 1 or len(windows) <= 1:
-            return scan_window(n, lo, hi, cfg)
+        if not cfg.report_all_partners or jobs <= 1 or len(windows) <= 1:
+            return scan_range(n, lo, hi, cfg)
         workers = jobs if hi - lo + 1 >= _MIN_POOL_WINDOW else 1
         scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], workers)
-        return merge_chunk_scans(scans, cfg.report_all_partners)
+        return merge_chunk_scans(scans)
 
     return scan
 
@@ -217,7 +219,11 @@ def _params_from_args(args):
         raise ValueError("provide exactly one of --t / --C")
     if args.t is not None:
         return JumpParams.from_t(args.t)
-    return JumpParams.from_override(Fraction(args.C))
+    try:
+        value = Fraction(args.C)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--C must be a rational p/q with q != 0, got {args.C!r}") from None
+    return JumpParams.from_override(value)
 
 
 def _cmd_s_member(args):

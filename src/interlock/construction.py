@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import compress
 
@@ -120,7 +121,8 @@ class JumpParams:
 
     def describe(self) -> str:
         if self.t is not None:
-            return f"ln(2) * 2^{self.t - 2}  (t = {self.t}, e^c = 2^{1 << (self.t - 2)})"
+            power = Decimal(1 << (self.t - 2))  # str() refuses ints past 4300 digits
+            return f"ln(2) * 2^{self.t - 2}  (t = {self.t}, e^c = 2^{power})"
         return f"{self.override}  (direct override)"
 
 

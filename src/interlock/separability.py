@@ -11,8 +11,10 @@ the fallback window [2, n^2] is used; those n are separable anyway through
 vacuous pairs (any two distinct primes interlock degenerately) and are
 reported with degenerate = True.
 
-One scanner, scan_range, tests the candidates of a window; chunked scans are
-merged back by merge_chunk_scans.  Candidate pruning inside the window,
+One scanner, scan_range, tests the candidates of a window in ascending
+order and stops at the first partner unless every partner is asked for; a
+report-all scan split into chunks is merged back by merge_chunk_scans,
+which concatenates and sums.  Candidate pruning inside the window,
 all of it on or off together through the one switch SearchConfig.prune
 (off with the CLI's --no-prune):
   * tau filter: an interlocking pair with distinct smallest prime divisors
@@ -51,12 +53,13 @@ from __future__ import annotations
 import json
 import os
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
 
-from .arith import FactorTable, divisor_count_range, divisors, factorize, tau
+from .arith import FactorTable, divisor_count_range, divisors, factorize
 from .arith import divisors_from_factorization, smallest_prime_divisor
 from .pairs import check_interlock
 
@@ -85,20 +88,12 @@ class SeparabilityResult:
     candidates_tested: int
 
 
-@dataclass(frozen=True)
-class ChunkScan:
-    """Result of scanning one candidate sub-range.
+class ChunkScan(namedtuple("ChunkScan", "partners passed")):
+    """Result of scanning one candidate sub-range: the partners found, in
+    ascending order, and how many candidates passed the tau/parity filters.
+    (collections.namedtuple: typing.NamedTuple would import typing.)"""
 
-    hits pairs each partner with its 1-based rank among the candidates that
-    passed the tau/parity filters inside this chunk, so drivers can
-    reconstruct the deterministic ascending-order test count regardless of
-    how the range was split.
-    """
-
-    lo: int
-    hi: int
-    hits: tuple[tuple[int, int], ...]
-    passed: int
+    __slots__ = ()
 
 
 def partner_search_bound(n: int) -> tuple[int, int]:
@@ -109,10 +104,7 @@ def partner_search_bound(n: int) -> tuple[int, int]:
     """
     if n < 2:
         raise ValueError(f"partner_search_bound: n must be >= 2, got {n}")
-    divs = divisors(n)
-    if len(divs) >= 3:
-        return n // divs[1] + 1, n * divs[2]
-    return 2, n * n
+    return partner_window(n, SearchConfig())[:2]
 
 
 def _end_gaps_allow(m: int, n: int, div_n: tuple[int, ...], least_prime) -> bool:
@@ -161,14 +153,14 @@ def _table_candidates(table, start: int, end: int, step: int, n: int, below, abo
 
 
 def scan_range(
-    n: int, lo: int, hi: int, cfg: SearchConfig, first_hit: bool = False,
-    table: FactorTable | None = None,
+    n: int, lo: int, hi: int, cfg: SearchConfig, table: FactorTable | None = None
 ) -> ChunkScan:
     """Scan the candidates in [lo, hi] against n in ascending order.
 
-    With first_hit the scan stops at the first partner; otherwise it checks
-    the whole range.  The range is read in segments of 64, 128, ... entries,
-    at most _SEGMENT_CAP, so a first-hit scan reads little past its hit.
+    With cfg.report_all_partners the scan checks the whole range; otherwise
+    it stops at the first partner.  The range is read in segments of 64,
+    128, ... entries, at most _SEGMENT_CAP, so a first-hit scan reads little
+    past its hit.
     tau and least primes come from table, which grows to hold each segment,
     or, without a table or above its cap, from a tau sieve over the
     segment's own candidates (odd m only when the parity filter is on) and
@@ -185,7 +177,7 @@ def scan_range(
     else:
         below = above = (tau_n - 1, tau_n, tau_n + 1)
 
-    hits: list[tuple[int, int]] = []
+    partners: list[int] = []
     passed = 0
     step = 2 if odd_only else 1
     start, size = lo | (step - 1), 64  # odd_only: the first odd m >= lo
@@ -209,47 +201,18 @@ def scan_range(
                 continue
             fac = factor(m)
             if check_interlock(m, n, divisors_from_factorization(fac), div_n).verdict:
-                hits.append((m, passed))
-                if first_hit:
-                    return ChunkScan(lo, hi, tuple(hits), passed)
+                partners.append(m)
+                if not cfg.report_all_partners:
+                    return ChunkScan((m,), passed)
         start, size = end + step, min(2 * size, _SEGMENT_CAP)
-    return ChunkScan(lo, hi, tuple(hits), passed)
+    return ChunkScan(tuple(partners), passed)
 
 
-def merge_chunk_scans(
-    chunks: list[ChunkScan], report_all: bool
-) -> tuple[tuple[int, ...], int]:
-    """Combine ascending disjoint chunk scans into (partners, tested).
-
-    tested reproduces the serial ascending-order count: with report_all it
-    is the total number of fully checked candidates, otherwise the count up
-    to and including the first hit (or the whole range when there is none).
-    """
-    chunks = sorted(chunks, key=lambda c: c.lo)
-    if report_all:
-        partners = tuple(m for c in chunks for m, _ in c.hits)
-        return partners, sum(c.passed for c in chunks)
-    tested = 0
-    for c in chunks:
-        if c.hits:
-            m, rank = c.hits[0]
-            return (m,), tested + rank
-        tested += c.passed
-    return (), tested
-
-
-def scan_window(
-    n: int, lo: int, hi: int, cfg: SearchConfig, table: FactorTable | None = None
-) -> tuple[tuple[int, ...], int]:
-    """(partners, tested) for [lo, hi] in one serial scan_range call.
-
-    The default scanner of find_partner and verify_pow2_nonseparable; the
-    CLI passes a chunked, parallel one with the same signature, and census
-    one bound to its FactorTable.
-    """
-    report_all = cfg.report_all_partners
-    scan = scan_range(n, lo, hi, cfg, not report_all, table)
-    return merge_chunk_scans([scan], report_all)
+def merge_chunk_scans(chunks: list[ChunkScan]) -> ChunkScan:
+    """One ChunkScan for the ascending disjoint chunks of a report-all scan:
+    their partners in order and the sum of their tested counts."""
+    partners = tuple(m for c in chunks for m in c.partners)
+    return ChunkScan(partners, sum(c.passed for c in chunks))
 
 
 def partner_window(n: int, cfg: SearchConfig) -> tuple[int, int, bool]:
@@ -263,14 +226,15 @@ def partner_window(n: int, cfg: SearchConfig) -> tuple[int, int, bool]:
         raise ValueError(f"partner search: n must be >= 1, got {n}")
     if n == 1:
         return 2, 1, True
-    lo, hi = partner_search_bound(n)
+    divs = divisors(n)
+    lo, hi = (n // divs[1] + 1, n * divs[2]) if len(divs) >= 3 else (2, n * n)
     if cfg.bound_override is not None:
         hi = cfg.bound_override
-    return lo, hi, tau(n) <= 2
+    return lo, hi, len(divs) <= 2
 
 
 def find_partner(
-    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_window
+    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_range
 ) -> SeparabilityResult:
     """Ascending search for interlocking partners of n inside the proven
     window.  Returns the first partner unless cfg.report_all_partners; an
@@ -292,7 +256,7 @@ def find_partner(
 def census_batch(ns, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
     """find_partner(n, cfg) for each n of ns, in order, with every scan reading
     tau and least primes from one FactorTable."""
-    scan = partial(scan_window, table=FactorTable())
+    scan = partial(scan_range, table=FactorTable())
     return [find_partner(n, cfg, scan) for n in ns]
 
 
@@ -415,7 +379,7 @@ class Pow2Report:
     confirmed: bool
 
 
-def verify_pow2_nonseparable(k: int, scan=scan_window) -> Pow2Report:
+def verify_pow2_nonseparable(k: int, scan=scan_range) -> Pow2Report:
     """Exhaustively confirm that 2^k has no interlocking partner.
 
     Only k > 2 with k = 1, 2, 9, 10 (mod 12) is accepted: those are the

@@ -126,6 +126,16 @@ def record_pools(monkeypatch):
     return log
 
 
+def record_scans(monkeypatch):
+    # The [lo, hi] of every scan_range call the CLI makes.
+    log = []
+    scan_range = cli.scan_range
+    monkeypatch.setattr(
+        cli, "scan_range", lambda *task: log.append(task[1:3]) or scan_range(*task)
+    )
+    return log
+
+
 @pytest.fixture
 def pool_log(monkeypatch):
     # Every split window scan and every census starts a pool, however small.
@@ -156,17 +166,27 @@ def test_pools_never_outnumber_tasks(capsys, pool_log):
 def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
     assert cli._MIN_POOL_WINDOW > 1 << 18
     pools = record_pools(monkeypatch)
-    chunks = []
-    scan_range = cli.scan_range
-    monkeypatch.setattr(
-        cli, "scan_range", lambda *task: chunks.append(task[1:3]) or scan_range(*task)
-    )
-    command = ("partner", "524288", "--bound", "524288")  # a window of 2^18 entries
+    chunks = record_scans(monkeypatch)
+    command = ("partner", "524288", "--bound", "524288", "--all")  # 2^18 entries
     _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
-    assert chunks == []
+    assert chunks == [(262145, 524288)]
+    chunks.clear()
     _, split = invoke(capsys, "--jsonl", "--jobs", "2", *command)
     assert pools == []
     assert len(chunks) == 8 and chunks[0][0] == 262145 and chunks[-1][1] == 524288
+    assert strip_volatile(serial) == strip_volatile(split)
+
+
+def test_first_hit_search_is_one_scan_at_every_jobs(capsys, monkeypatch, pool_log):
+    # Even with every window allowed a pool, a search that stops at its first
+    # partner scans the whole window once, in ascending order, in process.
+    chunks = record_scans(monkeypatch)
+    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "11")
+    chunks.clear()
+    code, split = invoke(capsys, "--jsonl", "--jobs", "2", "pow2", "--k", "11")
+    assert code == 0 and split["result"]["result"]["partners"] == [3975]
+    assert pool_log == []
+    assert chunks == [(1025, 8192)]
     assert strip_volatile(serial) == strip_volatile(split)
 
 
@@ -290,6 +310,22 @@ def test_s_member_and_exit_codes(capsys):
     assert rec["result"]["witness"] == [2, 257]
     code, rec = invoke(capsys, "--jsonl", "s-member", "5", "--t", "5", "--C", "3")
     assert code == 2  # both threshold forms at once
+
+
+def test_zero_denominator_threshold_is_a_usage_error(capsys):
+    for command in (("s-member", "5", "--C", "1/0"), ("s-count", "--max", "10", "--C", "0/0")):
+        code, rec = invoke(capsys, "--jsonl", *command)
+        assert code == 2, command
+        assert rec["result"]["error"] == "usage", command
+        assert "--C" in rec["result"]["message"], command
+
+
+def test_threshold_text_for_a_large_t(capsys):
+    # e^c = 2^(2^14298) is never built, and its exponent, 4,305 digits long,
+    # is printed past the interpreter's int -> str digit limit.
+    code, rec = invoke(capsys, "--jsonl", "s-member", "5", "--t", "14300")
+    assert code == 0 and rec["result"]["member"] is True
+    assert rec["result"]["threshold"].endswith(f"e^c = 2^{Decimal(1 << 14298)})")
 
 
 def test_s_member_precision_exit_three(capsys, monkeypatch):
@@ -466,7 +502,7 @@ def test_damaged_census_cache_is_recomputed(tmp_path, capsys, damage):
 
 
 def test_jobs_do_not_change_scan_payloads(capsys):
-    commands = [("pow2", "--k", k) for k in ("9", "10", "13", "14")]
+    commands = [("pow2", "--k", k) for k in ("9", "10", "11", "12", "13", "14")]
     commands.append(("partner", "524288", "--bound", "524288"))
     for command in commands:
         _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)

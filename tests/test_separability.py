@@ -198,8 +198,8 @@ def test_end_gap_rules_above_the_sieve(m, n):
 
 
 def test_scan_chunks_merge_like_serial():
-    # Chunked scans over the exact search window must reproduce both the
-    # partner tuple and the serial tested-count, hit or no hit.
+    # Chunked report-all scans over the exact search window must reproduce
+    # both the partner tuple and the serial tested-count.
     for n in (64, 210, 96):
         lo, hi = partner_search_bound(n)
         whole = scan_range(n, lo, hi, ALL)
@@ -207,25 +207,21 @@ def test_scan_chunks_merge_like_serial():
         parts = [
             scan_range(n, a, min(a + step - 1, hi), ALL) for a in range(lo, hi + 1, step)
         ]
-        merged_partners, merged_tested = merge_chunk_scans(parts, report_all=True)
-        assert merged_partners == tuple(m for m, _ in whole.hits), n
-        assert merged_tested == whole.passed, n
-        first = find_partner(n)
-        partners, tested = merge_chunk_scans(parts, report_all=False)
-        assert partners == first.partners, n
-        assert tested == first.candidates_tested, n
+        assert len(parts) > 1, n
+        assert merge_chunk_scans(parts) == (whole.partners, whole.passed), n
 
 
 def test_first_hit_scan_matches_full_scan():
-    # A first-hit scan stops inside a sieve segment; its hit and rank must be
-    # the full scan's first, and a scan with no hit must count the same.
+    # A first-hit scan stops inside a sieve segment; it must give the full
+    # scan's first partner and the full count of the candidates up to that
+    # partner, and a scan with no hit must count the same as the full scan.
     def agree(n):
         lo, hi, _ = partner_window(n, SearchConfig())
-        full = scan_range(n, lo, hi, SearchConfig())
-        first = scan_range(n, lo, hi, SearchConfig(), first_hit=True)
-        assert first.hits == full.hits[:1], n
-        if not full.hits:
-            assert first.passed == full.passed, n
+        full = scan_range(n, lo, hi, ALL)
+        first = scan_range(n, lo, hi, SearchConfig())
+        assert first.partners == full.partners[:1], n
+        end = first.partners[0] if first.partners else hi
+        assert first == scan_range(n, lo, end, ALL), n
         return hi - lo + 1
 
     for n in range(1, 301):
@@ -235,9 +231,20 @@ def test_first_hit_scan_matches_full_scan():
         assert agree(n) > 2 * 960, n
 
 
+def test_find_partner_factorizes_n_at_most_twice(monkeypatch):
+    # n's divisor list is built once for the window and once in the scan.
+    calls = []
+    factorize = arith.factorize
+    monkeypatch.setattr(arith, "factorize", lambda r: calls.append(r) or factorize(r))
+    for n in (7, 64, 96, 210, 720720):
+        calls.clear()
+        find_partner(n)
+        assert calls.count(n) <= 2, n
+
+
 def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
     """The default-config scan of [lo, hi] in one ascending pass over a tau
-    table: (hits with their ranks, candidates that passed the filters)."""
+    table: (partners, candidates that passed the filters)."""
     tn = taus[n]
     pow2 = n >= 4 and n & (n - 1) == 0
     hits, passed = [], 0
@@ -248,7 +255,7 @@ def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
         if taus[m] in allowed:
             passed += 1
             if check_interlock(m, n).verdict:
-                hits.append((m, passed))
+                hits.append(m)
     return tuple(hits), passed
 
 
@@ -262,7 +269,7 @@ def test_scan_range_matches_tau_table_scan(monkeypatch, cap):
     for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
         lo, hi, _ = partner_window(n, ALL)
         scan = scan_range(n, lo, hi, ALL)
-        assert (scan.hits, scan.passed) == table_scan(n, lo, hi, taus), n
+        assert (scan.partners, scan.passed) == table_scan(n, lo, hi, taus), n
 
 
 @pytest.mark.parametrize("cap", [arith.FACTOR_TABLE_CAP, 300])
@@ -275,7 +282,7 @@ def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(monkeypatch, ca
     for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
         lo, hi, _ = partner_window(n, ALL)
         scan = scan_range(n, lo, hi, ALL, table=factors)
-        assert (scan.hits, scan.passed) == table_scan(n, lo, hi, taus), n
+        assert (scan.partners, scan.passed) == table_scan(n, lo, hi, taus), n
     assert factors.size == min(cap, 2 * arith._TABLE_PIECE)  # 149^2 < 2^15
 
 
