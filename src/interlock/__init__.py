@@ -23,7 +23,7 @@ _EXPORTS = {
     ),
     "construction": (
         "ClaimDiagnostics ConstructionPlan ConstructionReport CoverageReport JumpParams "
-        "MixedRadixDigits SearchBudgetError build_pow2_partner count_bounded_jumps "
+        "MixedRadixDigits build_pow2_partner count_bounded_jumps "
         "gap_census gap_ratio has_bounded_jumps interval_coverage_diagnostic "
         "mixed_radix_compose mixed_radix_decompose plan_from_dict plan_to_dict "
         "verify_construction"
@@ -37,8 +37,8 @@ _EXPORTS = {
         "PlacementReport PrimorialSplit enumerate_primorial_pairs placement_consensus"
     ),
     "separability": (
-        "Pow2Report SearchConfig SeparabilityResult census count_separable find_partner "
-        "partner_search_bound verify_pow2_nonseparable"
+        "Pow2Report SearchBudgetError SearchConfig SeparabilityResult census "
+        "count_separable find_partner partner_search_bound verify_pow2_nonseparable"
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -4,7 +4,8 @@ Every invocation emits one JSON record {command, inputs, result, timing_ms,
 version}: pretty-printed by default, one compact line with --jsonl.  Integers
 that do not fit in a signed 64-bit word are emitted as decimal strings so no
 downstream JSON tooling silently truncates them.  Payloads are byte-identical
-across --jobs settings (timing aside): a search that stops at its first
+across --jobs settings (timing aside): the partners of 2^k are built in
+process (separability.pow2_partners); a search that stops at its first
 partner is one ascending scan at every --jobs; a report-all window scan is
 range-partitioned and its chunks merged back in ascending order, and
 parallel census batches are merged back in order of n.
@@ -29,6 +30,7 @@ from itertools import chain
 from . import __version__
 from .pairs import check_alternation, check_interlock
 from .separability import (
+    SearchBudgetError,
     SearchConfig,
     append_census_cache,
     census_batch,
@@ -429,13 +431,12 @@ def _inputs_echo(args) -> dict:
 
 def _error_kind(exc: Exception):
     """(error, exit code) of the record run emits for exc, or None to let it
-    propagate.  The precision and budget errors are looked up only in modules
+    propagate.  The precision error is looked up only if its module is
     already imported: a module that was never imported cannot have raised."""
     precision = sys.modules.get(f"{__package__}.precision")
     if precision is not None and isinstance(exc, precision.PrecisionError):
         return "precision-indeterminate", EXIT_PRECISION
-    construction = sys.modules.get(f"{__package__}.construction")
-    if construction is not None and isinstance(exc, construction.SearchBudgetError):
+    if isinstance(exc, SearchBudgetError):
         return "budget-exceeded", EXIT_USAGE
     if isinstance(exc, (ValueError, OSError)):
         return "usage", EXIT_USAGE

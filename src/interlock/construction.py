@@ -57,6 +57,7 @@ from .precision import (
     log_le,
     precision_bits,
 )
+from .separability import SearchBudgetError
 
 # Divisors of 231 = 3 * 7 * 11, the fixed low-end block of every plan.  One
 # entry per value of the low digit c_0; cross-checked against divisors(231)
@@ -69,10 +70,6 @@ DEFAULT_PRIME_SEARCH_BITS = 1024
 
 # Direct interlock cross-checks are skipped above this tau(m) unless forced.
 _DIRECT_CHECK_CAP = 4096
-
-
-class SearchBudgetError(RuntimeError):
-    """A plan level exceeded the configured next-prime search budget."""
 
 
 # --- membership parameters ---------------------------------------------------

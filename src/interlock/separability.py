@@ -20,12 +20,13 @@ all of it on or off together through the one switch SearchConfig.prune
   * tau filter: an interlocking pair with distinct smallest prime divisors
     has |tau(m) - tau(n)| <= 1, so only tau(m) in {tau(n)-1, tau(n),
     tau(n)+1} is tested.
-  * parity filter (n = 2^k, k >= 2): an even partner would need 3 | m to cut
-    the gap (2, 4), leaving consecutive divisors 2, 3 of m with no power of
-    two between them; so only odd m is tested.  The tau filter then becomes
-    position-aware: each gap (2^i, 2^(i+1)) of n holds exactly one divisor
-    of an odd partner m, and at most one divisor of m exceeds 2^k, so
-    tau(m) = k when m < 2^k and tau(m) = k + 1 when m > 2^k.
+  * parity filter (n = 2^k, k >= 2: the pow2 certificates and n = 4): an
+    even partner would need 3 | m to cut the gap (2, 4), leaving consecutive
+    divisors 2, 3 of m with no power of two between them; so only odd m is
+    tested.  The tau filter then becomes position-aware: each gap
+    (2^i, 2^(i+1)) of n holds exactly one divisor of an odd partner m, and
+    at most one divisor of m exceeds 2^k, so tau(m) = k when m < 2^k and
+    tau(m) = k + 1 when m > 2^k.
   * end-gap rules (tau(m), tau(n) >= 3): each gap of either member,
     lowest and top included, holds a divisor of the other.  With
     p < q the least divisors > 1 of n, pm the least prime of m and
@@ -41,11 +42,20 @@ pruning-free oracle in the test suite rather than assumed.  A scan takes
 tau and least primes from one of two sources, chosen by its caller.  A
 census shares one arith.FactorTable across all its n: the tau filter reads
 ascending per-tau lists of m, and least primes and factorizations come from
-the table's least-prime chain.  A single partner or pow2 window, and any
-census window above the table's cap, sieves tau over its own candidates
-(arith.divisor_count_range) and finds least primes by trial division.
-Either way the end-gap rules run from m's least prime, and only the
-candidates that pass them are factorized into divisor lists.
+the table's least-prime chain.  A single partner window, a pow2
+certificate window and any census window above the table's cap sieve tau
+over their own candidates (arith.divisor_count_range) and find least
+primes by trial division.  Either way the end-gap rules run from m's least
+prime, and only the candidates that pass them are factorized into divisor
+lists.
+
+With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
+of scanning their window (pow2_partners).  By the parity and gap argument
+above, an odd m interlocks with 2^k exactly when its divisors fill the
+slots (2^(j-1), 2^j), j = 2..k, one each (bit length j), with at most one
+more, m itself, above 2^k.  A depth-first search introduces m's divisors in
+increasing order, each in a slot of its own, and hands every complete
+placement to check_interlock.
 """
 
 from __future__ import annotations
@@ -60,11 +70,18 @@ from itertools import chain
 from pathlib import Path
 
 from .arith import FactorTable, divisor_count_range, divisors, factorize
-from .arith import divisors_from_factorization, smallest_prime_divisor
+from .arith import divisors_from_factorization, next_prime, smallest_prime_divisor
 from .pairs import check_interlock
 
 # Largest tau segment a scan sieves at once, in entries.
 _SEGMENT_CAP = 1 << 16
+# Nodes after which a 2^k slot search gives up; every least-partner search
+# for k <= 61 visits at most 67,960 (see CHANGES.md).
+POW2_SEARCH_BUDGET = 200_000
+
+
+class SearchBudgetError(RuntimeError):
+    """A search passed its budget; the message names the stage."""
 
 
 @dataclass(frozen=True)
@@ -90,7 +107,8 @@ class SeparabilityResult:
 
 class ChunkScan(namedtuple("ChunkScan", "partners passed")):
     """Result of scanning one candidate sub-range: the partners found, in
-    ascending order, and how many candidates passed the tau/parity filters.
+    ascending order, and how many candidates passed the tau/parity filters
+    (for pow2_partners, its complete placements).
     (collections.namedtuple: typing.NamedTuple would import typing.)"""
 
     __slots__ = ()
@@ -215,6 +233,106 @@ def merge_chunk_scans(chunks: list[ChunkScan]) -> ChunkScan:
     return ChunkScan(partners, sum(c.passed for c in chunks))
 
 
+def _placed(ds, used: int, k: int, top: int) -> int:
+    """used, a bit per filled slot (bit s: a divisor of bit length s), with
+    the slots of ds added; 0 if one of ds meets a filled slot, or lies above
+    2^k but is not top, or is top above 2^k while a slot up to k stays empty."""
+    for d in ds:
+        s = d.bit_length()
+        if used >> s & 1 or (s > k and d != top):
+            return 0
+        used |= 1 << s
+    full = (2 << k) - 1
+    return used if top.bit_length() <= k or used & full == full else 0
+
+
+def _prime_intervals(ds, f: int, used: int, j: int, k: int, qmax: int):
+    """[(a, b, placed)]: the runs [a, b] of q in slot j, up to qmax, on
+    which every q*d (d in ds, f = max(ds)) keeps its slot, kept only where
+    _placed admits those slots (placed is its result)."""
+    lo, hi = (1 << (j - 1)) + 1, min((1 << j) - 1, qmax)
+    if lo > hi:
+        return []
+    # q*d gains a bit at q = ceil(2^(j + bl(d) - 1) / d).
+    cuts = {-(-(1 << (j + d.bit_length() - 1)) // d) for d in ds}
+    edges = sorted({lo, hi + 1} | {t for t in cuts if lo < t <= hi})
+    runs = []
+    for a, b in zip(edges, edges[1:]):
+        placed = _placed([a * d for d in ds], used, k, a * f)
+        if placed:
+            runs.append((a, b - 1, placed))
+    return runs
+
+
+def _divides(t: int, exps) -> bool:
+    """Whether exponents E_i >= exps[i] exist with prod(E_i + 1) dividing t."""
+    if not exps:
+        return True
+    return any(t % f == 0 and _divides(t // f, exps[1:]) for f in range(exps[0] + 1, t + 1))
+
+
+def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
+    """The partners m <= hi of 2^k, k >= 3, from the slot search (module
+    doc): every one with report_all, else the least.  passed counts the
+    complete placements handed to check_interlock.
+
+    A node holds the divisors ds of f, the product of the prime powers
+    chosen so far, and the slots they fill.  The least divisor of m outside
+    ds is a prime power, and it fills the first empty slot j: the next power
+    of a chosen prime, or a new prime q in slot j, from the runs of
+    _prime_intervals.  A branch is cut when its product passes hi (in
+    least-partner mode, the least partner so far minus 1), or when its
+    exponents E_i leave tau(m) = k or k + 1 out of reach: prod(E_i + 1) must
+    divide it, which also keeps |ds| <= k + 1.  Past POW2_SEARCH_BUDGET
+    nodes it raises SearchBudgetError.
+    """
+    n, cap = 1 << k, hi
+    div_n = divisors(n)
+    found: list[int] = []
+    spent = tested = 0
+    shapes: dict[tuple, bool] = {}
+
+    def shaped(powers):
+        exps = tuple(sorted((e for _, e in powers), reverse=True))
+        if exps not in shapes:
+            shapes[exps] = _divides(k, exps) or _divides(k + 1, exps)
+        return shapes[exps]
+
+    def visit(ds, f, used, powers):
+        nonlocal cap, spent, tested
+        spent += 1
+        if spent > POW2_SEARCH_BUDGET:
+            raise SearchBudgetError(
+                f"pow2 partner search: k = {k} passed the budget of {POW2_SEARCH_BUDGET} nodes"
+            )
+        j = (~used & (used + 1)).bit_length() - 1  # the first empty slot
+        if j > k:  # every slot up to 2^k is filled: m = f
+            tested += 1
+            if check_interlock(f, n, None, div_n).verdict:
+                found.append(f)
+                cap = cap if report_all else f - 1
+            return
+        for i, (p, e) in enumerate(powers):
+            x = p ** (e + 1)
+            if x.bit_length() != j or f * p > cap:
+                continue
+            raised = powers[:i] + ((p, e + 1),) + powers[i + 1 :]
+            new = [x * d for d in ds if d % p]
+            placed = shaped(raised) and _placed(new, used, k, f * p)
+            if placed:
+                visit(ds + new, f * p, placed, raised)
+        if not shaped(powers + ((0, 1),)):  # with a new prime
+            return
+        for a, b, placed in _prime_intervals(ds, f, used, j, k, cap // f):
+            q = next_prime(a - 1)
+            while q <= b and q * f <= cap:
+                visit(ds + [q * d for d in ds], q * f, placed, powers + ((q, 1),))
+                q = next_prime(q)
+
+    visit([1], 1, 0b11, ())  # bit 1: the divisor 1; bit 0 is no slot
+    return ChunkScan(tuple(sorted(found) if report_all else found[-1:]), tested)
+
+
 def partner_window(n: int, cfg: SearchConfig) -> tuple[int, int, bool]:
     """(lo, hi, degenerate) for the partner scan of n.
 
@@ -239,10 +357,16 @@ def find_partner(
     """Ascending search for interlocking partners of n inside the proven
     window.  Returns the first partner unless cfg.report_all_partners; an
     exhausted window yields separable = False with the bound recorded.
-    scan(n, lo, hi, cfg) -> (partners, tested) runs the window scan.
+    With cfg.prune, n = 2^k (k >= 3) takes the slot search pow2_partners up
+    to the window's top, and candidates_tested counts its complete
+    placements; every other n, and every n under --no-prune, takes
+    scan(n, lo, hi, cfg) -> (partners, tested), the window scan.
     """
     lo, hi, degenerate = partner_window(n, cfg)
-    partners, tested = scan(n, lo, hi, cfg)
+    if cfg.prune and n >= 8 and n & (n - 1) == 0:
+        partners, tested = pow2_partners(n.bit_length() - 1, hi, cfg.report_all_partners)
+    else:
+        partners, tested = scan(n, lo, hi, cfg)
     return SeparabilityResult(
         n=n,
         separable=bool(partners) or degenerate,

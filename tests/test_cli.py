@@ -8,7 +8,8 @@ from decimal import Decimal
 import mpmath
 import pytest
 
-from interlock import cli, construction, precision
+import interlock
+from interlock import cli, construction, precision, separability
 from interlock.cli import run
 
 
@@ -68,8 +69,8 @@ def test_partner_jobs_determinism(capsys):
     _, rec2 = invoke(capsys, "--jsonl", "partner", "210", "--jobs", "4")
     assert strip_volatile(rec1) == strip_volatile(rec2)
     # a window wide enough to really fan out over the pool
-    _, rec1 = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "1")
-    _, rec2 = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "4")
+    _, rec1 = invoke(capsys, "--jsonl", "partner", "3072", "--all", "--jobs", "1")
+    _, rec2 = invoke(capsys, "--jsonl", "partner", "3072", "--all", "--jobs", "4")
     assert strip_volatile(rec1) == strip_volatile(rec2)
 
 
@@ -154,8 +155,8 @@ def test_pools_never_outnumber_tasks(capsys, pool_log):
     assert pool_log == [(3, 3)]
     assert strip_volatile(rec3) == strip_volatile(rec)
     pool_log.clear()
-    _, serial = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "1")
-    _, pooled = invoke(capsys, "--jsonl", "partner", "2048", "--all", "--jobs", "64")
+    _, serial = invoke(capsys, "--jsonl", "partner", "3072", "--all", "--jobs", "1")
+    _, pooled = invoke(capsys, "--jsonl", "partner", "3072", "--all", "--jobs", "64")
     assert strip_volatile(serial) == strip_volatile(pooled)
     assert len(pool_log) == 1 and pool_log[0][0] == pool_log[0][1] > 1
     pool_log.clear()
@@ -167,13 +168,13 @@ def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
     assert cli._MIN_POOL_WINDOW > 1 << 18
     pools = record_pools(monkeypatch)
     chunks = record_scans(monkeypatch)
-    command = ("partner", "524288", "--bound", "524288", "--all")  # 2^18 entries
+    command = ("partner", "786432", "--bound", "655360", "--all")  # 2^18 entries
     _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
-    assert chunks == [(262145, 524288)]
+    assert chunks == [(393217, 655360)]
     chunks.clear()
     _, split = invoke(capsys, "--jsonl", "--jobs", "2", *command)
     assert pools == []
-    assert len(chunks) == 8 and chunks[0][0] == 262145 and chunks[-1][1] == 524288
+    assert len(chunks) == 8 and chunks[0][0] == 393217 and chunks[-1][1] == 655360
     assert strip_volatile(serial) == strip_volatile(split)
 
 
@@ -181,13 +182,56 @@ def test_first_hit_search_is_one_scan_at_every_jobs(capsys, monkeypatch, pool_lo
     # Even with every window allowed a pool, a search that stops at its first
     # partner scans the whole window once, in ascending order, in process.
     chunks = record_scans(monkeypatch)
-    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "11")
+    _, serial = invoke(capsys, "--jsonl", "--jobs", "1", "partner", "1010")
     chunks.clear()
-    code, split = invoke(capsys, "--jsonl", "--jobs", "2", "pow2", "--k", "11")
-    assert code == 0 and split["result"]["result"]["partners"] == [3975]
+    code, split = invoke(capsys, "--jsonl", "--jobs", "2", "partner", "1010")
+    assert code == 0 and split["result"]["partners"] == [2163]
     assert pool_log == []
-    assert chunks == [(1025, 8192)]
+    assert chunks == [(506, 5050)]
     assert strip_volatile(serial) == strip_volatile(split)
+
+
+def test_powers_of_two_scan_no_window(capsys, monkeypatch, pool_log):
+    # The partners of 2^k come from the slot search, at every --jobs.
+    chunks = record_scans(monkeypatch)
+    for command in (("partner", "2048", "--all"), ("pow2", "--k", "11")):
+        _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
+        _, split = invoke(capsys, "--jsonl", "--jobs", "2", *command)
+        assert strip_volatile(serial) == strip_volatile(split), command
+    assert serial["result"]["result"]["partners"] == [3975]
+    assert chunks == [] and pool_log == []
+
+
+def test_pow2_search_accounting(capsys):
+    # candidates_tested of a 2^k search counts the complete placements
+    # handed to check_interlock.
+    expected = {
+        "partner 64": 1,
+        "partner 512": 0,
+        "partner 524288 --bound 524288": 0,
+        "pow2 --k 11": 1,
+        "pow2 --k 12": 1,
+        "pow2 --k 23": 3,
+        "pow2 --k 24": 3,
+    }
+    for command, tested in expected.items():
+        _, rec = invoke(capsys, "--jsonl", "--jobs", "1", *command.split())
+        assert rec["result"].get("result", rec["result"])["candidates_tested"] == tested, command
+
+
+def test_slot_search_budget_is_a_budget_error(capsys, monkeypatch):
+    assert interlock.SearchBudgetError is separability.SearchBudgetError
+    assert construction.SearchBudgetError is separability.SearchBudgetError
+    monkeypatch.setattr(separability, "POW2_SEARCH_BUDGET", 50)
+    code, rec = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "31")
+    assert code == 2
+    assert rec["result"] == {
+        "error": "budget-exceeded",
+        "message": "pow2 partner search: k = 31 passed the budget of 50 nodes",
+    }
+    monkeypatch.setattr(separability, "POW2_SEARCH_BUDGET", 435)  # what k = 31 visits
+    code, rec = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "31")
+    assert code == 0 and rec["result"]["result"]["partners"] == [3775127811]
 
 
 def test_census_batches_over_a_pool_above_the_crossover(capsys, monkeypatch):
@@ -517,7 +561,7 @@ def test_census_accounting_contract(capsys):
     _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", "census", "--max", "200")
     assert strip_volatile(serial) == strip_volatile(pooled)
     result = serial["result"]
-    assert sum(row["tested"] for row in result["rows"]) == 3718
+    assert sum(row["tested"] for row in result["rows"]) == 3714
     assert result["separable_count"] == 149
     assert result["separable_count_nondegenerate"] == 102
 

@@ -23,12 +23,13 @@ from interlock.separability import (
     merge_chunk_scans,
     partner_search_bound,
     partner_window,
+    pow2_partners,
     record_to_result,
     result_to_record,
     scan_range,
     verify_pow2_nonseparable,
 )
-from oracles import divisor_table, oracle_factorize, oracle_interlock, tau_table
+from oracles import divisor_table, oracle_factorize, oracle_interlock, prime_sieve, tau_table
 
 NO_PRUNE = SearchConfig(prune=False, report_all_partners=True)
 ALL = SearchConfig(report_all_partners=True)
@@ -161,7 +162,7 @@ def test_end_gap_soundness_exhaustive_scan():
 
 def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
     # Of the candidates that pass the tau/parity filters in the census
-    # scans up to 200 (3,718 of them), the helper rejects at least 80%, each
+    # scans up to 200 (3,707 of them), the helper rejects at least 80%, each
     # rejection breaks one of the naive end-gap rules, and every rule is
     # broken by some rejected candidate.
     helper, seen = separability._end_gaps_allow, []
@@ -173,7 +174,7 @@ def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
 
     monkeypatch.setattr(separability, "_end_gaps_allow", recording)
     census(200)
-    assert len(seen) == 3718
+    assert len(seen) == 3707
     rejected = [(m, n) for m, n, allowed in seen if not allowed]
     assert len(rejected) >= 0.8 * len(seen)
     broken = set()
@@ -417,3 +418,92 @@ def test_partner_window_contains_all_partners(n):
     else:
         assert lo == 2
         assert hi == n * n
+
+
+def test_slot_search_matches_the_window_scan():
+    # find_partner sends 2^k to the slot search, so the window scan is
+    # called directly here.
+    for k in range(3, 21):
+        lo, hi, _ = partner_window(2**k, ALL)
+        scanned = scan_range(2**k, lo, hi, ALL).partners
+        every = pow2_partners(k, hi, True)
+        assert every.partners == scanned and every.passed == len(scanned), k
+        assert pow2_partners(k, hi, False).partners == scanned[:1], k
+        for m in scanned:
+            assert check_interlock(m, 2**k).verdict
+
+
+def test_slot_search_matches_the_unpruned_scan():
+    for k in range(3, 15):
+        assert find_partner(2**k, ALL).partners == find_partner(2**k, NO_PRUNE).partners, k
+
+
+def test_slot_search_pins():
+    hi = lambda k: 4 << k  # the top of 2^k's window
+    every = pow2_partners(23, hi(23), True).partners
+    assert len(every) == 342 and every[0] == 15257319
+    every = pow2_partners(24, hi(24), True).partners
+    assert len(every) == 89 and every[0] == 15257319
+    least = {k: pow2_partners(k, hi(k), False).partners for k in range(25, 33)}
+    assert least == {
+        25: (), 26: (), 27: (), 28: (),
+        29: (1038438075,), 30: (1038438075,),
+        31: (3775127811,), 32: (3775127811,),
+    }
+
+
+@cache
+def every_pow2_partner(k: int) -> frozenset:
+    return frozenset(pow2_partners(k, 4 << k, True).partners)
+
+
+@given(st.integers(3, 30), st.integers(0, 1 << 40))
+@example(6, 63 - 33)  # partners of 2^6, 2^11 and 2^29
+@example(11, 3975 - 1025)
+@example(29, 1038438075 - (2**28 + 1))
+@settings(max_examples=300, deadline=None)
+def test_slot_search_finds_exactly_the_interlocking_m(k, r):
+    # m: an odd number in (2^(k-1), 2^(k+2)), the window of 2^k.
+    lo, hi = (1 << (k - 1)) + 1, (1 << (k + 2)) - 1
+    m = (lo + r % (hi - lo + 1)) | 1
+    assert (m in every_pow2_partner(k)) == check_interlock(m, 2**k).verdict, m
+
+
+SLOT_PRIMES = prime_sieve(1 << 16)  # the slots of 2^k, k <= 16
+
+
+def naive_runs(ds, f, used, j, k, qmax):
+    """The q of slot j, up to qmax, placed one by one: {q: the filled slots
+    with every q*d added} where each q*d gets a free slot of its own, up to
+    k, or above it as m = q*f once every slot up to k is filled."""
+    filled = {s for s in range(used.bit_length()) if used >> s & 1}
+    out = {}
+    for q in range(2 ** (j - 1) + 1, min(2**j - 1, qmax) + 1):
+        if not SLOT_PRIMES[q]:
+            continue
+        slots = [(q * d).bit_length() for d in ds]
+        top = (q * f).bit_length()
+        below = slots if top <= k else [s for s, d in zip(slots, ds) if d != f]
+        if len(set(slots)) == len(slots) and not filled & set(slots) and all(s <= k for s in below):
+            now = filled | set(slots)
+            if top <= k or now >= set(range(k + 1)):
+                out[q] = sum(1 << s for s in now)
+    return out
+
+
+def test_prime_runs_match_placing_each_prime(monkeypatch):
+    runs, calls = separability._prime_intervals, []
+
+    def recording(*node):
+        got = runs(*node)
+        calls.append((node, got))
+        return got
+
+    monkeypatch.setattr(separability, "_prime_intervals", recording)
+    for k in range(3, 17):
+        for report_all in (True, False):
+            pow2_partners(k, 4 << k, report_all)
+    assert len(calls) > 100
+    for node, got in calls:
+        placed = {q: bits for a, b, bits in got for q in range(a, b + 1) if SLOT_PRIMES[q]}
+        assert placed == naive_runs(*node), node
