@@ -30,10 +30,10 @@ asymptotic claim diagnostics fail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from decimal import Decimal
 from fractions import Fraction
-from itertools import compress
 
 import mpmath
 
@@ -191,21 +191,38 @@ def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
     return JumpCheck(n, witness is None, witness)
 
 
+def _jump_marks(x: int, params: JumpParams) -> int:
+    """Bit 8n set for each n <= x with a jump: consecutive divisors d < c
+    with c > B_d = max(floor(e^threshold), floor(e^d)), that is, d | n,
+    n > B_d and no divisor in (d, B_d].  c <= x, so the scan stops at the
+    first d with 2.7^d >= x (e^d > x), before floor_exp is asked for it."""
+    e_floor = (_exp_threshold_floor(params) if params.t is None
+               else 1 << params.exp_threshold_log2)
+    jumps = 0
+    d = 1
+    while 27**d < 10**d * x:
+        bound = max(e_floor, floor_exp(d))
+        if bound < x:
+            above = 8 * (bound + 1)  # the bits of n <= B_d
+            multiples = int.from_bytes(_divisor_marks(x, d, d), "little") >> above << above
+            jumps |= multiples & ~int.from_bytes(_divisor_marks(x, d + 1, bound), "little")
+        d += 1
+    return jumps
+
+
 def count_bounded_jumps(x: int, params: JumpParams) -> int:
     """Number of n <= x in the slow-growth set.
 
     When e^threshold >= x every divisor comparison is vacuous and the count
-    is x without enumeration.  Otherwise floor(e^threshold) is computed once
-    and each n's divisor list is built from its factorization.
+    is x without enumeration.  Otherwise the divisor-mark sieves of
+    _jump_marks find the n with a jump, with no factorization: about
+    2 x ln x byte writes in all, and O(x) bytes of memory.
     """
     if x < 1:
         raise ValueError(f"count_bounded_jumps: x must be >= 1, got {x}")
     if _le_exp_threshold(x, params):
         return x
-    exp_floor = _exp_threshold_floor(params)
-    return sum(
-        _first_jump(divisors(n), params, exp_floor) is None for n in range(1, x + 1)
-    )
+    return x - _jump_marks(x, params).bit_count()
 
 
 # --- divisor-free-interval census --------------------------------------------
@@ -213,10 +230,13 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
 
 def _divisor_marks(x: int, y: int, z: int) -> bytearray:
     """marks[n] = 1 for the n <= x with a divisor d, y <= d <= z; index 0
-    stays 0."""
+    stays 0.  x + 1 > sys.maxsize raises ValueError, allocating nothing."""
+    if x + 1 > sys.maxsize:
+        raise ValueError(f"x = {x} is too large to sieve (at most {sys.maxsize - 1})")
     marks = bytearray(x + 1)
     for d in range(y, z + 1):
-        marks[d::d] = b"\x01" * (x // d)
+        if not marks[d]:  # else a divisor of d in [y, d) marked its multiples
+            marks[d::d] = b"\x01" * (x // d)
     return marks
 
 
@@ -346,7 +366,9 @@ def _interval_bounds(params: JumpParams, power_log2: int) -> tuple[int, int]:
 
 def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     """Compute the coverage level l, the intervals, per-interval censuses,
-    the union bound, and the empirical relation to set membership."""
+    the union bound, and the empirical relation to set membership, all from
+    divisor-mark sieves (one per interval, then _jump_marks): about x ln x
+    byte writes per sieve and O(x) bytes of memory, with no factorization."""
     if x < 1:
         raise ValueError(f"interval_coverage_diagnostic: x must be >= 1, got {x}")
     threshold = params.describe()
@@ -376,11 +398,7 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     union_missing = x - covered
     sum_missing = sum(ic.missing for ic in intervals)
 
-    exp_floor = _exp_threshold_floor(params)
-    covered_in = sum(
-        _first_jump(divisors(n), params, exp_floor) is None
-        for n in compress(range(x + 1), has_all.to_bytes(x + 1, "little"))
-    )
+    covered_in = (has_all & ~_jump_marks(x, params)).bit_count()
 
     return CoverageReport(
         x=x,

@@ -399,6 +399,17 @@ def test_gaps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("gaps", "--x", str(10**20), "--y", "2", "--z", "3"), ("s-count", "--max", str(10**20), "--C", "5")]
+)
+def test_sieve_beyond_an_index_is_a_usage_error(capsys, argv):
+    # x + 1 > sys.maxsize is refused before anything is allocated.
+    code, rec = invoke(capsys, "--jsonl", *argv)
+    assert code == 2
+    assert rec["result"]["error"] == "usage"
+    assert f"x = {10**20} is too large" in rec["result"]["message"]
+
+
 def test_primorial_payloads(capsys):
     code, rec = invoke(capsys, "--jsonl", "primorial", "--k", "8")
     assert code == 0

@@ -112,6 +112,44 @@ def test_count_matches_membership_t_form():
     assert count_bounded_jumps(3000, params) == expected
 
 
+SIEVE_PARAMS = [
+    JumpParams.from_override(Fraction(v)) for v in ("1/2", 1, "3/2", 2, "7/2", 5, 9, "31/3")
+] + [JumpParams.from_t(t) for t in range(2, 6)]
+
+
+def member_prefix_counts(x: int, params: JumpParams) -> list[int]:
+    """counts[m] = #{n <= m in the set}, from the per-n membership test."""
+    counts = [0]
+    for n in range(1, x + 1):
+        counts.append(counts[-1] + has_bounded_jumps(n, params).bounded)
+    return counts
+
+
+@pytest.mark.parametrize("params", SIEVE_PARAMS, ids=lambda p: f"t={p.t}" if p.t else f"C={p.override}")
+def test_count_sieve_matches_membership(params):
+    # Both sides of floor(e^5) = 148 and of 2^8, the t = 5 threshold.
+    counts = member_prefix_counts(3000, params)
+    for x in (1, 2, 3, 100, 148, 149, 150, 256, 257, 3000):
+        assert count_bounded_jumps(x, params) == counts[x], x
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    x=st.integers(1, 3000),
+    threshold=st.fractions(min_value=Fraction(1, 50), max_value=10, max_denominator=50),
+)
+def test_count_sieve_matches_membership_random(x, threshold):
+    params = JumpParams.from_override(threshold)
+    assert count_bounded_jumps(x, params) == member_prefix_counts(x, params)[x]
+
+
+def test_count_pinned_values():
+    # Each checked against the per-n membership count.
+    for c, expected in ((5, 70601), (2, 49706), (9, 79412)):
+        assert count_bounded_jumps(10**5, JumpParams.from_override(c)) == expected
+    assert count_bounded_jumps(10**6, JumpParams.from_override(5)) == 688682
+
+
 def test_gap_census_examples():
     assert gap_census(100, 2, 100) == 1  # only n = 1 avoids [2, 100]
     assert gap_census(30, 3, 5) == 12
@@ -180,6 +218,20 @@ def test_coverage_diagnostic_escalates_a_bounded_number_of_times(monkeypatch):
     precision.floor_exp.cache_clear()
     assert interval_coverage_diagnostic(2 * 10**4, params).covered == 7178
     assert len(calls) < 16
+
+
+@pytest.mark.parametrize("threshold", [Fraction(3, 2), 2, 3])
+def test_coverage_covered_in_set_matches_membership(threshold):
+    params = JumpParams.from_override(threshold)
+    x = 10**4
+    report = interval_coverage_diagnostic(x, params)
+    table = divisor_table(x)
+    covered = [
+        n for n in range(1, x + 1)
+        if all(any(ic.y_int <= d <= ic.z_int for d in table[n]) for ic in report.intervals)
+    ]
+    assert len(covered) == report.covered
+    assert report.covered_in_set == sum(has_bounded_jumps(n, params).bounded for n in covered)
 
 
 def test_coverage_diagnostic_vacuous_regimes():
