@@ -10,6 +10,11 @@ partner is one ascending scan at every --jobs; a report-all window scan is
 range-partitioned and its chunks merged back in ascending order, and
 parallel census batches are merged back in order of n.
 
+Start-up is most of a small command's time, so the records on this import
+path are collections.namedtuple classes: dataclasses takes about 8 ms to
+import (inspect, dis, ast, tokenize) and each @dataclass 1.3 ms more.
+decimal and fractions are imported only by the values that need them.
+
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
 not a member); 2 usage or domain error; 3 a comparison that the configured
 precision cannot decide (see INTERLOCK_PRECISION_BITS).
@@ -22,9 +27,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, is_dataclass
-from decimal import Decimal
-from fractions import Fraction
 from itertools import chain
 
 from . import __version__
@@ -66,24 +68,28 @@ _MIN_POOL_CENSUS = 1100
 
 
 def _jsonify(value):
-    """JSON-safe payloads: big ints to decimal strings, dataclasses to dicts,
-    Fractions to 'p/q' strings, tuples to lists."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonify(asdict(value))
-    if isinstance(value, bool) or value is None:
+    """JSON-safe payloads: big ints to decimal strings, records to dicts,
+    Fractions to 'p/q' strings, tuples to lists.  A dataclass or a Fraction
+    can only come from a module that has already imported its own."""
+    if isinstance(value, (bool, float)) or value is None:
         return value
     if isinstance(value, int):
-        # Decimal prints any int; str() refuses one beyond the interpreter's
-        # int -> str digit limit.
-        return value if -_INT64_MAX <= value <= _INT64_MAX else str(Decimal(value))
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, float):
-        return value
+        if -_INT64_MAX <= value <= _INT64_MAX:
+            return value
+        from decimal import Decimal  # str() refuses ints past the digit limit
+        return str(Decimal(value))
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):  # a namedtuple
+        return _jsonify(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
+    if hasattr(type(value), "__dataclass_fields__"):
+        from dataclasses import asdict
+        return _jsonify(asdict(value))
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
+        return f"{value.numerator}/{value.denominator}"
     return str(value)
 
 
@@ -216,6 +222,7 @@ def _cmd_construct(args):
 
 
 def _params_from_args(args):
+    from fractions import Fraction
     from .construction import JumpParams
     if (args.t is None) == (args.C is None):
         raise ValueError("provide exactly one of --t / --C")

@@ -19,7 +19,7 @@ and is reported as a violation instead of being broken arbitrarily.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .arith import divisors, smallest_prime_divisor, tau
 
@@ -27,48 +27,48 @@ FIRST = "first"
 SECOND = "second"
 
 
-@dataclass(frozen=True)
-class GapWitness:
+class GapWitness(namedtuple("GapWitness", "kind side lower upper")):
     """Why a pair fails: either an unseparated gap or a tie in the merge.
 
     kind "gap": `lower` and `upper` are consecutive divisors (> 1) of the
-    side named by `side`, with no divisor of the other side strictly
-    between them.  kind "tie": lower == upper is a common divisor > 1.
+    side named by `side` ("first" | "second"), with no divisor of the other
+    side strictly between them.  kind "tie": lower == upper is a common
+    divisor > 1, and side is "both".
     """
 
-    kind: str  # "gap" | "tie"
-    side: str  # "first" | "second" | "both"
-    lower: int
-    upper: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class InterlockReport:
-    verdict: bool
-    method: str  # "definitional" | "alternation"
-    first: int
-    second: int
-    degenerate: bool
-    witness: GapWitness | None = None
-    trace: tuple[int, ...] | None = None
+class InterlockReport(
+    namedtuple(
+        "InterlockReport",
+        "verdict method first second degenerate witness trace",
+        defaults=(None, None),
+    )
+):
+    """method is "definitional" or "alternation"; a failure carries a
+    GapWitness, a success the merged trace of divisors > 1."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TauRelation:
+class TauRelation(
+    namedtuple(
+        "TauRelation",
+        "smaller_d2_side order expected_tau_delta observed_tau_delta consistent",
+    )
+):
     """Divisor-count relation between the members of an oriented pair.
 
     Orientation puts `b` = the member whose smallest prime divisor is
-    smaller and `a` = the other; for interlocking pairs the expected
-    difference tau(a) - tau(b) is 0 when b < a and -1 when b > a.  The
-    relation is pure arithmetic: it is computed whether or not the pair
-    actually interlocks.
+    smaller and `a` = the other; smaller_d2_side names which argument that
+    is, and order ("less" | "greater") compares b with a.  For interlocking
+    pairs the expected difference tau(a) - tau(b) is 0 when b < a and -1
+    when b > a.  The relation is pure arithmetic: it is computed whether or
+    not the pair actually interlocks.
     """
 
-    smaller_d2_side: str  # which argument has the smaller least prime
-    order: str  # "less" | "greater" | "equal": b compared with a
-    expected_tau_delta: int
-    observed_tau_delta: int
-    consistent: bool
+    __slots__ = ()
 
 
 def _first_unseparated_gap(

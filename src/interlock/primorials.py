@@ -23,7 +23,7 @@ of at most 9 primes; the code does not rely on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import prod
 
 from .arith import divisors_from_factorization, first_primes
@@ -34,53 +34,46 @@ from .pairs import check_interlock
 _GAP_SCAN_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class PrimorialSplit:
-    k: int
-    m_primes: tuple[int, ...]
-    n_primes: tuple[int, ...]
-    m: int
-    n: int
-    interlocking: bool
-    degenerate: bool
-    trace: tuple[int, ...] | None = None
+class PrimorialSplit(
+    namedtuple(
+        "PrimorialSplit",
+        "k m_primes n_primes m n interlocking degenerate trace",
+        defaults=(None,),
+    )
+):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForcedStep:
-    prime: int
-    side: str  # "m" | "n"
-    reason: str
+class ForcedStep(namedtuple("ForcedStep", "prime side reason")):
+    """side is "m" or "n"."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ChainContradiction:
-    side: str
-    lower: int
-    upper: int
-    reason: str
+class ChainContradiction(namedtuple("ChainContradiction", "side lower upper reason")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(namedtuple("ParityCertificate", "k min_tau_gap required_max")):
     """For odd k > 1 every split already fails the divisor-count relation:
     tau(m) and tau(n) are powers of two with odd exponent sum, so their
-    difference is at least 2^((k-1)/2) > 1."""
+    difference is at least 2^((k-1)/2) > 1.  An interlocking pair allows
+    gaps of at most required_max."""
 
-    k: int
-    min_tau_gap: int
-    required_max: int  # an interlocking pair allows gaps of at most this
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PlacementReport:
-    k: int
-    splits_scanned: int
-    survivors: tuple[PrimorialSplit, ...]
-    consensus: dict[int, str] | None  # prime -> "m"/"n"/"disagree"
-    forced_chain: tuple[ForcedStep, ...]
-    contradiction: ChainContradiction | None
-    parity_certificate: ParityCertificate | None
+class PlacementReport(
+    namedtuple(
+        "PlacementReport",
+        "k splits_scanned survivors consensus forced_chain contradiction "
+        "parity_certificate",
+    )
+):
+    """consensus maps each prime to "m", "n" or "disagree" (None when no
+    split survives)."""
+
+    __slots__ = ()
 
 
 def _squarefree_divisors(primes) -> tuple[int, ...]:

@@ -64,7 +64,6 @@ import json
 import os
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -84,25 +83,28 @@ class SearchBudgetError(RuntimeError):
     """A search passed its budget; the message names the stage."""
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    bound_override: int | None = None
-    prune: bool = True
-    report_all_partners: bool = False
+class SearchConfig(
+    namedtuple(
+        "SearchConfig", "bound_override prune report_all_partners",
+        defaults=(None, True, False),
+    )
+):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.bound_override is not None and self.bound_override < 2:
             raise ValueError("bound_override must be >= 2")
+        return self
 
 
-@dataclass(frozen=True)
-class SeparabilityResult:
-    n: int
-    separable: bool
-    degenerate: bool
-    partners: tuple[int, ...]
-    search_bound: int
-    candidates_tested: int
+class SeparabilityResult(
+    namedtuple(
+        "SeparabilityResult",
+        "n separable degenerate partners search_bound candidates_tested",
+    )
+):
+    __slots__ = ()
 
 
 class ChunkScan(namedtuple("ChunkScan", "partners passed")):
@@ -407,7 +409,7 @@ def count_separable(results, include_degenerate: bool = True) -> int:
 def _cache_header(cfg: SearchConfig) -> str:
     """First line of a cache file.  Its rows are served only to a run with an
     equal header line: the same format tag and the same search config."""
-    config = {"format": "interlock-census/1", "config": asdict(cfg)}
+    config = {"format": "interlock-census/1", "config": cfg._asdict()}
     return json.dumps(config, sort_keys=True)
 
 
@@ -478,8 +480,12 @@ def append_census_cache(
 VERIFIED_RESIDUES = frozenset({1, 2, 9, 10})
 
 
-@dataclass(frozen=True)
-class Pow2Report:
+class Pow2Report(
+    namedtuple(
+        "Pow2Report",
+        "k n lo hi window_size odd_candidates tau_filtered partners confirmed",
+    )
+):
     """Exhaustion certificate for the non-separability of 2^k.
 
     The window (2^(k-1), 2^(k+2)) provably contains every possible partner:
@@ -492,15 +498,7 @@ class Pow2Report:
     candidate in the window interlocks with 2^k.
     """
 
-    k: int
-    n: int
-    lo: int
-    hi: int
-    window_size: int
-    odd_candidates: int
-    tau_filtered: int
-    partners: tuple[int, ...]
-    confirmed: bool
+    __slots__ = ()
 
 
 def verify_pow2_nonseparable(k: int, scan=scan_range) -> Pow2Report:

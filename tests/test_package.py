@@ -46,6 +46,9 @@ UNUSED_BY_IMPORT = [
     "interlock.primorials",
     "interlock.precision",
     "concurrent.futures.process",
+    "dataclasses",
+    "decimal",
+    "fractions",
 ]
 
 
@@ -70,6 +73,11 @@ def test_cli_import_leaves_unused_modules_out():
         )
     )
     assert loaded == []
+
+
+def test_primorials_import_leaves_dataclasses_out():
+    out = fresh_python("import sys, interlock.primorials; print('dataclasses' in sys.modules)")
+    assert out.split() == ["False"]
 
 
 def test_every_export_resolves_to_its_submodule():
