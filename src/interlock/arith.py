@@ -24,6 +24,9 @@ from math import gcd, isqrt
 DETERMINISTIC_PRIME_BOUND = 3317044064679887385961981
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprimes to bases 2..7 and to bases 2..13: below
+# each, those bases alone are a proven test.
+_MR_BOUND_4, _MR_BOUND_6 = 3215031751, 3474749660383
 
 # Extra rounds above the deterministic bound; combined with the strong Lucas
 # test this pushes the composite-accept probability far below 2^-128.
@@ -117,7 +120,8 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact below DETERMINISTIC_PRIME_BOUND; above it, a Baillie-PSW-style
+    """Exact below DETERMINISTIC_PRIME_BOUND, by Miller-Rabin with the first
+    4, 6 or all 13 bases of _MR_BASES as n grows; above it, a Baillie-PSW-style
     test (strong base-2 + strong Lucas) plus 64 derandomized Miller-Rabin
     rounds.  No pseudoprime for the combined test is known; the residual
     false-positive probability is far below 2^-128 but not zero, which
@@ -136,8 +140,9 @@ def is_prime(n: int) -> bool:
         d //= 2
         s += 1
     if n < DETERMINISTIC_PRIME_BOUND:
+        used = 4 if n < _MR_BOUND_4 else 6 if n < _MR_BOUND_6 else len(_MR_BASES)
         # a >= n only happens for n = 41 here; a multiple of n is no witness.
-        return all(_miller_rabin_round(n, a, d, s) for a in _MR_BASES if a % n)
+        return all(_miller_rabin_round(n, a, d, s) for a in _MR_BASES[:used] if a % n)
     if not _miller_rabin_round(n, 2, d, s):
         return False
     if not _strong_lucas(n):

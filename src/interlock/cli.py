@@ -10,10 +10,13 @@ partner is one ascending scan at every --jobs; a report-all window scan is
 range-partitioned and its chunks merged back in ascending order, and
 parallel census batches are merged back in order of n.
 
-Start-up is most of a small command's time, so the records on this import
-path are collections.namedtuple classes: dataclasses takes about 8 ms to
-import (inspect, dis, ast, tokenize) and each @dataclass 1.3 ms more.
-decimal and fractions are imported only by the values that need them.
+Start-up is most of a small command's time, so every record is a
+collections.namedtuple class: loading dataclasses takes about 8 ms
+(inspect, dis, ast, tokenize) and each @dataclass 1.3 ms more.  decimal and
+fractions are imported only by the values that need them, and the commands
+that compare with logs and exponentials (construct, s-member, s-count) do
+it in precision's integer enclosures, not in mpmath, which takes 35 ms or
+more to load.
 
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
 not a member); 2 usage or domain error; 3 a comparison that the configured
@@ -69,8 +72,8 @@ _MIN_POOL_CENSUS = 1100
 
 def _jsonify(value):
     """JSON-safe payloads: big ints to decimal strings, records to dicts,
-    Fractions to 'p/q' strings, tuples to lists.  A dataclass or a Fraction
-    can only come from a module that has already imported its own."""
+    Fractions to 'p/q' strings, tuples to lists.  A Fraction can only come
+    from a module that has already imported fractions."""
     if isinstance(value, (bool, float)) or value is None:
         return value
     if isinstance(value, int):
@@ -84,9 +87,6 @@ def _jsonify(value):
         return _jsonify(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    if hasattr(type(value), "__dataclass_fields__"):
-        from dataclasses import asdict
-        return _jsonify(asdict(value))
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(value, fractions.Fraction):
         return f"{value.numerator}/{value.denominator}"

@@ -7,7 +7,8 @@ every consecutive divisor pair d_prev < d satisfies d <= e^max(c, d_prev).
 In the t-parameterized form e^c is the exact power of two 2^(2^(t-2)), so
 that branch of the comparison is pure integer arithmetic; the e^d_prev
 branch reduces to d <= floor(e^d_prev), again exact.  Direct overrides go
-through interval arithmetic with a hard error on indeterminate margins.
+through the integer enclosures of precision.py, with a hard error on
+indeterminate margins.
 
 The partner construction: for k divisible by 2^t (t >= 4) with k/2^t in the
 slow-growth set, write k = prod(e_i + 1) with each e_i + 1 prime, ascending,
@@ -31,11 +32,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-
-import mpmath
+from types import SimpleNamespace
 
 from .arith import (
     divisors,
@@ -45,15 +45,14 @@ from .arith import (
     next_prime,
     primality_is_certified,
 )
-from .pairs import InterlockReport, check_interlock
+from .pairs import check_interlock
 from .precision import (
     escalating,
+    exp_bounds,
     exp_lt_fraction,
     floor_exp,
     fraction_lt_exp,
-    interval_ceil,
-    interval_floor,
-    iv_fraction,
+    ln2_bounds,
     log_le,
     precision_bits,
 )
@@ -71,12 +70,15 @@ DEFAULT_PRIME_SEARCH_BITS = 1024
 # Direct interlock cross-checks are skipped above this tau(m) unless forced.
 _DIRECT_CHECK_CAP = 4096
 
+# An override threshold up to this gets its floor(e^threshold) computed once
+# (about 1,450 bits at the cap); a larger one is compared per divisor.
+_EXP_FLOOR_CAP = 1000
+
 
 # --- membership parameters ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpParams:
+class JumpParams(namedtuple("JumpParams", "t override", defaults=(None, None))):
     """Threshold parameters for the bounded-divisor-jump test.
 
     Exactly one of t / override is set.  t-form: the threshold constant is
@@ -85,16 +87,17 @@ class JumpParams:
     precision.
     """
 
-    t: int | None = None
-    override: Fraction | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if (self.t is None) == (self.override is None):
             raise ValueError("JumpParams: set exactly one of t / override")
         if self.t is not None and self.t < 2:
             raise ValueError(f"JumpParams: t must be >= 2, got {self.t}")
         if self.override is not None and self.override <= 0:
             raise ValueError("JumpParams: override threshold must be positive")
+        return self
 
     @classmethod
     def from_t(cls, t: int) -> "JumpParams":
@@ -109,12 +112,13 @@ class JumpParams:
         """log2 of e^threshold when that is an exact power of two (t-form)."""
         return None if self.t is None else 1 << (self.t - 2)
 
-    def threshold_value(self) -> mpmath.mpf:
-        """The threshold constant as a high-precision float (display only)."""
-        with mpmath.workprec(precision_bits()):
-            if self.t is not None:
-                return mpmath.log(2) * mpmath.mpf(2) ** (self.t - 2)
-            return mpmath.mpf(self.override.numerator) / self.override.denominator
+    def threshold_value(self) -> Fraction:
+        """The threshold constant: exact for an override, and in t-form at
+        most 3 * 2^(t-2) / 2^precision_bits() below it (display only)."""
+        if self.t is not None:
+            prec = precision_bits()
+            return Fraction(ln2_bounds(prec)[0] << self.t - 2, 1 << prec)
+        return self.override
 
     def describe(self) -> str:
         if self.t is not None:
@@ -126,11 +130,10 @@ class JumpParams:
 # --- membership test ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpCheck:
-    n: int
-    bounded: bool
-    witness: tuple[int, int] | None  # first (d_prev, d) violating the bound
+class JumpCheck(namedtuple("JumpCheck", "n bounded witness")):
+    """witness: the first (d_prev, d) violating the bound, or None."""
+
+    __slots__ = ()
 
 
 def _le_exp_threshold(d: int, params: JumpParams) -> bool:
@@ -144,15 +147,9 @@ def _le_exp_threshold(d: int, params: JumpParams) -> bool:
 def _exp_threshold_floor(params: JumpParams) -> int | None:
     """floor(e^threshold) for override params with a modest threshold, else
     None.  Used to turn the per-divisor comparison into plain int compares."""
-    if params.override is None or params.override > 100000:
+    if params.override is None or params.override > _EXP_FLOOR_CAP:
         return None
-    q = params.override
-
-    def step(iv):
-        enc = iv.exp(iv_fraction(q))
-        return interval_floor(enc)
-
-    return escalating(step, f"floor(e^{q})")
+    return floor_exp(params.override)
 
 
 def _first_jump(
@@ -256,17 +253,17 @@ def gap_ratio(x: int, y: int, z: int, count: int) -> float:
 # --- interval-coverage diagnostic ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalCensus:
-    index: int
-    y_int: int  # ceil of the real lower endpoint e^(c^(2^(i-1)))
-    z_int: int  # floor of the real upper endpoint e^(c^(2^i))
-    missing: int  # n <= x with no divisor in [y_int, z_int]
-    ratio: float
+class IntervalCensus(namedtuple("IntervalCensus", "index y_int z_int missing ratio")):
+    """y_int is the ceiling of the real lower endpoint e^(c^(2^(i-1))), z_int
+    the floor of the real upper endpoint e^(c^(2^i)), and missing counts the
+    n <= x with no divisor in [y_int, z_int]."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(namedtuple("CoverageReport", "x threshold regime l intervals sum_missing "
+                                "union_missing union_bound_ok covered majority_covered "
+                                "covered_in_set covered_outside_set")):
     """Numerical replay of the interval-coverage argument at a desk-scale
     threshold.
 
@@ -274,92 +271,84 @@ class CoverageReport:
     divisor in every interval has bounded jumps (at the intended enormous
     threshold).  At small thresholds the implication can fail, so the report
     also counts covered integers that are nevertheless outside the set.
+    regime is "standard" or "vacuous"; union_bound_ok says union_missing <=
+    sum_missing; covered counts the n <= x with a divisor in every interval,
+    and majority_covered says covered > x / 2.
     """
 
-    x: int
-    threshold: str
-    regime: str  # "standard" | "vacuous"
-    l: int | None
-    intervals: tuple[IntervalCensus, ...]
-    sum_missing: int | None
-    union_missing: int | None
-    union_bound_ok: bool | None  # union <= sum of per-interval counts
-    covered: int | None  # n <= x with a divisor in every interval
-    majority_covered: bool | None  # covered > x / 2
-    covered_in_set: int | None
-    covered_outside_set: int | None
+    __slots__ = ()
 
 
-def _ln_threshold(params: JumpParams, iv):
+def _power_bounds(params: JumpParams, power_log2: int, prec: int) -> tuple[int, int]:
+    """Integers lo <= c^p * 2^prec <= hi for the threshold c and
+    p = 2^power_log2, or p = 1/2 for power_log2 = -1: c in fixed point,
+    raised to p with outward rounding."""
     if params.t is not None:
-        # ln c = ln ln 2 + (t - 2) ln 2
-        ln2 = iv.log(iv.mpf(2))
-        return iv.log(ln2) + (params.t - 2) * ln2
-    return iv.log(iv_fraction(params.override))
+        lo, hi = (b << params.t - 2 for b in ln2_bounds(prec))
+    else:
+        q = params.override
+        lo, hi = (q.numerator << prec) // q.denominator, -(-(q.numerator << prec) // q.denominator)
+    if power_log2 < 0:
+        return math.isqrt(lo << prec), math.isqrt(hi << prec) + 1
+    for _ in range(power_log2):
+        lo, hi = lo * lo >> prec, -(-hi * hi >> prec)
+    return lo, hi
 
 
-def _threshold_iv(params: JumpParams, iv):
-    if params.t is not None:
-        return iv.log(iv.mpf(2)) * iv.mpf(2) ** (params.t - 2)
-    return iv_fraction(params.override)
-
-
-def _threshold_gt_one(params: JumpParams) -> bool:
-    if params.t is not None:
-        return params.t >= 3  # ln 2 * 2^(t-2) > 1 iff 2^(t-2) > 1/ln 2
-    return params.override > 1
+def _exp_of_bounds(lo: int, hi: int, prec: int) -> tuple[int, int]:
+    """Integers lo' <= e^y * 2^prec <= hi' for lo <= y * 2^prec <= hi."""
+    one = 1 << prec
+    return exp_bounds(Fraction(lo, one), prec)[0], exp_bounds(Fraction(hi, one), prec)[1]
 
 
 def _coverage_level(x: int, params: JumpParams) -> int | None:
-    """floor(log2(log_threshold(ln x))), or None in the vacuous regime."""
-    if params.t is not None:
+    """The largest L >= 0 with x >= e^(c^(2^L)), or None when x < e^c or the
+    threshold c is at most 1: that is floor(log2(ln ln x / ln c)) for c > 1.
+    In t-form e^c is the exact power of two and x = e^c gives level 0; every
+    other comparison is strict, since e^(c^(2^L)) is then no integer."""
+    level = -1
+    if params.t is None:
+        if params.override <= 1:
+            return None
+    elif params.t < 3:  # ln 2 * 2^(t-2) > 1 iff 2^(t-2) > 1/ln 2
+        return None
+    else:
         e_log2 = params.exp_threshold_log2
         if (x - 1).bit_length() <= e_log2:
-            # x <= e^threshold: if equal, the level is exactly 0; below, the
-            # inner log is < 1 and the level is undefined.
-            if x.bit_length() - 1 == e_log2 and x == 1 << e_log2:
-                return 0
-            return None
+            return 0 if x == 1 << e_log2 else None
+        level = 0
 
     def step(iv):
-        lnx = iv.log(iv.mpf(x))
-        lnc = _ln_threshold(params, iv)
-        inner = iv.log(lnx) / lnc  # = ln(ln x)/ln c: exponent with log_c
-        if inner.b <= 0:
-            return ("vacuous",)
-        if not inner.a > 0:
-            return None
-        level = iv.log(inner) / iv.log(iv.mpf(2))
-        fl = interval_floor(level)
-        if fl is None:
-            return None
-        return ("ok", fl)
+        found, scaled = level, x << iv.prec
+        while True:
+            lo, hi = _power_bounds(params, found + 1, iv.prec)
+            if lo >> iv.prec >= x.bit_length():  # x < 2^(c^p) < e^(c^p)
+                return (found,)
+            lo, hi = _exp_of_bounds(lo, hi, iv.prec)
+            if scaled < lo:
+                return (found,)
+            if scaled <= hi:
+                return None
+            found += 1
 
-    result = escalating(step, f"coverage level for x={x}")
-    if result[0] == "vacuous" or result[1] < 0:
-        return None
-    return result[1]
+    found = escalating(step, f"coverage level for x={x}")[0]
+    return None if found < 0 else found
 
 
 def _interval_bounds(params: JumpParams, power_log2: int) -> tuple[int, int]:
     """(ceil, floor) integer bracket of e^(c^p) where p = 2^power_log2 for
-    power_log2 >= 0, or p = 1/2 for power_log2 = -1."""
+    power_log2 >= 0, or p = 1/2 for power_log2 = -1; decided once its
+    enclosure lies strictly between two consecutive integers."""
     if params.t is not None and power_log2 == 0:
         exact = 1 << params.exp_threshold_log2  # e^c is exactly 2^(2^(t-2))
         return exact, exact
 
     def step(iv):
-        c = _threshold_iv(params, iv)
-        if power_log2 == -1:
-            expo = iv.sqrt(c)
-        else:
-            expo = c ** (1 << power_log2)
-        enc = iv.exp(expo)
-        ce = interval_ceil(enc)
-        fl = interval_floor(enc)
-        if ce is None or fl is None:
+        lo, hi = _exp_of_bounds(*_power_bounds(params, power_log2, iv.prec), iv.prec)
+        fl = lo >> iv.prec
+        if lo == fl << iv.prec or hi >= fl + 1 << iv.prec:
             return None
-        return (ce, fl)
+        return fl + 1, fl
 
     return escalating(step, f"interval endpoint e^(c^2^{power_log2})")
 
@@ -372,7 +361,7 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     if x < 1:
         raise ValueError(f"interval_coverage_diagnostic: x must be >= 1, got {x}")
     threshold = params.describe()
-    if not _threshold_gt_one(params) or (level := _coverage_level(x, params)) is None:
+    if (level := _coverage_level(x, params)) is None:
         return CoverageReport(
             x, threshold, "vacuous", None, (), None, None, None, None, None, None, None
         )
@@ -419,69 +408,59 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
 # --- the partner construction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanLevel:
-    """One level i of the construction: the power of two n_i = 2^bits with
-    bits = (e_1+1)...(e_{i-1}+1), the next prime above it, and the exponent
-    it carries in m."""
+class PlanLevel(namedtuple("PlanLevel", "index exponent bits pow2 prime certified")):
+    """One level i >= 4 of the construction: the power of two n_i = pow2 =
+    2^bits with bits = (e_1+1)...(e_{i-1}+1), the next prime p_i above it,
+    the exponent e_i it carries in m, and whether p_i is proven prime."""
 
-    index: int  # i, starting at 4
-    exponent: int  # e_i
-    bits: int  # log2(n_i)
-    pow2: int  # n_i
-    prime: int  # p_i = next_prime(n_i)
-    certified: bool  # primality proven (vs. probabilistic beyond 2^81-ish)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MixedRadixDigits:
-    c0: int  # in [0, 7]
-    upper: tuple[int, ...]  # c_i in [0, e_i] per level, ascending i
+class MixedRadixDigits(namedtuple("MixedRadixDigits", "c0 upper")):
+    """c0 in [0, 7]; upper holds c_i in [0, e_i] per level, ascending i."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ClaimDiagnostics:
+class ClaimDiagnostics(namedtuple("ClaimDiagnostics", "exponent_fourth_root prime_ratio "
+                                  "digit_ratio aggregate aggregate_below_exp "
+                                  "aggregate_below_11_10 exp_below_11_10 all_hold")):
     """Asymptotic-regime inequalities, evaluated exactly at this plan's
     scale.  They are guaranteed only for enormous t, so small-t plans may
     legitimately fail them; plan validity rests on the per-digit dyadic
-    checks instead."""
+    checks instead.  The pairs are (i, e_i^4 <= n_i) per level i > t,
+    (i, (p/n)^e < e^(1/4^i)) per level and (c0, d231/2^(c0+1) < 10/11);
+    aggregate is the product of (p/n)^e, compared with e^(1/192) and 11/10.
+    """
 
-    exponent_fourth_root: tuple[tuple[int, bool], ...]  # per level i > t: e_i^4 <= n_i
-    prime_ratio: tuple[tuple[int, bool], ...]  # per level: (p/n)^e < e^(1/4^i)
-    digit_ratio: tuple[tuple[int, bool], ...]  # per c0: d231/2^(c0+1) < 10/11
-    aggregate: Fraction  # prod over levels of (p/n)^e
-    aggregate_below_exp: bool  # aggregate < e^(1/192)
-    aggregate_below_11_10: bool
-    exp_below_11_10: bool  # e^(1/192) < 11/10
-    all_hold: bool
+    __slots__ = ()
 
 
-@dataclass
-class ConstructionPlan:
-    k: int
-    t: int
-    r: int  # number of prime factors of k with multiplicity
-    exponents: tuple[int, ...]  # e_1..e_r, ascending, each e_i + 1 prime
-    levels: tuple[PlanLevel, ...]  # i = 4..r
-    m: int  # 231 * prod p_i^e_i
-    probabilistic_primes: tuple[int, ...]
-    claims: ClaimDiagnostics | None = None
-    verified: bool = False
+class ConstructionPlan(SimpleNamespace):
+    """The plan build_pow2_partner makes: r counts the prime factors of k
+    with multiplicity, exponents are e_1..e_r ascending (each e_i + 1
+    prime), levels are i = 4..r, and m = 231 * prod p_i^e_i.  Mutable:
+    verify_construction fills in claims and verified."""
+
+    def __init__(self, k, t, r, exponents, levels, m, probabilistic_primes,
+                 claims=None, verified=False):
+        super().__init__(k=k, t=t, r=r, exponents=exponents, levels=levels, m=m,
+                         probabilistic_primes=probabilistic_primes, claims=claims,
+                         verified=verified)
+
+    def __reduce__(self):
+        return type(self), tuple(vars(self).values())
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
-    k: int
-    t: int
-    dyadic_checks: int  # digit positions replayed (= k)
-    first_failure: int | None  # first digit whose divisor misses its slot
-    tau_m: int
-    tau_identity_ok: bool  # tau(m) = k = tau(2^k) - 1
-    injective: bool  # distinct digits gave distinct divisors
-    verified: bool
-    claims: ClaimDiagnostics
-    interlock_checked: bool
-    interlock_report: InterlockReport | None
+class ConstructionReport(namedtuple("ConstructionReport", "k t dyadic_checks first_failure "
+                                    "tau_m tau_identity_ok injective verified claims "
+                                    "interlock_checked interlock_report")):
+    """dyadic_checks counts the digit positions replayed (= k); first_failure
+    is the first digit whose divisor misses its slot; tau_identity_ok says
+    tau(m) = k = tau(2^k) - 1; injective says distinct digits gave distinct
+    divisors."""
+
+    __slots__ = ()
 
 
 def _tau_m(levels) -> int:
@@ -731,22 +710,24 @@ def _claims_from_dict(d: dict) -> ClaimDiagnostics:
 
 def _encode(value):
     """A plan field as JSON: ints become decimal strings, a Fraction "p/q",
-    tuples lists; bools and None stay as they are."""
+    records dicts, tuples lists; bools and None stay as they are."""
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
         return str(value)
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
+    if hasattr(value, "_asdict"):  # a namedtuple
+        value = value._asdict()
     if isinstance(value, dict):
         return {key: _encode(v) for key, v in value.items()}
     return [_encode(v) for v in value]
 
 
 def plan_to_dict(plan: ConstructionPlan) -> dict:
-    """The plan as JSON, keyed by the dataclass field names; plan_from_dict
-    reads it back."""
-    return _encode(asdict(plan))
+    """The plan as JSON, keyed by its field names; plan_from_dict reads it
+    back."""
+    return _encode(vars(plan))
 
 
 def _fields(data, keys: str, convert=int, where: str = "") -> dict:

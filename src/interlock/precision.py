@@ -1,23 +1,29 @@
-"""Rigorous real comparisons backed by mpmath interval arithmetic.
+"""Rigorous real comparisons from integer enclosures.
 
-Every comparison here pits an exact rational against a log or exponential of
-a rational, so equality is impossible and the answer is decidable in
-principle.  The decision happens at a configured working precision; when the
-enclosing intervals still overlap, the precision escalates a few times and
-then PrecisionError is raised rather than guessing.  The working precision
-defaults to 256 bits and can be overridden with the INTERLOCK_PRECISION_BITS
-environment variable.
+Every comparison here pits an exact rational against the exponential of a
+rational, or one of those against an integer, so equality is impossible (e^r
+is irrational for rational r != 0; r = 0 is settled exactly) and the answer
+is decidable in principle.  Two kernels carry all of it, in plain integers:
+
+- exp_bounds(r, prec): lo <= e^r * 2^prec <= hi for a rational r;
+- ln2_bounds(prec): lo <= ln 2 * 2^prec <= hi.
+
+Each sums a fixed-point series with every term rounded down for lo and up
+for hi, plus a bound on the tail, so the enclosure holds whatever the
+precision; the precision only sets how narrow it is.  A decision at the
+working precision that the enclosure cannot settle returns None, the
+precision escalates a few times, and then PrecisionError is raised rather
+than guessing.  The working precision defaults to 256 bits and can be
+overridden with the INTERLOCK_PRECISION_BITS environment variable.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 from typing import Callable, TypeVar
-
-import mpmath
 
 DEFAULT_PRECISION_BITS = 256
 PRECISION_ENV_VAR = "INTERLOCK_PRECISION_BITS"
@@ -44,34 +50,17 @@ def precision_bits() -> int:
     return bits
 
 
-@contextmanager
-def iv_precision(bits: int):
-    """Temporarily set the mpmath interval-context precision."""
-    saved = mpmath.iv.prec
-    mpmath.iv.prec = bits
-    try:
-        yield mpmath.iv
-    finally:
-        mpmath.iv.prec = saved
-
-
-def iv_fraction(q: Fraction):
-    """Enclosing interval for a rational at the current context precision."""
-    return mpmath.iv.mpf(q.numerator) / mpmath.iv.mpf(q.denominator)
-
-
 def escalating(step: Callable[..., T | None], what: str, base: int | None = None) -> T:
     """Run step(iv) at growing precision until it returns a non-None value.
 
-    The precision starts at base bits (default: precision_bits()).  step
-    must return None exactly when the intervals it computed were too wide
-    to decide; after an 8x escalation the failure becomes a PrecisionError
-    carrying `what`.
+    iv.prec is the working precision in bits, starting at base (default:
+    precision_bits()).  step must return None exactly when the enclosures it
+    computed were too wide to decide; after an 8x escalation the failure
+    becomes a PrecisionError carrying `what`.
     """
     base = base or precision_bits()
     for factor in _ESCALATION_FACTORS:
-        with iv_precision(base * factor) as iv:
-            result = step(iv)
+        result = step(SimpleNamespace(prec=base * factor))
         if result is not None:
             return result
     raise PrecisionError(
@@ -80,48 +69,60 @@ def escalating(step: Callable[..., T | None], what: str, base: int | None = None
     )
 
 
-def _lt(lhs, rhs) -> bool | None:
-    """lhs < rhs for disjoint intervals, None when they overlap."""
-    if lhs.b < rhs.a:
-        return True
-    if lhs.a > rhs.b:
-        return False
-    return None
+def exp_bounds(r: Fraction, prec: int) -> tuple[int, int]:
+    """Integers lo <= e^r * 2^prec <= hi for a rational r.
+
+    For r >= 0: the Taylor series of e^x, x = r / 2^s < 1/2, in fixed point
+    with w > prec bits, each term rounded down for lo and up for hi; the
+    last term bounds the tail (each later term is at most x/k < 1/2 of the
+    one before).  Then s squarings, rounded outward.  The guard bits cover
+    the rounding and its doubling at each squaring, so hi - lo is a few
+    times e^r.  For r < 0, the reciprocal of the enclosure of e^-r.
+    """
+    if r < 0:
+        lo, hi = exp_bounds(-r, prec)
+        one = 1 << 2 * prec
+        return one // hi, -(-one // lo)
+    p, q = r.numerator, r.denominator
+    s = max(0, (2 * p).bit_length() - q.bit_length() + 1)  # 2p < q * 2^s
+    w = prec + s + (prec + s).bit_length() + 4
+    lo = hi = term_lo = term_hi = 1 << w
+    k = 1
+    while term_hi > 1:
+        div = (q << s) * k
+        term_lo = term_lo * p // div
+        term_hi = -(-term_hi * p // div)
+        lo += term_lo
+        hi += term_hi
+        k += 1
+    hi += term_hi
+    for _ in range(s):
+        lo, hi = lo * lo >> w, -(-hi * hi >> w)
+    return lo >> w - prec, -(-hi >> w - prec)
 
 
-def interval_floor(x) -> int | None:
-    # Raw-endpoint conversion: mpmath.floor would round the endpoint through
-    # the 53-bit default context and corrupt anything above 2^53.
-    lo, hi = x._mpi_
-    f_lo = mpmath.libmp.to_int(lo, mpmath.libmp.round_floor)
-    f_hi = mpmath.libmp.to_int(hi, mpmath.libmp.round_floor)
-    return f_lo if f_lo == f_hi else None
+def ln2_bounds(prec: int) -> tuple[int, int]:
+    """Integers lo <= ln 2 * 2^prec <= hi, from ln 2 = sum 1/(k 2^k), k >= 1.
 
-
-def interval_ceil(x) -> int | None:
-    lo, hi = x._mpi_
-    c_lo = mpmath.libmp.to_int(lo, mpmath.libmp.round_ceiling)
-    c_hi = mpmath.libmp.to_int(hi, mpmath.libmp.round_ceiling)
-    return c_lo if c_lo == c_hi else None
+    The terms k = 1..w of the sum in fixed point with w bits are each
+    rounded down, losing under one unit apiece; the tail past k = w is under
+    one unit too, so ln 2 * 2^w lies in [lo, lo + w + 1].
+    """
+    w = prec + prec.bit_length() + 2
+    lo = sum((1 << w - k) // k for k in range(1, w + 1))
+    return lo >> w - prec, -(-(lo + w + 1) >> w - prec)
 
 
 def log_le(value: int, bound: Fraction | int) -> bool:
-    """Decide ln(value) <= bound for integer value >= 1 and rational bound.
-
-    ln of an integer >= 2 is irrational, so the comparison is never a tie;
-    ln(1) = 0 is handled exactly.
-    """
+    """Decide ln(value) <= bound for integer value >= 1 and rational bound,
+    that is, value < e^bound (never a tie for value >= 2); ln(1) = 0 is
+    handled exactly."""
     if value < 1:
         raise ValueError(f"log_le: value must be >= 1, got {value}")
     bound = Fraction(bound)
     if value == 1:
         return bound >= 0
-
-    def step(iv) -> bool | None:
-        lt = _lt(iv_fraction(bound), iv.log(iv.mpf(value)))
-        return None if lt is None else not lt
-
-    return escalating(step, f"ln({value}) <= {bound}")
+    return fraction_lt_exp(Fraction(value), bound)
 
 
 def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
@@ -138,8 +139,13 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
         return exponent > 0
 
     def step(iv) -> bool | None:
-        lhs = iv.log(iv.mpf(q.numerator)) - iv.log(iv.mpf(q.denominator))
-        return _lt(lhs, iv_fraction(exponent))
+        lo, hi = exp_bounds(exponent, iv.prec)
+        scaled = q.numerator << iv.prec  # q * 2^prec, times q.denominator
+        if scaled < lo * q.denominator:
+            return True
+        if scaled > hi * q.denominator:
+            return False
+        return None
 
     return escalating(step, f"{q} < exp({exponent})")
 
@@ -155,16 +161,19 @@ def exp_lt_fraction(exponent: Fraction, q: Fraction) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def floor_exp(a: int) -> int:
-    """Exact floor(e^a) for integer a >= 0 (e^a is irrational for a >= 1)."""
+def floor_exp(a: Fraction | int) -> int:
+    """Exact floor(e^a) for rational a >= 0 (e^a is irrational for a > 0)."""
     if a < 0:
         raise ValueError(f"floor_exp: a must be >= 0, got {a}")
     if a == 0:
         return 1
-    # e^a needs about 1.45 * a bits before the point; give headroom.
-    needed = max(precision_bits(), int(a * 1.5) + 64)
+    a = Fraction(a)
+    # e^a has about 1.45 * a bits before the point; give headroom.
+    needed = max(precision_bits(), int(a * 3 / 2) + 64)
 
     def step(iv):
-        return interval_floor(iv.exp(iv.mpf(a)))
+        lo, hi = exp_bounds(a, iv.prec)
+        f = lo >> iv.prec
+        return f if hi >> iv.prec == f else None
 
     return escalating(step, f"floor(e^{a})", needed)

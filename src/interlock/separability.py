@@ -66,7 +66,6 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import chain
-from pathlib import Path
 
 from .arith import FactorTable, divisor_count_range, divisors, factorize
 from .arith import divisors_from_factorization, next_prime, smallest_prime_divisor
@@ -276,7 +275,7 @@ def _divides(t: int, exps) -> bool:
 def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
     """The partners m <= hi of 2^k, k >= 3, from the slot search (module
     doc): every one with report_all, else the least.  passed counts the
-    complete placements handed to check_interlock.
+    complete placements handed to check_interlock, each with its divisors.
 
     A node holds the divisors ds of f, the product of the prime powers
     chosen so far, and the slots they fill.  The least divisor of m outside
@@ -310,7 +309,7 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
         j = (~used & (used + 1)).bit_length() - 1  # the first empty slot
         if j > k:  # every slot up to 2^k is filled: m = f
             tested += 1
-            if check_interlock(f, n, None, div_n).verdict:
+            if check_interlock(f, n, tuple(sorted(ds)), div_n).verdict:
                 found.append(f)
                 cap = cap if report_all else f - 1
             return
@@ -441,6 +440,7 @@ def load_census_cache(
     """Rows cached under cfg.  A missing file, a file written under another
     config, one without a header (older code) or one with a row that does
     not parse gives an empty cache; the next write replaces the file."""
+    from pathlib import Path  # imported here: no other command needs it
     path = Path(path)
     if not path.exists():
         return {}
@@ -461,6 +461,7 @@ def append_census_cache(
     and rewrite the file; rows of another config or of older code are
     dropped.  The file is written under a temporary name and moved into
     place, so a crash leaves either the old file or the complete new one."""
+    from pathlib import Path
     path = Path(path)
     rows = load_census_cache(path, cfg)
     rows.update((r.n, r) for r in results)

@@ -310,3 +310,37 @@ def test_divisors_closed_under_complement(n):
     dset = set(divs)
     assert all(n % d == 0 and n // d in dset for d in divs)
     assert len(divs) == tau(n)
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """The strong Fermat test of odd n > 2 to base a, written out."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+THIRTEEN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_is_prime_exact_for_every_odd_n_below_2e6():
+    flags = prime_sieve(2_000_000)
+    assert all(is_prime(n) == flags[n] for n in range(1, 2_000_000, 2))
+
+
+def test_is_prime_graded_bases_near_their_bounds():
+    # 3,215,031,751 passes bases 2..7 and 3,474,749,660,383 passes bases
+    # 2..13, so each grade must stop below them; around both, is_prime
+    # agrees with all 13 bases.
+    for n, used in ((3_215_031_751, 4), (3_474_749_660_383, 6)):
+        assert all(strong_probable_prime(n, a) for a in THIRTEEN_BASES[:used])
+        assert not is_prime(n)
+        for m in range(n - 2001, n + 2001, 2):
+            assert is_prime(m) == all(strong_probable_prime(m, a) for a in THIRTEEN_BASES), m

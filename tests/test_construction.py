@@ -3,8 +3,10 @@ power-of-two partner construction with its exact verification."""
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from interlock.construction import (
 )
 from interlock.pairs import check_interlock
 from interlock.construction import plan_divisors
+from interval_oracles import oracle_coverage_level, oracle_interval_bounds
 from oracles import divisor_table
 
 
@@ -361,6 +364,7 @@ def test_plan_serialization_roundtrip(tmp_path):
     text = json.dumps(data, sort_keys=True)
     back = plan_from_dict(json.loads(text))
     assert back == plan
+    assert pickle.loads(pickle.dumps(plan)) == plan and type(back) is type(plan)
     # a reloaded plan re-verifies identically
     report = verify_construction(back, direct_interlock=True)
     assert report.verified
@@ -421,3 +425,33 @@ def test_mixed_radix_roundtrip_k96(d):
     assert 0 <= digits.c0 <= 7
     assert all(0 <= c <= lvl.exponent for c, lvl in zip(digits.upper, plan.levels))
     assert mixed_radix_compose(digits, plan) == d
+
+
+COVERAGE_PARAMS = [JumpParams.from_t(t) for t in range(3, 7)] + [
+    JumpParams.from_override(Fraction(c)) for c in ("3/2", "2", "5/2", "3", "7/3", "5", "7")
+]
+
+
+@pytest.mark.parametrize("params", COVERAGE_PARAMS, ids=str)
+def test_coverage_comparisons_match_the_mpmath_intervals(params):
+    # The level and the interval endpoints against mpmath.iv, on a grid of
+    # x up to 10^6 that includes both integers next to every endpoint.
+    xs = set(range(1, 301)) | {round(1.07**i) for i in range(205)} | {10**6}
+    bounds = {}
+    for power_log2 in range(-1, 5):
+        bounds[power_log2] = oracle_interval_bounds(params, power_log2)
+        assert construction._interval_bounds(params, power_log2) == bounds[power_log2]
+        ceil, floor = bounds[power_log2]
+        xs |= {x for x in (floor - 1, floor, ceil, ceil + 1) if 1 <= x <= 10**6}
+        if floor > 10**6:
+            break
+    for x in sorted(xs):
+        assert construction._coverage_level(x, params) == oracle_coverage_level(x, params), x
+
+
+def test_threshold_value_is_a_fraction():
+    assert JumpParams.from_override(Fraction(7, 3)).threshold_value() == Fraction(7, 3)
+    value = JumpParams.from_t(7).threshold_value()
+    with mpmath.workprec(1000):
+        gap = 32 * mpmath.log(2) - mpmath.mpf(value.numerator) / value.denominator
+    assert isinstance(value, Fraction) and 0 <= gap < mpmath.mpf(2) ** -200

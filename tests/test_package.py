@@ -52,11 +52,11 @@ UNUSED_BY_IMPORT = [
 ]
 
 
-def fresh_python(code: str) -> str:
+def fresh_python(code: str, *flags: str) -> str:
     src = str(Path(interlock.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -78,6 +78,40 @@ def test_cli_import_leaves_unused_modules_out():
 def test_primorials_import_leaves_dataclasses_out():
     out = fresh_python("import sys, interlock.primorials; print('dataclasses' in sys.modules)")
     assert out.split() == ["False"]
+
+
+def test_construction_import_leaves_mpmath_and_dataclasses_out():
+    out = fresh_python(
+        "import sys, interlock.construction; "
+        "print('mpmath' in sys.modules, 'dataclasses' in sys.modules)"
+    )
+    assert out.split() == ["False", "False"]
+
+
+def test_cli_import_without_site_leaves_pathlib_out():
+    # Without site (python -S) nothing else loads pathlib first; only the
+    # census cache functions import it, when they run.
+    out = fresh_python("import sys, interlock.cli; print('pathlib' in sys.modules)", "-S")
+    assert out.split() == ["False"]
+
+
+def test_commands_run_with_mpmath_unimportable(tmp_path):
+    # Every real comparison is decided by precision's integer enclosures.
+    plan = tmp_path / "plan.json"
+    out = fresh_python(
+        "import sys; sys.modules['mpmath'] = None\n"
+        "from interlock.cli import run\n"
+        "from interlock.construction import JumpParams, interval_coverage_diagnostic\n"
+        f"codes = [run(['--jsonl', *c.split()]) for c in ("
+        f"'construct --k 96 --t 5 --save {plan}', 'construct --load {plan}', "
+        "'s-count --max 20000 --C 5', 's-count --max 1000 --t 4', 's-member 148 --C 5', "
+        "'s-member 149 --C 5', 's-member 5 --C 2000', 'gaps --x 30 --y 3 --z 5')]\n"
+        "report = interval_coverage_diagnostic(10**4, JumpParams.from_override(2))\n"
+        "print(*codes, report.l, report.covered, sys.modules['mpmath'] is None)"
+    )
+    # exit codes, then the coverage level and count, then mpmath still None
+    assert out.splitlines()[-1].split() == "0 0 0 0 0 1 0 0 1 3541 True".split()
+    assert '"verified": true' in out and '"count": 12' in out
 
 
 def test_every_export_resolves_to_its_submodule():

@@ -1,6 +1,7 @@
 """Rigorous-comparison helpers: known values, tight margins, hard errors."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -10,9 +11,11 @@ from hypothesis import strategies as st
 
 from interlock.precision import (
     PrecisionError,
+    exp_bounds,
     exp_lt_fraction,
     floor_exp,
     fraction_lt_exp,
+    ln2_bounds,
     log_le,
     precision_bits,
 )
@@ -99,3 +102,41 @@ def test_fraction_lt_exp_agrees_with_float_when_comfortable(q, expo):
     lhs = math.log(float(q))
     if abs(lhs - float(expo)) > 1e-6:
         assert fraction_lt_exp(q, expo) == (lhs < float(expo))
+
+
+def test_enclosures_contain_mpmath_values():
+    # 4,000-bit mpmath values, against random r in [-50, 50] at 8 to 512 bits.
+    rng = random.Random(17)
+    with mpmath.workprec(4000):
+        for _ in range(300):
+            r = Fraction(rng.randint(-50_000, 50_000), rng.randint(1, 1000))
+            prec = rng.randint(8, 512)
+            lo, hi = exp_bounds(r, prec)
+            exact = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator) * mpmath.mpf(2) ** prec
+            assert lo <= exact <= hi, (r, prec)
+            if r >= 0:  # a few units of e^r relative to 2^prec
+                assert hi - lo <= exact / mpmath.mpf(2) ** prec * 4, (r, prec)
+        assert exp_bounds(Fraction(0), 64) == (1 << 64, 1 << 64)
+        for prec in range(8, 513):
+            lo, hi = ln2_bounds(prec)
+            assert lo <= mpmath.log(2) * mpmath.mpf(2) ** prec <= hi <= lo + 3, prec
+
+
+def test_floor_exp_matches_mpmath_to_300():
+    with mpmath.workprec(1000):
+        for a in range(301):
+            assert floor_exp(a) == int(mpmath.floor(mpmath.exp(a))), a
+    assert floor_exp(Fraction(5, 2)) == 12  # e^2.5 = 12.18...
+
+
+def test_decisions_match_mpmath_on_random_rationals():
+    rng = random.Random(5)
+    with mpmath.workprec(2000):
+        for _ in range(500):
+            q = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**4))
+            r = Fraction(rng.randint(-2000, 2000), rng.randint(1, 200))
+            expected = mpmath.mpf(q.numerator) / q.denominator < mpmath.exp(
+                mpmath.mpf(r.numerator) / r.denominator
+            )
+            assert fraction_lt_exp(q, r) == expected, (q, r)
+            assert exp_lt_fraction(r, q) == (not expected), (q, r)

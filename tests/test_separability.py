@@ -507,3 +507,20 @@ def test_prime_runs_match_placing_each_prime(monkeypatch):
     for node, got in calls:
         placed = {q: bits for a, b, bits in got for q in range(a, b + 1) if SLOT_PRIMES[q]}
         assert placed == naive_runs(*node), node
+
+
+def test_slot_search_hands_complete_divisor_lists_to_check_interlock(monkeypatch):
+    # Each complete placement reaches check_interlock with its own divisors,
+    # so no placement is factorized again (the partners are pinned to the
+    # window scan above).
+    seen = []
+
+    def recording(m, n, div_m=None, div_n=None):
+        seen.append((m, div_m))
+        return check_interlock(m, n, div_m, div_n)
+
+    monkeypatch.setattr(separability, "check_interlock", recording)
+    placements = sum(pow2_partners(k, 4 << k, True).passed for k in range(3, 21))
+    assert placements == len(seen) > 0
+    for m, div_m in seen:
+        assert div_m == divisors(m), m
