@@ -193,8 +193,11 @@ def _jump_marks(x: int, params: JumpParams) -> int:
     with c > B_d = max(floor(e^threshold), floor(e^d)), that is, d | n,
     n > B_d and no divisor in (d, B_d].  c <= x, so the scan stops at the
     first d with 2.7^d >= x (e^d > x), before floor_exp is asked for it."""
+    _check_sieve(x)
     e_floor = (_exp_threshold_floor(params) if params.t is None
                else 1 << params.exp_threshold_log2)
+    if e_floor is None:  # e^threshold > e^_EXP_FLOOR_CAP > x: no jump ends below x
+        return 0
     jumps = 0
     d = 1
     while 27**d < 10**d * x:
@@ -225,11 +228,16 @@ def count_bounded_jumps(x: int, params: JumpParams) -> int:
 # --- divisor-free-interval census --------------------------------------------
 
 
+def _check_sieve(x: int) -> None:
+    """Refuse, with ValueError, a sieve over n <= x that no bytearray holds."""
+    if x + 1 > sys.maxsize:
+        raise ValueError(f"x = {x} is too large to sieve (at most {sys.maxsize - 1})")
+
+
 def _divisor_marks(x: int, y: int, z: int) -> bytearray:
     """marks[n] = 1 for the n <= x with a divisor d, y <= d <= z; index 0
     stays 0.  x + 1 > sys.maxsize raises ValueError, allocating nothing."""
-    if x + 1 > sys.maxsize:
-        raise ValueError(f"x = {x} is too large to sieve (at most {sys.maxsize - 1})")
+    _check_sieve(x)
     marks = bytearray(x + 1)
     for d in range(y, z + 1):
         if not marks[d]:  # else a divisor of d in [y, d) marked its multiples
@@ -514,16 +522,7 @@ def build_pow2_partner(
                 )
             pow2 = 1 << partial
             prime = next_prime(pow2)
-            levels.append(
-                PlanLevel(
-                    index=i,
-                    exponent=e,
-                    bits=partial,
-                    pow2=pow2,
-                    prime=prime,
-                    certified=primality_is_certified(prime),
-                )
-            )
+            levels.append(PlanLevel(i, e, partial, pow2, prime, primality_is_certified(prime)))
         partial *= e + 1
 
     m = 231 * math.prod(lvl.prime**lvl.exponent for lvl in levels)

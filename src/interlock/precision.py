@@ -5,7 +5,7 @@ rational, or one of those against an integer, so equality is impossible (e^r
 is irrational for rational r != 0; r = 0 is settled exactly) and the answer
 is decidable in principle.  Two kernels carry all of it, in plain integers:
 
-- exp_bounds(r, prec): lo <= e^r * 2^prec <= hi for a rational r;
+- exp_bounds(r, prec): lo <= e^r * 2^prec <= hi for a rational r >= 0;
 - ln2_bounds(prec): lo <= ln 2 * 2^prec <= hi.
 
 Each sums a fixed-point series with every term rounded down for lo and up
@@ -70,19 +70,17 @@ def escalating(step: Callable[..., T | None], what: str, base: int | None = None
 
 
 def exp_bounds(r: Fraction, prec: int) -> tuple[int, int]:
-    """Integers lo <= e^r * 2^prec <= hi for a rational r.
+    """Integers lo <= e^r * 2^prec <= hi for a rational r >= 0.
 
-    For r >= 0: the Taylor series of e^x, x = r / 2^s < 1/2, in fixed point
-    with w > prec bits, each term rounded down for lo and up for hi; the
-    last term bounds the tail (each later term is at most x/k < 1/2 of the
-    one before).  Then s squarings, rounded outward.  The guard bits cover
-    the rounding and its doubling at each squaring, so hi - lo is a few
-    times e^r.  For r < 0, the reciprocal of the enclosure of e^-r.
+    The Taylor series of e^x, x = r / 2^s < 1/2, in fixed point with
+    w > prec bits, each term rounded down for lo and up for hi; the last
+    term bounds the tail (each later term is at most x/k < 1/2 of the one
+    before).  Then s squarings, rounded outward.  The guard bits cover the
+    rounding and its doubling at each squaring, so hi - lo is a few times
+    e^r.
     """
     if r < 0:
-        lo, hi = exp_bounds(-r, prec)
-        one = 1 << 2 * prec
-        return one // hi, -(-one // lo)
+        raise ValueError(f"exp_bounds: r must be >= 0, got {r}")
     p, q = r.numerator, r.denominator
     s = max(0, (2 * p).bit_length() - q.bit_length() + 1)  # 2p < q * 2^s
     w = prec + s + (prec + s).bit_length() + 4
@@ -129,7 +127,10 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
     """Decide q < e^exponent for positive rational q and rational exponent.
 
     e^r is irrational for rational r != 0, and the r = 0 tie (q = 1) is
-    handled exactly, so there is no equality case.
+    handled exactly, so there is no equality case.  A negative exponent is
+    decided as 1/q > e^-r, and an exponent of at least the numerator's bit
+    length from the bit length alone, so the enclosure of e^r is never wider
+    than q itself.
     """
     q = Fraction(q)
     exponent = Fraction(exponent)
@@ -137,15 +138,16 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
         raise ValueError(f"fraction_lt_exp: q must be positive, got {q}")
     if q == 1:
         return exponent > 0
+    if exponent < 0:
+        return not fraction_lt_exp(1 / q, -exponent)
+    if exponent >= q.numerator.bit_length():  # q < 2^bits <= 2^r < e^r
+        return True
 
     def step(iv) -> bool | None:
         lo, hi = exp_bounds(exponent, iv.prec)
         scaled = q.numerator << iv.prec  # q * 2^prec, times q.denominator
-        if scaled < lo * q.denominator:
-            return True
-        if scaled > hi * q.denominator:
-            return False
-        return None
+        below, above = scaled < lo * q.denominator, scaled > hi * q.denominator
+        return below if below or above else None
 
     return escalating(step, f"{q} < exp({exponent})")
 

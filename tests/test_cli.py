@@ -390,6 +390,17 @@ def test_s_count(capsys):
     assert code == 0 and rec["result"]["count"] == 100000
 
 
+def test_huge_override_thresholds_answer_at_once(capsys):
+    # e^(10^12) has about 1.44e12 bits; every divisor here is settled from
+    # its bit length, so it is never built.
+    code, rec = invoke(capsys, "--jsonl", "s-member", "6", "--C", "1000000000000")
+    assert code == 0 and rec["result"]["member"] is True
+    code, rec = invoke(capsys, "--jsonl", "s-member", "720720", "--C", "1000000")
+    assert code == 0 and rec["result"]["member"] is True
+    code, rec = invoke(capsys, "--jsonl", "s-count", "--max", "100", "--C", "1000000000000")
+    assert code == 0 and rec["result"]["count"] == 100
+
+
 def test_gaps(capsys):
     code, rec = invoke(capsys, "--jsonl", "gaps", "--x", "30", "--y", "3", "--z", "5")
     assert code == 0
@@ -400,14 +411,19 @@ def test_gaps(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("gaps", "--x", str(10**20), "--y", "2", "--z", "3"), ("s-count", "--max", str(10**20), "--C", "5")]
+    "argv",
+    [
+        ("gaps", "--x", str(10**20), "--y", "2", "--z", "3"),
+        ("s-count", "--max", str(10**20), "--C", "5"),
+        ("s-count", "--max", str(10**700), "--C", "1500"),  # 10^700 > e^1500
+    ],
 )
 def test_sieve_beyond_an_index_is_a_usage_error(capsys, argv):
     # x + 1 > sys.maxsize is refused before anything is allocated.
     code, rec = invoke(capsys, "--jsonl", *argv)
     assert code == 2
     assert rec["result"]["error"] == "usage"
-    assert f"x = {10**20} is too large" in rec["result"]["message"]
+    assert f"x = {argv[2]} is too large" in rec["result"]["message"]
 
 
 def test_primorial_payloads(capsys):

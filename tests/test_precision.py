@@ -105,17 +105,17 @@ def test_fraction_lt_exp_agrees_with_float_when_comfortable(q, expo):
 
 
 def test_enclosures_contain_mpmath_values():
-    # 4,000-bit mpmath values, against random r in [-50, 50] at 8 to 512 bits.
+    # 4,000-bit mpmath values, against random r in [0, 50] at 8 to 512 bits.
     rng = random.Random(17)
     with mpmath.workprec(4000):
         for _ in range(300):
-            r = Fraction(rng.randint(-50_000, 50_000), rng.randint(1, 1000))
+            r = Fraction(rng.randint(0, 50_000), rng.randint(1, 1000))
             prec = rng.randint(8, 512)
             lo, hi = exp_bounds(r, prec)
             exact = mpmath.exp(mpmath.mpf(r.numerator) / r.denominator) * mpmath.mpf(2) ** prec
             assert lo <= exact <= hi, (r, prec)
-            if r >= 0:  # a few units of e^r relative to 2^prec
-                assert hi - lo <= exact / mpmath.mpf(2) ** prec * 4, (r, prec)
+            # a few units of e^r relative to 2^prec
+            assert hi - lo <= exact / mpmath.mpf(2) ** prec * 4, (r, prec)
         assert exp_bounds(Fraction(0), 64) == (1 << 64, 1 << 64)
         for prec in range(8, 513):
             lo, hi = ln2_bounds(prec)
@@ -140,3 +140,20 @@ def test_decisions_match_mpmath_on_random_rationals():
             )
             assert fraction_lt_exp(q, r) == expected, (q, r)
             assert exp_lt_fraction(r, q) == (not expected), (q, r)
+
+
+def test_exp_bounds_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        exp_bounds(Fraction(-1), 64)
+
+
+def test_decisions_far_from_one_stay_small():
+    # ln(10^-900) = -2072.3..., decided through 1/q at relative precision.
+    assert fraction_lt_exp(Fraction(1, 10**900), Fraction(-2000))
+    assert not fraction_lt_exp(Fraction(1, 10**900), Fraction(-2100))
+    assert exp_lt_fraction(Fraction(-2100), Fraction(1, 10**900))
+    # An exponent past q's bit length is settled without e^r: e^(10^12)
+    # would have about 1.44e12 bits.
+    assert fraction_lt_exp(Fraction(720720), Fraction(10**12))
+    assert log_le(2**40 - 1, 40)
+    assert not log_le(10**18, 41)  # ln(10^18) = 41.4...
