@@ -18,6 +18,9 @@ that compare with logs and exponentials (construct, s-member, s-count) do
 it in precision's integer enclosures, not in mpmath, which takes 35 ms or
 more to load.
 
+primorial --table writes its human-readable table to stderr, so stdout
+still holds the one record.
+
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
 not a member); 2 usage or domain error; 3 a comparison that the configured
 precision cannot decide (see INTERLOCK_PRECISION_BITS).
@@ -307,7 +310,7 @@ def _cmd_primorial(args):
         consensus_report = None
         splits = enumerate_primorial_pairs(args.k)
     if args.table:
-        print(_format_primorial_table(splits, consensus_report))
+        print(_format_primorial_table(splits, consensus_report), file=sys.stderr)
     payload = {
         "k": args.k,
         "count": len(splits),
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="per-prime placement consensus and forced chain",
     )
-    p.add_argument("--table", action="store_true", help="human-readable table first")
+    p.add_argument("--table", action="store_true", help="human-readable table on stderr")
     p.set_defaults(fn=_cmd_primorial)
 
     return parser

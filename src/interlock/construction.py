@@ -22,10 +22,12 @@ of m by mixed-radix digits d = c_0 + sum c_i (e_1+1)...(e_{i-1}+1) places the
 divisor d' = d231[c_0] * prod p_i^{c_i} strictly inside the dyadic interval
 (2^d, 2^(d+1)) for every d in [1, k-1]; the d = 0 digit is the divisor 1
 itself (the lone divisor not exceeding 2^0, where strict containment is
-impossible and not needed: the gaps of 2^k start at (2, 4)).  verify_
-construction replays every one of these k placements with exact big-integer
-comparisons, which is what makes small-t plans trustworthy even where the
-asymptotic claim diagnostics fail.
+impossible and not needed: the gaps of 2^k start at (2, 4)).  So the d-th
+smallest divisor of m fills slot d, which by the slot lemma of separability
+is exactly the interlock of an odd m with 2^k.  verify_construction checks
+the slots of m's sorted divisors with exact big-integer comparisons, which
+is what makes small-t plans trustworthy even where the asymptotic claim
+diagnostics fail.
 """
 
 from __future__ import annotations
@@ -424,18 +426,12 @@ class PlanLevel(namedtuple("PlanLevel", "index exponent bits pow2 prime certifie
     __slots__ = ()
 
 
-class MixedRadixDigits(namedtuple("MixedRadixDigits", "c0 upper")):
-    """c0 in [0, 7]; upper holds c_i in [0, e_i] per level, ascending i."""
-
-    __slots__ = ()
-
-
 class ClaimDiagnostics(namedtuple("ClaimDiagnostics", "exponent_fourth_root prime_ratio "
                                   "digit_ratio aggregate aggregate_below_exp "
                                   "aggregate_below_11_10 exp_below_11_10 all_hold")):
     """Asymptotic-regime inequalities, evaluated exactly at this plan's
     scale.  They are guaranteed only for enormous t, so small-t plans may
-    legitimately fail them; plan validity rests on the per-digit dyadic
+    legitimately fail them; plan validity rests on the per-slot dyadic
     checks instead.  The pairs are (i, e_i^4 <= n_i) per level i > t,
     (i, (p/n)^e < e^(1/4^i)) per level and (c0, d231/2^(c0+1) < 10/11);
     aggregate is the product of (p/n)^e, compared with e^(1/192) and 11/10.
@@ -463,10 +459,11 @@ class ConstructionPlan(SimpleNamespace):
 class ConstructionReport(namedtuple("ConstructionReport", "k t dyadic_checks first_failure "
                                     "tau_m tau_identity_ok injective verified claims "
                                     "interlock_checked interlock_report")):
-    """dyadic_checks counts the digit positions replayed (= k); first_failure
-    is the first digit whose divisor misses its slot; tau_identity_ok says
-    tau(m) = k = tau(2^k) - 1; injective says distinct digits gave distinct
-    divisors."""
+    """dyadic_checks counts the slots checked (= k); first_failure is the
+    first slot d whose divisor, the d-th smallest of m, misses (2^d, 2^(d+1))
+    (slot 0 holds the divisor 1); tau_identity_ok says tau(m) = k =
+    tau(2^k) - 1; injective says m's sorted divisor list has one entry per
+    slot, k in all."""
 
     __slots__ = ()
 
@@ -539,47 +536,6 @@ def build_pow2_partner(
     )
 
 
-def mixed_radix_decompose(d: int, plan: ConstructionPlan) -> MixedRadixDigits:
-    """Digits of d in the plan's mixed radix: d = c0 + sum over levels of
-    c_i * (e_1+1)...(e_{i-1}+1), with c0 in [0, 7] and c_i in [0, e_i].
-    The radices multiply to k, so every d in [0, k-1] has unique digits."""
-    if not 0 <= d < plan.k:
-        raise ValueError(f"mixed_radix_decompose: d must be in [0, {plan.k - 1}], got {d}")
-    c0 = d % 8
-    q = d // 8
-    upper = []
-    for lvl in plan.levels:
-        upper.append(q % (lvl.exponent + 1))
-        q //= lvl.exponent + 1
-    assert q == 0
-    return MixedRadixDigits(c0, tuple(upper))
-
-
-def mixed_radix_compose(digits: MixedRadixDigits, plan: ConstructionPlan) -> int:
-    """Inverse of mixed_radix_decompose."""
-    if not 0 <= digits.c0 <= 7:
-        raise ValueError(f"c0 out of range: {digits.c0}")
-    if len(digits.upper) != len(plan.levels):
-        raise ValueError("digit count does not match plan levels")
-    d = digits.c0
-    weight = 8
-    for c, lvl in zip(digits.upper, plan.levels):
-        if not 0 <= c <= lvl.exponent:
-            raise ValueError(f"digit {c} out of range at level {lvl.index}")
-        d += c * weight
-        weight *= lvl.exponent + 1
-    return d
-
-
-def digit_divisor(digits: MixedRadixDigits, plan: ConstructionPlan) -> int:
-    """The divisor of m indexed by a digit vector."""
-    value = DIVISORS_OF_231[digits.c0]
-    for c, lvl in zip(digits.upper, plan.levels):
-        if c:
-            value *= lvl.prime**c
-    return value
-
-
 def plan_divisors(plan: ConstructionPlan) -> tuple[int, ...]:
     """All divisors of m, from the factorization known by construction."""
     fac = [(3, 1), (7, 1), (11, 1)] + [(l.prime, l.exponent) for l in plan.levels]
@@ -628,32 +584,24 @@ def _compute_claims(plan: ConstructionPlan) -> ClaimDiagnostics:
 def verify_construction(
     plan: ConstructionPlan, direct_interlock: bool | None = None
 ) -> ConstructionReport:
-    """Replay every digit placement with exact integer comparisons.
+    """Check that m's k divisors fill the dyadic slots of 2^k, one each.
 
-    For each d in [0, k-1] the indexed divisor d' must satisfy
-    2^d < d' < 2^(d+1), except d = 0 whose slot holds the divisor 1 = 2^0
-    exactly.  Also checks digit-map injectivity and the divisor-count
-    identity tau(m) = k (from the construction's factorization; the p_i are
-    distinct and exceed 11, so tau multiplies out directly).  Claim
-    diagnostics are attached but do not gate `verified`.
+    Ascending, the d-th divisor d' of m, from the plan's factorization (m is
+    never factorized), must satisfy 2^d < d' < 2^(d+1), except d = 0 whose
+    slot holds the divisor 1 = 2^0 exactly: for odd m, d' has bit length
+    d + 1.  Also checks tau(m) = k (the p_i are distinct and exceed 11, so
+    tau multiplies out directly).  Claim diagnostics are attached but do not
+    gate `verified`.  An m past arith's divisor-list cap raises ValueError.
 
-    direct_interlock: None = run the full interlock cross-check when
-    tau(m) is small enough; True/False forces it on or off.
+    direct_interlock: None = run the full interlock cross-check on the same
+    divisors when tau(m) is small enough; True/False forces it on or off.
     """
     k = plan.k
-    seen: set[int] = set()
-    first_failure: int | None = None
-    for d in range(k):
-        digits = mixed_radix_decompose(d, plan)
-        dprime = digit_divisor(digits, plan)
-        seen.add(dprime)
-        if d == 0:
-            ok = dprime == 1
-        else:
-            ok = (1 << d) < dprime < (1 << (d + 1))
-        if not ok and first_failure is None:
-            first_failure = d
-    injective = len(seen) == k
+    divs = plan_divisors(plan)
+    first_failure = next(
+        (d for d, div in zip(range(k), divs) if div.bit_length() != d + 1), None
+    )
+    injective = len(divs) == k
 
     tau_m = _tau_m(plan.levels)
     tau_ok = tau_m == k
@@ -665,9 +613,8 @@ def verify_construction(
         direct_interlock = k <= _DIRECT_CHECK_CAP
     interlock_report = None
     if direct_interlock:
-        div_m = plan_divisors(plan)
         div_n = tuple(1 << i for i in range(k + 1))
-        interlock_report = check_interlock(plan.m, 1 << k, div_m, div_n)
+        interlock_report = check_interlock(plan.m, 1 << k, divs, div_n)
         verified = verified and interlock_report.verdict
 
     plan.claims = claims

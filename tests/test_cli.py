@@ -340,6 +340,52 @@ def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
     assert code == 1 and check["result"]["verdict"] is False
 
 
+def test_construct_load_reports_crafted_plans(tmp_path, capsys):
+    saved = tmp_path / "plan.json"
+    invoke(capsys, "--jsonl", "construct", "--k", "16", "--t", "4", "--save", str(saved))
+    plan = json.loads(saved.read_text())
+    # Both primes are certified.  7 * 293 = 2051 leaves slot 10 = (2^10, 2^11)
+    # empty and shares slot 11 with 11 * 293 = 3223; 251 shares slot 7 with
+    # 231, so slot 8 gets 251.
+    for prime, failure in (("293", 10), ("251", 8)):
+        level = {**plan["levels"][0], "prime": prime}
+        crafted = {**plan, "levels": [level], "m": str(231 * int(prime))}
+        path = tmp_path / f"k16-{prime}.json"
+        path.write_text(json.dumps(crafted))
+        code, rec = invoke(capsys, "--jsonl", "construct", "--load", str(path))
+        report = rec["result"]["verification"]
+        assert code == 1
+        assert report["first_failure"] == failure and report["verified"] is False
+        assert report["interlock_report"]["verdict"] is False
+
+    # Swapping the two level primes keeps m, so its divisors still fill the
+    # slots of 2^32, though not in the order of the plan's digits.
+    invoke(capsys, "--jsonl", "construct", "--k", "32", "--t", "5", "--save", str(saved))
+    plan = json.loads(saved.read_text())
+    low, high = plan["levels"]
+    swapped = [{**low, "prime": high["prime"], "certified": high["certified"]},
+               {**high, "prime": low["prime"], "certified": low["certified"]}]
+    path = tmp_path / "k32.json"
+    path.write_text(json.dumps({**plan, "levels": swapped}))
+    code, rec = invoke(capsys, "--jsonl", "construct", "--load", str(path))
+    report = rec["result"]["verification"]
+    assert code == 0
+    assert report["first_failure"] is None and report["verified"] is True
+    assert report["interlock_report"]["verdict"] is True
+    assert report["claims"]["all_hold"] is False
+
+
+def test_construct_over_the_divisor_cap_is_a_usage_error(capsys):
+    # The plan builds at once; its m has 2,000,192 divisors, above the cap of
+    # the divisor list the slots are checked on.
+    code, rec = invoke(capsys, "--jsonl", "construct", "--k", "2000192", "--t", "6")
+    assert code == 2
+    assert rec["result"] == {
+        "error": "usage",
+        "message": "divisors: value has 2000192 divisors, above the 2000000 cap",
+    }
+
+
 def test_pow2_rejects_negative_k(capsys):
     code, rec = invoke(capsys, "--jsonl", "pow2", "--k", "-1")
     assert code == 2
@@ -435,6 +481,15 @@ def test_primorial_payloads(capsys):
     code, rec = invoke(capsys, "--jsonl", "primorial", "--k", "10")
     assert code == 0  # an empty enumeration is still a successful answer
     assert rec["result"]["count"] == 0
+
+
+def test_primorial_table_goes_to_stderr(capsys):
+    code = run(["--jsonl", "primorial", "--k", "8", "--table"])
+    out = capsys.readouterr()
+    assert code == 0
+    lines = out.out.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["result"]["count"] == 1
+    assert out.err.startswith("m = 2470 = ")
 
 
 def test_primorial_consensus_payload(capsys):

@@ -23,8 +23,6 @@ from interlock.construction import (
     gap_ratio,
     has_bounded_jumps,
     interval_coverage_diagnostic,
-    mixed_radix_compose,
-    mixed_radix_decompose,
     plan_from_dict,
     plan_to_dict,
     verify_construction,
@@ -285,31 +283,6 @@ def test_build_plan_rejections():
         build_pow2_partner(2**13, 4, prime_search_bits=256)
 
 
-def test_mixed_radix_examples():
-    plan = build_pow2_partner(32, 5)
-    d = mixed_radix_decompose(0, plan)
-    assert d.c0 == 0 and d.upper == (0, 0)
-    d = mixed_radix_decompose(9, plan)
-    assert d.c0 == 1 and d.upper == (1, 0)  # 9 = 1 + 1 * 8
-    d = mixed_radix_decompose(31, plan)
-    assert d.c0 == 7 and d.upper == (1, 1)  # 31 = 7 + 8 + 16
-    with pytest.raises(ValueError):
-        mixed_radix_decompose(32, plan)
-    with pytest.raises(ValueError):
-        mixed_radix_decompose(-1, plan)
-
-
-def test_mixed_radix_bijection():
-    for k, t in ((32, 5), (96, 5), (48, 4)):
-        plan = build_pow2_partner(k, t)
-        seen = set()
-        for d in range(k):
-            digits = mixed_radix_decompose(d, plan)
-            assert mixed_radix_compose(digits, plan) == d
-            seen.add((digits.c0, digits.upper))
-        assert len(seen) == k
-
-
 def test_verify_k32_with_direct_check():
     plan = build_pow2_partner(32, 5)
     report = verify_construction(plan, direct_interlock=True)
@@ -406,25 +379,17 @@ def test_plan_to_dict_pins_the_k16_plan():
     assert plan_to_dict(plan) == expected
 
 
-def test_digit_map_reaches_every_divisor():
+def test_sorted_divisors_fill_one_slot_each():
     plan = build_pow2_partner(96, 5)
     divs = plan_divisors(plan)
     assert len(divs) == 96
+    assert [d.bit_length() for d in divs] == list(range(1, 97))
     report = verify_construction(plan)
     assert report.injective and report.tau_m == len(divs)
+    assert report.first_failure is None and report.verified
     assert check_interlock(
         plan.m, 1 << 96, divs, tuple(1 << i for i in range(97))
     ).verdict
-
-
-@given(st.integers(min_value=0, max_value=95))
-@settings(max_examples=96, deadline=None)
-def test_mixed_radix_roundtrip_k96(d):
-    plan = build_pow2_partner(96, 5)
-    digits = mixed_radix_decompose(d, plan)
-    assert 0 <= digits.c0 <= 7
-    assert all(0 <= c <= lvl.exponent for c, lvl in zip(digits.upper, plan.levels))
-    assert mixed_radix_compose(digits, plan) == d
 
 
 COVERAGE_PARAMS = [JumpParams.from_t(t) for t in range(3, 7)] + [

@@ -18,9 +18,8 @@ EXPORTS = {
     ],
     "construction": [
         "ClaimDiagnostics", "ConstructionPlan", "ConstructionReport", "CoverageReport",
-        "JumpParams", "MixedRadixDigits", "SearchBudgetError", "build_pow2_partner",
-        "count_bounded_jumps", "gap_census", "gap_ratio", "has_bounded_jumps",
-        "interval_coverage_diagnostic", "mixed_radix_compose", "mixed_radix_decompose",
+        "JumpParams", "SearchBudgetError", "build_pow2_partner", "count_bounded_jumps",
+        "gap_census", "gap_ratio", "has_bounded_jumps", "interval_coverage_diagnostic",
         "plan_from_dict", "plan_to_dict", "verify_construction",
     ],
     "pairs": [
