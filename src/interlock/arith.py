@@ -9,7 +9,8 @@ The module holds no mutable state: factorize trial-divides by a fixed tuple
 of the primes below 2^16 and hands a larger cofactor to Pollard rho.  A
 caller that needs tau and least primes of many small m builds its own
 FactorTable, which holds them for every m up to the largest m asked for so
-far, never past FACTOR_TABLE_CAP.
+far, never past FACTOR_TABLE_CAP.  decimal_text and decimal_int are the
+package's one codec between ints and decimal text.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Divisor lists with more entries than this are refused rather than built.
 MAX_DIVISOR_LIST = 2_000_000
+# ... and so are lists whose integers would hold more bits than this in all
+# (128 MB), estimated as tau(n) * bits(n) / 2.
+MAX_DIVISOR_BITS = 1 << 30
 
 # Largest m a FactorTable covers: about 8 bytes an entry, 32 MB at the cap.
 FACTOR_TABLE_CAP = 1 << 22
@@ -254,14 +258,21 @@ def divisors_from_factorization(fac) -> tuple[int, ...]:
 
     Lets callers that already know the factorization (e.g. constructed
     numbers with primes far beyond factoring range) get divisor lists
-    without re-factorizing.
+    without re-factorizing.  A list past MAX_DIVISOR_LIST entries, or past
+    MAX_DIVISOR_BITS bits in all, raises ValueError before it is built.
     """
-    count = 1
-    for _, e in fac:
+    count, bits = 1, 0
+    for p, e in fac:
         count *= e + 1
+        bits += e * p.bit_length()
     if count > MAX_DIVISOR_LIST:
         raise ValueError(
             f"divisors: value has {count} divisors, above the {MAX_DIVISOR_LIST} cap"
+        )
+    if count * bits // 2 > MAX_DIVISOR_BITS:
+        raise ValueError(
+            f"divisors: the {count} divisors of a {bits}-bit value would hold about "
+            f"{count * bits // 2} bits, above the {MAX_DIVISOR_BITS}-bit cap"
         )
     divs = [1]
     for p, e in fac:
@@ -398,3 +409,29 @@ class FactorTable:
                 e += 1
             fac.append((p, e))
         return tuple(fac)
+
+
+def decimal_text(value) -> str:
+    """str(value) for an int or a Fraction ("p/q", or "p" when q = 1) of any
+    length: str() refuses ints past sys.get_int_max_str_digits() digits, 4,300
+    by default, and Decimal converts exactly at any length."""
+    from decimal import Decimal
+
+    if isinstance(value, int):
+        return str(Decimal(value))
+    text = decimal_text(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{decimal_text(value.denominator)}"
+
+
+def decimal_int(text) -> int:
+    """int(text) for decimal text of any length.  Text that int() refuses for
+    its form ("1.5", "1e5", "") raises int()'s own ValueError; a value that is
+    not a str (a JSON number or bool) goes to int() as it is."""
+    if isinstance(text, str):
+        body = text.strip()
+        body = body[1:] if body[:1] in ("+", "-") else body
+        if all(part.isdecimal() for part in body.split("_")):  # int()'s grammar
+            from decimal import Decimal
+
+            return int(Decimal(text))
+    return int(text)

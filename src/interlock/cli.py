@@ -3,7 +3,9 @@
 Every invocation emits one JSON record {command, inputs, result, timing_ms,
 version}: pretty-printed by default, one compact line with --jsonl.  Integers
 that do not fit in a signed 64-bit word are emitted as decimal strings so no
-downstream JSON tooling silently truncates them.  Payloads are byte-identical
+downstream JSON tooling silently truncates them, at any length: arith's
+decimal_text writes them past the interpreter's 4,300-digit str() limit, and
+saved plans are read back by decimal_int.  Payloads are byte-identical
 across --jobs settings (timing aside): the partners of 2^k are built in
 process (separability.pow2_partners); a search that stops at its first
 partner is one ascending scan at every --jobs; a report-all window scan is
@@ -36,6 +38,7 @@ import time
 from itertools import chain
 
 from . import __version__
+from .arith import decimal_int, decimal_text
 from .pairs import check_alternation, check_interlock
 from .separability import (
     SearchBudgetError,
@@ -75,15 +78,13 @@ _MIN_POOL_CENSUS = 1100
 
 def _jsonify(value):
     """JSON-safe payloads: big ints to decimal strings, records to dicts,
-    Fractions to 'p/q' strings, tuples to lists.  A Fraction can only come
-    from a module that has already imported fractions."""
+    Fractions to 'p/q' strings ('p' when q = 1), tuples to lists.  A
+    Fraction can only come from a module that has already imported
+    fractions."""
     if isinstance(value, (bool, float)) or value is None:
         return value
     if isinstance(value, int):
-        if -_INT64_MAX <= value <= _INT64_MAX:
-            return value
-        from decimal import Decimal  # str() refuses ints past the digit limit
-        return str(Decimal(value))
+        return value if -_INT64_MAX <= value <= _INT64_MAX else decimal_text(value)
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, tuple) and hasattr(value, "_asdict"):  # a namedtuple
@@ -92,7 +93,7 @@ def _jsonify(value):
         return [_jsonify(v) for v in value]
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(value, fractions.Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return decimal_text(value)
     return str(value)
 
 
@@ -209,7 +210,7 @@ def _cmd_construct(args):
     from .construction import plan_to_dict, verify_construction
     if args.load:
         with open(args.load, "r", encoding="utf-8") as fh:
-            plan = plan_from_dict(json.load(fh))
+            plan = plan_from_dict(json.load(fh, parse_int=decimal_int))
     else:
         if args.k is None or args.t is None:
             raise ValueError("construct: provide --k and --t, or --load PATH")
@@ -217,10 +218,11 @@ def _cmd_construct(args):
     report = verify_construction(
         plan, direct_interlock=True if args.verify_direct else None
     )
+    saved = plan_to_dict(plan, report)
     if args.save:
         with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump(plan_to_dict(plan), fh, sort_keys=True, indent=2)
-    payload = {"plan": plan_to_dict(plan), "verification": report}
+            json.dump(saved, fh, sort_keys=True, indent=2)
+    payload = {"plan": saved, "verification": report}
     return payload, EXIT_OK if report.verified else EXIT_NEGATIVE
 
 

@@ -35,11 +35,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
-from types import SimpleNamespace
 
 from .arith import (
+    decimal_int,
+    decimal_text,
     divisors,
     divisors_from_factorization,
     factorize,
@@ -60,10 +60,9 @@ from .precision import (
 )
 from .separability import SearchBudgetError
 
-# Divisors of 231 = 3 * 7 * 11, the fixed low-end block of every plan.  One
-# entry per value of the low digit c_0; cross-checked against divisors(231)
-# at import time.
-DIVISORS_OF_231 = (1, 3, 7, 11, 21, 33, 77, 231)
+# Divisors of 231 = 3 * 7 * 11, the fixed low-end block of every plan: one
+# entry per value of the low digit c_0.
+DIVISORS_OF_231 = divisors(231)
 
 # Levels with n_i = 2^bits beyond this bit budget are refused: the next-prime
 # search above n_i would dominate the run.
@@ -124,9 +123,9 @@ class JumpParams(namedtuple("JumpParams", "t override", defaults=(None, None))):
 
     def describe(self) -> str:
         if self.t is not None:
-            power = Decimal(1 << (self.t - 2))  # str() refuses ints past 4300 digits
+            power = decimal_text(1 << (self.t - 2))
             return f"ln(2) * 2^{self.t - 2}  (t = {self.t}, e^c = 2^{power})"
-        return f"{self.override}  (direct override)"
+        return f"{decimal_text(self.override)}  (direct override)"
 
 
 # --- membership test ---------------------------------------------------------
@@ -154,13 +153,18 @@ def _exp_threshold_floor(params: JumpParams) -> int | None:
     return floor_exp(params.override)
 
 
-def _first_jump(
-    ds: tuple[int, ...], params: JumpParams, exp_floor: int | None
-) -> tuple[int, int] | None:
-    """First consecutive divisor pair (d_prev, d) of the ascending divisor
-    tuple ds with d > e^max(threshold, d_prev), or None when there is none.
-    exp_floor is _exp_threshold_floor(params), computed once by the caller.
+def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
+    """Decide membership in the slow-divisor-growth set.
+
+    True iff every consecutive divisor pair d_prev < d of n satisfies
+    d <= e^max(threshold, d_prev), i.e. d <= e^threshold or d <= e^d_prev;
+    the witness is the first pair that does not.  n = 1 has no divisor pair
+    and is always a member.
     """
+    if n < 1:
+        raise ValueError(f"has_bounded_jumps: n must be >= 1, got {n}")
+    exp_floor = _exp_threshold_floor(params)
+    ds = divisors(n)
     for prev, cur in zip(ds, ds[1:]):
         if exp_floor is not None:
             if cur <= exp_floor:
@@ -173,21 +177,8 @@ def _first_jump(
             continue
         if cur <= floor_exp(prev):
             continue
-        return prev, cur
-    return None
-
-
-def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
-    """Decide membership in the slow-divisor-growth set.
-
-    True iff every consecutive divisor pair d_prev < d of n satisfies
-    d <= e^max(threshold, d_prev), i.e. d <= e^threshold or d <= e^d_prev.
-    n = 1 has no divisor pair and is always a member.
-    """
-    if n < 1:
-        raise ValueError(f"has_bounded_jumps: n must be >= 1, got {n}")
-    witness = _first_jump(divisors(n), params, _exp_threshold_floor(params))
-    return JumpCheck(n, witness is None, witness)
+        return JumpCheck(n, False, (prev, cur))
+    return JumpCheck(n, True, None)
 
 
 def _jump_marks(x: int, params: JumpParams) -> int:
@@ -341,7 +332,7 @@ def _coverage_level(x: int, params: JumpParams) -> int | None:
                 return None
             found += 1
 
-    found = escalating(step, f"coverage level for x={x}")[0]
+    found = escalating(step, lambda: f"coverage level for x={x}")[0]
     return None if found < 0 else found
 
 
@@ -360,7 +351,7 @@ def _interval_bounds(params: JumpParams, power_log2: int) -> tuple[int, int]:
             return None
         return fl + 1, fl
 
-    return escalating(step, f"interval endpoint e^(c^2^{power_log2})")
+    return escalating(step, lambda: f"interval endpoint e^(c^2^{power_log2})")
 
 
 def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
@@ -440,30 +431,26 @@ class ClaimDiagnostics(namedtuple("ClaimDiagnostics", "exponent_fourth_root prim
     __slots__ = ()
 
 
-class ConstructionPlan(SimpleNamespace):
-    """The plan build_pow2_partner makes: r counts the prime factors of k
-    with multiplicity, exponents are e_1..e_r ascending (each e_i + 1
-    prime), levels are i = 4..r, and m = 231 * prod p_i^e_i.  Mutable:
-    verify_construction fills in claims and verified."""
+class ConstructionPlan(namedtuple("ConstructionPlan", "k t r exponents levels m "
+                                  "probabilistic_primes")):
+    """What build_pow2_partner builds: r counts the prime factors of k with
+    multiplicity, exponents are e_1..e_r ascending (each e_i + 1 prime),
+    levels are i = 4..r, and m = 231 * prod p_i^e_i.  What a check found
+    lives in the ConstructionReport verify_construction returns."""
 
-    def __init__(self, k, t, r, exponents, levels, m, probabilistic_primes,
-                 claims=None, verified=False):
-        super().__init__(k=k, t=t, r=r, exponents=exponents, levels=levels, m=m,
-                         probabilistic_primes=probabilistic_primes, claims=claims,
-                         verified=verified)
-
-    def __reduce__(self):
-        return type(self), tuple(vars(self).values())
+    __slots__ = ()
 
 
 class ConstructionReport(namedtuple("ConstructionReport", "k t dyadic_checks first_failure "
                                     "tau_m tau_identity_ok injective verified claims "
                                     "interlock_checked interlock_report")):
-    """dyadic_checks counts the slots checked (= k); first_failure is the
+    """What verify_construction found for a plan, which it leaves as it is.
+    dyadic_checks counts the slots checked (= k); first_failure is the
     first slot d whose divisor, the d-th smallest of m, misses (2^d, 2^(d+1))
     (slot 0 holds the divisor 1); tau_identity_ok says tau(m) = k =
     tau(2^k) - 1; injective says m's sorted divisor list has one entry per
-    slot, k in all."""
+    slot, k in all; verified says all of these hold, and the direct interlock
+    check too when it ran; claims are the plan's ClaimDiagnostics."""
 
     __slots__ = ()
 
@@ -525,15 +512,8 @@ def build_pow2_partner(
     m = 231 * math.prod(lvl.prime**lvl.exponent for lvl in levels)
     assert _tau_m(levels) == k, "8 * prod(e_i + 1) over levels must reproduce k"
 
-    return ConstructionPlan(
-        k=k,
-        t=t,
-        r=r,
-        exponents=tuple(exps),
-        levels=tuple(levels),
-        m=m,
-        probabilistic_primes=tuple(l.prime for l in levels if not l.certified),
-    )
+    probabilistic = tuple(l.prime for l in levels if not l.certified)
+    return ConstructionPlan(k, t, r, tuple(exps), tuple(levels), m, probabilistic)
 
 
 def plan_divisors(plan: ConstructionPlan) -> tuple[int, ...]:
@@ -606,7 +586,6 @@ def verify_construction(
     tau_m = _tau_m(plan.levels)
     tau_ok = tau_m == k
 
-    claims = _compute_claims(plan)
     verified = first_failure is None and injective and tau_ok
 
     if direct_interlock is None:
@@ -617,8 +596,6 @@ def verify_construction(
         interlock_report = check_interlock(plan.m, 1 << k, divs, div_n)
         verified = verified and interlock_report.verdict
 
-    plan.claims = claims
-    plan.verified = verified
     return ConstructionReport(
         k=k,
         t=plan.t,
@@ -628,7 +605,7 @@ def verify_construction(
         tau_identity_ok=tau_ok,
         injective=injective,
         verified=verified,
-        claims=claims,
+        claims=_compute_claims(plan),
         interlock_checked=direct_interlock,
         interlock_report=interlock_report,
     )
@@ -640,29 +617,13 @@ def verify_construction(
 # survive any JSON tooling downstream.
 
 
-def _claims_from_dict(d: dict) -> ClaimDiagnostics:
-    num, den = d["aggregate"].split("/")
-    return ClaimDiagnostics(
-        exponent_fourth_root=tuple((int(i), ok) for i, ok in d["exponent_fourth_root"]),
-        prime_ratio=tuple((int(i), ok) for i, ok in d["prime_ratio"]),
-        digit_ratio=tuple((int(i), ok) for i, ok in d["digit_ratio"]),
-        aggregate=Fraction(int(num), int(den)),
-        aggregate_below_exp=d["aggregate_below_exp"],
-        aggregate_below_11_10=d["aggregate_below_11_10"],
-        exp_below_11_10=d["exp_below_11_10"],
-        all_hold=d["all_hold"],
-    )
-
-
 def _encode(value):
-    """A plan field as JSON: ints become decimal strings, a Fraction "p/q",
+    """A plan field as JSON: ints and Fractions become decimal strings,
     records dicts, tuples lists; bools and None stay as they are."""
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (int, Fraction)):
+        return decimal_text(value)
     if hasattr(value, "_asdict"):  # a namedtuple
         value = value._asdict()
     if isinstance(value, dict):
@@ -670,13 +631,13 @@ def _encode(value):
     return [_encode(v) for v in value]
 
 
-def plan_to_dict(plan: ConstructionPlan) -> dict:
-    """The plan as JSON, keyed by its field names; plan_from_dict reads it
-    back."""
-    return _encode(vars(plan))
+def plan_to_dict(plan: ConstructionPlan, report: ConstructionReport) -> dict:
+    """The plan as JSON, keyed by its field names, with the claims and the
+    verdict of its report; plan_from_dict reads the plan back."""
+    return _encode({**plan._asdict(), "claims": report.claims, "verified": report.verified})
 
 
-def _fields(data, keys: str, convert=int, where: str = "") -> dict:
+def _fields(data, keys: str, convert, where: str = "") -> dict:
     """{key: convert(data[key])} per key; a bad or missing value names its field."""
     out = {}
     for key in keys.split():
@@ -695,8 +656,8 @@ def _check_plan_factorization(plan: ConstructionPlan) -> None:
         # p^e > 2^e, so a larger exponent cannot divide m (and p^e is not built)
         if not (l.prime > 11 and primes.count(l.prime) == 1 and is_prime(l.prime)
                 and 1 <= l.exponent < plan.m.bit_length()):
-            raise ValueError(f"plan: level {l.index}: {l.prime}^{l.exponent} is not "
-                             "a prime > 11, used once, to a power in range")
+            raise ValueError(f"plan: level {l.index}: {decimal_text(l.prime)}^{l.exponent} "
+                             "is not a prime > 11, used once, to a power in range")
         if (l.pow2 < 1 or l.pow2 & (l.pow2 - 1) or l.pow2.bit_length() != l.bits + 1
                 or l.certified != primality_is_certified(l.prime)):
             raise ValueError(f"plan: level {l.index}: pow2 or certified is wrong")
@@ -709,30 +670,21 @@ def _check_plan_factorization(plan: ConstructionPlan) -> None:
 
 
 def plan_from_dict(data: dict) -> ConstructionPlan:
-    """The plan plan_to_dict wrote.  A missing or malformed field, or a plan
-    whose m, k and levels disagree, raises ValueError."""
+    """The plan plan_to_dict wrote; its claims and verified keys are not
+    read, as verify_construction recomputes both.  A missing or malformed
+    field, or a plan whose m, k and levels disagree, raises ValueError."""
     if not isinstance(data, dict):
         raise ValueError(f"plan: expected a JSON object, got {type(data).__name__}")
     levels = tuple(
-        PlanLevel(**_fields(l, "index exponent bits pow2 prime", int, f"levels[{i}]."),
+        PlanLevel(**_fields(l, "index exponent bits pow2 prime", decimal_int, f"levels[{i}]."),
                   **_fields(l, "certified", bool, f"levels[{i}]."))
         for i, l in enumerate(_fields(data, "levels", list)["levels"])
     )
     plan = ConstructionPlan(
-        **_fields(data, "k t r m"),
-        **_fields(data, "exponents probabilistic_primes", lambda v: tuple(map(int, v))),
+        **_fields(data, "k t r m", decimal_int),
+        **_fields(data, "exponents probabilistic_primes",
+                  lambda v: tuple(map(decimal_int, v))),
         levels=levels,
-        **_fields(data, "verified", bool),
     )
-    if data.get("claims") is not None:
-        plan.claims = _fields(data, "claims", _claims_from_dict)["claims"]
     _check_plan_factorization(plan)
     return plan
-
-
-def _check_fixed_divisor_table() -> None:
-    if divisors(231) != DIVISORS_OF_231:
-        raise AssertionError("fixed divisor table for 231 is wrong")
-
-
-_check_fixed_divisor_table()

@@ -25,6 +25,8 @@ from functools import lru_cache
 from types import SimpleNamespace
 from typing import Callable, TypeVar
 
+from .arith import decimal_text
+
 DEFAULT_PRECISION_BITS = 256
 PRECISION_ENV_VAR = "INTERLOCK_PRECISION_BITS"
 
@@ -50,13 +52,15 @@ def precision_bits() -> int:
     return bits
 
 
-def escalating(step: Callable[..., T | None], what: str, base: int | None = None) -> T:
+def escalating(step: Callable[..., T | None], what: Callable[[], str],
+               base: int | None = None) -> T:
     """Run step(iv) at growing precision until it returns a non-None value.
 
     iv.prec is the working precision in bits, starting at base (default:
     precision_bits()).  step must return None exactly when the enclosures it
     computed were too wide to decide; after an 8x escalation the failure
-    becomes a PrecisionError carrying `what`.
+    becomes a PrecisionError carrying the text what() builds, which is built
+    only then.
     """
     base = base or precision_bits()
     for factor in _ESCALATION_FACTORS:
@@ -64,7 +68,7 @@ def escalating(step: Callable[..., T | None], what: str, base: int | None = None
         if result is not None:
             return result
     raise PrecisionError(
-        f"cannot decide {what} at {base * _ESCALATION_FACTORS[-1]} bits; "
+        f"cannot decide {what()} at {base * _ESCALATION_FACTORS[-1]} bits; "
         f"raise {PRECISION_ENV_VAR} to resolve"
     )
 
@@ -149,7 +153,7 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
         below, above = scaled < lo * q.denominator, scaled > hi * q.denominator
         return below if below or above else None
 
-    return escalating(step, f"{q} < exp({exponent})")
+    return escalating(step, lambda: f"{decimal_text(q)} < exp({decimal_text(exponent)})")
 
 
 def exp_lt_fraction(exponent: Fraction, q: Fraction) -> bool:
@@ -178,4 +182,4 @@ def floor_exp(a: Fraction | int) -> int:
         f = lo >> iv.prec
         return f if hi >> iv.prec == f else None
 
-    return escalating(step, f"floor(e^{a})", needed)
+    return escalating(step, lambda: f"floor(e^{a})", needed)

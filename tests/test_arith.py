@@ -1,7 +1,9 @@
 """Arithmetic primitives against naive oracles and a prime sieve."""
 
 import random
+import tracemalloc
 from array import array
+from fractions import Fraction
 from math import gcd, isqrt, prod
 
 import pytest
@@ -11,8 +13,11 @@ from hypothesis import strategies as st
 from interlock import arith
 from interlock.arith import (
     FACTOR_TABLE_CAP,
+    MAX_DIVISOR_BITS,
     MAX_DIVISOR_LIST,
     FactorTable,
+    decimal_int,
+    decimal_text,
     divisor_count_range,
     divisors,
     divisors_from_factorization,
@@ -75,6 +80,63 @@ def test_divisors_from_factorization_high_powers():
 def test_divisor_list_cap_refuses():
     with pytest.raises(ValueError, match="cap"):
         divisors_from_factorization(((2, MAX_DIVISOR_LIST),))
+
+
+def test_divisor_list_size_cap_refuses_before_building():
+    # 256 divisors of an 8 * 2^20-bit value: about 2^30 bits in all, 128 MB
+    # if the list were built.  Stand-in primes do: the builder only multiplies.
+    bits = (1 << 20) + 64
+    fac = tuple(((1 << bits) + 2 * i + 1, 1) for i in range(8))
+    assert 256 * 8 * (bits + 1) // 2 > MAX_DIVISOR_BITS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="-bit cap"):
+            divisors_from_factorization(fac)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # Under the bound the same shape builds.
+    small = tuple(((1 << 64) + 2 * i + 1, 1) for i in range(8))
+    assert len(divisors_from_factorization(small)) == 256
+
+
+@pytest.mark.parametrize("digits", [2, 19, 4300, 4301, 20000])
+def test_decimal_codec_roundtrips_any_length(digits):
+    up = 10 ** (digits - 1) + 7  # "10...07"
+    assert decimal_text(up) == "1" + "0" * (digits - 2) + "7"
+    assert decimal_text(-up) == "-" + decimal_text(up)
+    for value in (up, -up, 10**digits - 1, -(10**digits - 1)):
+        text = decimal_text(value)
+        assert len(text.lstrip("-")) == digits
+        assert decimal_int(text) == value == decimal_int(f" {text}\n")
+    assert decimal_int("+" + decimal_text(up)) == up
+
+
+def test_decimal_codec_matches_str_and_int():
+    for value in (0, -5, 2**63, -(2**1800), 10**700 + 1):
+        assert decimal_text(value) == str(value)
+        assert decimal_int(str(value)) == value
+    assert decimal_text(Fraction(7, 3)) == "7/3" and decimal_text(Fraction(5)) == "5"
+    big = Fraction(10**4400 + 1, 3)
+    num, den = decimal_text(big).split("/")
+    assert den == "3" and len(num) == 4401 and decimal_int(num) == big.numerator
+    assert decimal_int("1_000") == 1000 == decimal_int("1_" * 400 + "000") % 10**4
+    assert decimal_int(True) == 1 and decimal_int(12) == 12
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", "1e5", "", " ", "-", "NaN", "Infinity", "0x10", "1__0", "_1", "1_",
+    "1" * 5000 + ".5", "1" * 5000 + "e5", "_" + "1" * 5000, "1" * 5000 + "_",
+    "1" * 2500 + "__" + "1" * 2500, "--" + "1" * 5000, "+-" + "1" * 5000,
+    " " * 5000, "NaN" + " " * 5000,
+])
+def test_decimal_int_refuses_what_int_refuses(text):
+    with pytest.raises(ValueError) as refused:
+        decimal_int(text)
+    with pytest.raises(ValueError) as by_int:
+        int(text)
+    assert str(refused.value) == str(by_int.value)
 
 
 def test_divisor_list_reconstructs_factorization():

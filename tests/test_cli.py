@@ -375,6 +375,42 @@ def test_construct_load_reports_crafted_plans(tmp_path, capsys):
     assert report["claims"]["all_hold"] is False
 
 
+def test_construct_load_recomputes_verified_and_claims(tmp_path, capsys):
+    saved = tmp_path / "plan.json"
+    code, built = invoke(
+        capsys, "--jsonl", "construct", "--k", "32", "--t", "5", "--save", str(saved)
+    )
+    assert code == 0
+    plan = json.loads(saved.read_text())
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps({**plan, "verified": False, "claims": [1, 2, 3]}))
+    code, rec = invoke(capsys, "--jsonl", "construct", "--load", str(tampered))
+    assert code == 0
+    assert rec["result"] == built["result"]
+    assert rec["result"]["plan"]["verified"] is True
+    assert rec["result"]["plan"]["claims"]["all_hold"] is True
+
+
+def test_construct_past_the_str_digit_limit(tmp_path, capsys):
+    # m has 4,470 decimal digits and the claims' aggregate more.
+    saved = tmp_path / "plan.json"
+    code, built = invoke(
+        capsys, "--jsonl", "construct", "--k", "14848", "--t", "9", "--save", str(saved)
+    )
+    assert code == 0
+    assert built["result"]["verification"]["verified"] is True
+    assert len(built["result"]["plan"]["m"]) > 4300
+    assert json.loads(saved.read_text()) == built["result"]["plan"]
+    code, loaded = invoke(capsys, "--jsonl", "construct", "--load", str(saved))
+    assert code == 0 and loaded["result"] == built["result"]
+    # m as a bare JSON number of 4,470 digits reads back too.
+    plan = built["result"]["plan"]
+    bare = json.dumps(plan).replace(f'"m": "{plan["m"]}"', f'"m": {plan["m"]}')
+    saved.write_text(bare)
+    code, loaded = invoke(capsys, "--jsonl", "construct", "--load", str(saved))
+    assert code == 0 and loaded["result"] == built["result"]
+
+
 def test_construct_over_the_divisor_cap_is_a_usage_error(capsys):
     # The plan builds at once; its m has 2,000,192 divisors, above the cap of
     # the divisor list the slots are checked on.

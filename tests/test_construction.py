@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlock import construction, precision
-from interlock.arith import tau
+from interlock.arith import decimal_text, tau
 from interlock.construction import (
     DIVISORS_OF_231,
     JumpParams,
@@ -291,7 +291,11 @@ def test_verify_k32_with_direct_check():
     assert report.tau_m == 32 and report.tau_identity_ok
     assert report.injective
     assert report.interlock_checked and report.interlock_report.verdict
-    assert plan.verified and plan.claims is report.claims
+    # What the check found is in the report alone; the plan is what was built.
+    assert plan._fields == (
+        "k", "t", "r", "exponents", "levels", "m", "probabilistic_primes"
+    )
+    assert plan == build_pow2_partner(32, 5)
 
 
 def test_claim_diagnostics_k32():
@@ -330,8 +334,7 @@ def test_k256_records_probabilistic_primes():
 
 def test_plan_serialization_roundtrip(tmp_path):
     plan = build_pow2_partner(96, 5)
-    verify_construction(plan)
-    data = plan_to_dict(plan)
+    data = plan_to_dict(plan, verify_construction(plan))
     assert data["m"] == str(plan.m)
     assert all(isinstance(lv["pow2"], str) for lv in data["levels"])
     text = json.dumps(data, sort_keys=True)
@@ -344,10 +347,22 @@ def test_plan_serialization_roundtrip(tmp_path):
 
 
 def test_plan_to_dict_pins_the_k16_plan():
-    # The JSON of the k = 16, t = 4 plan, before and after verification.
+    # The JSON of the verified k = 16, t = 4 plan.
     plan = build_pow2_partner(16, 4)
     expected = {
-        "claims": None,
+        "claims": {
+            "aggregate": "257/256",
+            "aggregate_below_11_10": True,
+            "aggregate_below_exp": True,
+            "all_hold": True,
+            "digit_ratio": [
+                ["0", True], ["1", True], ["2", True], ["3", True],
+                ["4", True], ["5", True], ["6", True], ["7", True],
+            ],
+            "exp_below_11_10": True,
+            "exponent_fourth_root": [],
+            "prime_ratio": [["4", True]],
+        },
         "exponents": ["1", "1", "1", "1"],
         "k": "16",
         "levels": [
@@ -358,25 +373,29 @@ def test_plan_to_dict_pins_the_k16_plan():
         "probabilistic_primes": [],
         "r": "4",
         "t": "4",
-        "verified": False,
+        "verified": True,
     }
-    assert plan_to_dict(plan) == expected
-    verify_construction(plan)
-    expected["claims"] = {
-        "aggregate": "257/256",
-        "aggregate_below_11_10": True,
-        "aggregate_below_exp": True,
-        "all_hold": True,
-        "digit_ratio": [
-            ["0", True], ["1", True], ["2", True], ["3", True],
-            ["4", True], ["5", True], ["6", True], ["7", True],
-        ],
-        "exp_below_11_10": True,
-        "exponent_fourth_root": [],
-        "prime_ratio": [["4", True]],
-    }
-    expected["verified"] = True
-    assert plan_to_dict(plan) == expected
+    assert plan_to_dict(plan, verify_construction(plan)) == expected
+
+
+def test_plan_from_dict_ignores_verified_and_claims():
+    plan = build_pow2_partner(16, 4)
+    data = plan_to_dict(plan, verify_construction(plan))
+    tampered = {**data, "verified": False, "claims": {"all_hold": "no"}}
+    assert plan_from_dict(tampered) == plan
+    del tampered["verified"], tampered["claims"]
+    assert plan_from_dict(tampered) == plan
+
+
+def test_plans_past_the_str_digit_limit_roundtrip():
+    # m and the claims' aggregate pass 4,300 decimal digits at k = 14848.
+    plan = build_pow2_partner(14848, 9)
+    report = verify_construction(plan)
+    assert report.verified and report.first_failure is None
+    data = json.loads(json.dumps(plan_to_dict(plan, report)))
+    assert len(data["m"]) > 4300 and data["m"] == decimal_text(plan.m)
+    assert len(data["claims"]["aggregate"]) > 4300
+    assert plan_from_dict(data) == plan
 
 
 def test_sorted_divisors_fill_one_slot_each():

@@ -21,6 +21,18 @@ from interlock.precision import (
 )
 
 
+def test_fraction_lt_exp_past_the_str_digit_limit():
+    # Numerators of 5,000 digits: the comparison never writes q as text.
+    tiny = Fraction(10**4999 + 1, 10**4999)  # 1 + 10^-4999
+    assert fraction_lt_exp(tiny, Fraction(1, 10**6))
+    assert not exp_lt_fraction(Fraction(1, 10**6), tiny)
+    near_three = Fraction(3 * 10**4999 + 1, 10**4999)
+    assert near_three.numerator.bit_length() > 16000  # 5,000 digits
+    assert not fraction_lt_exp(near_three, Fraction(1))  # e = 2.718...
+    assert fraction_lt_exp(near_three, Fraction(11, 10))  # e^1.1 = 3.004...
+    assert fraction_lt_exp(1 / near_three, Fraction(-1))  # 1/3 < 1/e
+
+
 def test_log_le_known_values():
     # e^5 = 148.41...: 148 is inside, 149 is out.
     assert log_le(148, 5)
