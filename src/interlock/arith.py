@@ -253,18 +253,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(fac)
 
 
-def divisors_from_factorization(fac) -> tuple[int, ...]:
-    """Sorted divisor tuple for a known (prime, exponent) factorization.
-
-    Lets callers that already know the factorization (e.g. constructed
-    numbers with primes far beyond factoring range) get divisor lists
-    without re-factorizing.  A list past MAX_DIVISOR_LIST entries, or past
-    MAX_DIVISOR_BITS bits in all, raises ValueError before it is built.
-    """
-    count, bits = 1, 0
-    for p, e in fac:
-        count *= e + 1
-        bits += e * p.bit_length()
+def check_divisor_caps(count: int, bits: int) -> None:
+    """ValueError for a list of count divisors of a value of bits bits past
+    MAX_DIVISOR_LIST entries, or past MAX_DIVISOR_BITS bits in all."""
     if count > MAX_DIVISOR_LIST:
         raise ValueError(
             f"divisors: value has {count} divisors, above the {MAX_DIVISOR_LIST} cap"
@@ -274,6 +265,21 @@ def divisors_from_factorization(fac) -> tuple[int, ...]:
             f"divisors: the {count} divisors of a {bits}-bit value would hold about "
             f"{count * bits // 2} bits, above the {MAX_DIVISOR_BITS}-bit cap"
         )
+
+
+def divisors_from_factorization(fac) -> tuple[int, ...]:
+    """Sorted divisor tuple for a known (prime, exponent) factorization.
+
+    Lets callers that already know the factorization (e.g. constructed
+    numbers with primes far beyond factoring range) get divisor lists
+    without re-factorizing.  A list past the caps of check_divisor_caps
+    raises ValueError before it is built.
+    """
+    count, bits = 1, 0
+    for p, e in fac:
+        count *= e + 1
+        bits += e * p.bit_length()
+    check_divisor_caps(count, bits)
     divs = [1]
     for p, e in fac:
         layer = divs  # the divisors free of p; each pass multiplies by p once

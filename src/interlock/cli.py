@@ -52,6 +52,7 @@ from .separability import (
     result_to_record,
     scan_range,
     verify_pow2_nonseparable,
+    write_file_atomically,
     VERIFIED_RESIDUES,
 )
 
@@ -220,8 +221,7 @@ def _cmd_construct(args):
     )
     saved = plan_to_dict(plan, report)
     if args.save:
-        with open(args.save, "w", encoding="utf-8") as fh:
-            json.dump(saved, fh, sort_keys=True, indent=2)
+        write_file_atomically(args.save, [json.dumps(saved, sort_keys=True, indent=2)])
     payload = {"plan": saved, "verification": report}
     return payload, EXIT_OK if report.verified else EXIT_NEGATIVE
 

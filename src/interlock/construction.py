@@ -27,7 +27,8 @@ smallest divisor of m fills slot d, which by the slot lemma of separability
 is exactly the interlock of an odd m with 2^k.  verify_construction checks
 the slots of m's sorted divisors with exact big-integer comparisons, which
 is what makes small-t plans trustworthy even where the asymptotic claim
-diagnostics fail.
+diagnostics fail.  plan_from_dict rebuilds a saved plan from its k, t and
+level primes by the same derivation, and refuses a file that disagrees.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import (
+    check_divisor_caps,
     decimal_int,
     decimal_text,
     divisors,
@@ -138,19 +140,13 @@ class JumpCheck(namedtuple("JumpCheck", "n bounded witness")):
 
 
 def _le_exp_threshold(d: int, params: JumpParams) -> bool:
-    """Decide d <= e^threshold."""
+    """Decide d <= e^threshold, for an override up to _EXP_FLOOR_CAP by floor_exp."""
     if params.t is not None:
         # d <= 2^E  <=>  bit_length(d - 1) <= E; never materializes 2^E.
         return (d - 1).bit_length() <= params.exp_threshold_log2
+    if params.override <= _EXP_FLOOR_CAP:
+        return d <= floor_exp(params.override)
     return log_le(d, params.override)
-
-
-def _exp_threshold_floor(params: JumpParams) -> int | None:
-    """floor(e^threshold) for override params with a modest threshold, else
-    None.  Used to turn the per-divisor comparison into plain int compares."""
-    if params.override is None or params.override > _EXP_FLOOR_CAP:
-        return None
-    return floor_exp(params.override)
 
 
 def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
@@ -163,21 +159,13 @@ def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
     """
     if n < 1:
         raise ValueError(f"has_bounded_jumps: n must be >= 1, got {n}")
-    exp_floor = _exp_threshold_floor(params)
     ds = divisors(n)
     for prev, cur in zip(ds, ds[1:]):
-        if exp_floor is not None:
-            if cur <= exp_floor:
-                continue
-        elif _le_exp_threshold(cur, params):
-            continue
         # cur <= e^prev  <=>  cur <= floor(e^prev); cheap power-of-two
         # sufficient test first since 2^prev <= e^prev.
-        if (cur - 1).bit_length() <= prev:
-            continue
-        if cur <= floor_exp(prev):
-            continue
-        return JumpCheck(n, False, (prev, cur))
+        if not (_le_exp_threshold(cur, params) or (cur - 1).bit_length() <= prev
+                or cur <= floor_exp(prev)):
+            return JumpCheck(n, False, (prev, cur))
     return JumpCheck(n, True, None)
 
 
@@ -185,12 +173,11 @@ def _jump_marks(x: int, params: JumpParams) -> int:
     """Bit 8n set for each n <= x with a jump: consecutive divisors d < c
     with c > B_d = max(floor(e^threshold), floor(e^d)), that is, d | n,
     n > B_d and no divisor in (d, B_d].  c <= x, so the scan stops at the
-    first d with 2.7^d >= x (e^d > x), before floor_exp is asked for it."""
+    first d with 2.7^d >= x (e^d > x), before floor_exp is asked for it.
+    Callers ask only for x >= e^threshold, so floor(e^threshold) <= x."""
     _check_sieve(x)
-    e_floor = (_exp_threshold_floor(params) if params.t is None
+    e_floor = (floor_exp(params.override) if params.t is None
                else 1 << params.exp_threshold_log2)
-    if e_floor is None:  # e^threshold > e^_EXP_FLOOR_CAP > x: no jump ends below x
-        return 0
     jumps = 0
     d = 1
     while 27**d < 10**d * x:
@@ -280,78 +267,59 @@ class CoverageReport(namedtuple("CoverageReport", "x threshold regime l interval
     __slots__ = ()
 
 
-def _power_bounds(params: JumpParams, power_log2: int, prec: int) -> tuple[int, int]:
-    """Integers lo <= c^p * 2^prec <= hi for the threshold c and
-    p = 2^power_log2, or p = 1/2 for power_log2 = -1: c in fixed point,
-    raised to p with outward rounding."""
+def _endpoint(params: JumpParams, power_log2: int, prec: int, x: int):
+    """(lo, bracket) for e^(c^p), p = 2^power_log2 or 1/2 for power_log2 = -1:
+    lo <= e^(c^p) * 2^prec <= hi by outward rounding, and the (ceil, floor)
+    bracket of e^(c^p), or None while [lo, hi] holds an integer.  None, with
+    no exponential taken, when c^p >= bits(x), as then x < 2^(c^p)."""
     if params.t is not None:
         lo, hi = (b << params.t - 2 for b in ln2_bounds(prec))
     else:
         q = params.override
         lo, hi = (q.numerator << prec) // q.denominator, -(-(q.numerator << prec) // q.denominator)
     if power_log2 < 0:
-        return math.isqrt(lo << prec), math.isqrt(hi << prec) + 1
+        lo, hi = math.isqrt(lo << prec), math.isqrt(hi << prec) + 1
     for _ in range(power_log2):
         lo, hi = lo * lo >> prec, -(-hi * hi >> prec)
-    return lo, hi
-
-
-def _exp_of_bounds(lo: int, hi: int, prec: int) -> tuple[int, int]:
-    """Integers lo' <= e^y * 2^prec <= hi' for lo <= y * 2^prec <= hi."""
+    if lo >> prec >= x.bit_length():
+        return None
     one = 1 << prec
-    return exp_bounds(Fraction(lo, one), prec)[0], exp_bounds(Fraction(hi, one), prec)[1]
+    lo, hi = exp_bounds(Fraction(lo, one), prec)[0], exp_bounds(Fraction(hi, one), prec)[1]
+    fl = lo >> prec
+    return lo, None if lo == fl << prec or hi >= fl + 1 << prec else (fl + 1, fl)
 
 
-def _coverage_level(x: int, params: JumpParams) -> int | None:
-    """The largest L >= 0 with x >= e^(c^(2^L)), or None when x < e^c or the
-    threshold c is at most 1: that is floor(log2(ln ln x / ln c)) for c > 1.
-    In t-form e^c is the exact power of two and x = e^c gives level 0; every
-    other comparison is strict, since e^(c^(2^L)) is then no integer."""
-    level = -1
+def _coverage_brackets(x: int, params: JumpParams) -> list[tuple[int, int]]:
+    """The (ceil, floor) integer brackets of e^(c^p) for p = 1/2, 1, 2, ...,
+    2^L, where the coverage level L is the largest L >= 0 with
+    x >= e^(c^(2^L)): floor(log2(ln ln x / ln c)) for a threshold c > 1.
+    Empty when x < e^c or c <= 1.  In t-form e^c is the exact power of two,
+    built only when it is at most x; no other endpoint is an integer.  Each
+    precision step of the walk encloses each endpoint once."""
     if params.t is None:
         if params.override <= 1:
-            return None
-    elif params.t < 3:  # ln 2 * 2^(t-2) > 1 iff 2^(t-2) > 1/ln 2
-        return None
+            return []
+        exact = []
+    elif params.t < 3 or x.bit_length() <= params.exp_threshold_log2:
+        return []  # c = ln 2 * 2^(t-2) < 1, or x < 2^(2^(t-2)) = e^c
     else:
-        e_log2 = params.exp_threshold_log2
-        if (x - 1).bit_length() <= e_log2:
-            return 0 if x == 1 << e_log2 else None
-        level = 0
+        exact = [(1 << params.exp_threshold_log2,) * 2]
 
     def step(iv):
-        found, scaled = level, x << iv.prec
-        while True:
-            lo, hi = _power_bounds(params, found + 1, iv.prec)
-            if lo >> iv.prec >= x.bit_length():  # x < 2^(c^p) < e^(c^p)
-                return (found,)
-            lo, hi = _exp_of_bounds(lo, hi, iv.prec)
-            if scaled < lo:
-                return (found,)
-            if scaled <= hi:
+        brackets = list(exact)  # brackets[j] is that of p = 2^j
+        while (found := _endpoint(params, len(brackets), iv.prec, x)) is not None:
+            lo, bracket = found
+            if x << iv.prec < lo:
+                break
+            if bracket is None:
                 return None
-            found += 1
+            brackets.append(bracket)  # x >= lo / 2^prec > floor, so x > e^(c^p)
+        if not brackets:
+            return brackets
+        half = _endpoint(params, -1, iv.prec, x)[1]
+        return None if half is None else [half, *brackets]
 
-    found = escalating(step, lambda: f"coverage level for x={x}")[0]
-    return None if found < 0 else found
-
-
-def _interval_bounds(params: JumpParams, power_log2: int) -> tuple[int, int]:
-    """(ceil, floor) integer bracket of e^(c^p) where p = 2^power_log2 for
-    power_log2 >= 0, or p = 1/2 for power_log2 = -1; decided once its
-    enclosure lies strictly between two consecutive integers."""
-    if params.t is not None and power_log2 == 0:
-        exact = 1 << params.exp_threshold_log2  # e^c is exactly 2^(2^(t-2))
-        return exact, exact
-
-    def step(iv):
-        lo, hi = _exp_of_bounds(*_power_bounds(params, power_log2, iv.prec), iv.prec)
-        fl = lo >> iv.prec
-        if lo == fl << iv.prec or hi >= fl + 1 << iv.prec:
-            return None
-        return fl + 1, fl
-
-    return escalating(step, lambda: f"interval endpoint e^(c^2^{power_log2})")
+    return escalating(step, lambda: f"coverage endpoints for x={x}")
 
 
 def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
@@ -362,7 +330,7 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     if x < 1:
         raise ValueError(f"interval_coverage_diagnostic: x must be >= 1, got {x}")
     threshold = params.describe()
-    if (level := _coverage_level(x, params)) is None:
+    if not (brackets := _coverage_brackets(x, params)):
         return CoverageReport(
             x, threshold, "vacuous", None, (), None, None, None, None, None, None, None
         )
@@ -371,9 +339,7 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
     # Exact union through the marks: bit 8n of has_all is 1 when n has a
     # divisor in every interval so far (each mark byte is 0 or 1).
     has_all = int.from_bytes(b"\x00" + b"\x01" * x, "little")
-    for i in range(level + 1):
-        y_ceil, _ = _interval_bounds(params, i - 1)
-        _, z_floor = _interval_bounds(params, i)
+    for i, ((y_ceil, _), (_, z_floor)) in enumerate(zip(brackets, brackets[1:])):
         y_int = max(2, y_ceil)
         z_int = min(x, z_floor)
         if y_int > z_int:
@@ -394,7 +360,7 @@ def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
         x=x,
         threshold=threshold,
         regime="standard",
-        l=level,
+        l=len(brackets) - 2,
         intervals=tuple(intervals),
         sum_missing=sum_missing,
         union_missing=union_missing,
@@ -433,7 +399,8 @@ class ClaimDiagnostics(namedtuple("ClaimDiagnostics", "exponent_fourth_root prim
 
 class ConstructionPlan(namedtuple("ConstructionPlan", "k t r exponents levels m "
                                   "probabilistic_primes")):
-    """What build_pow2_partner builds: r counts the prime factors of k with
+    """What _plan derives from (k, t, the level primes), for build_pow2_partner
+    and plan_from_dict alike: r counts the prime factors of k with
     multiplicity, exponents are e_1..e_r ascending (each e_i + 1 prime),
     levels are i = 4..r, and m = 231 * prod p_i^e_i.  What a check found
     lives in the ConstructionReport verify_construction returns."""
@@ -461,24 +428,24 @@ def _tau_m(levels) -> int:
     return 8 * math.prod(lvl.exponent + 1 for lvl in levels)
 
 
-def build_pow2_partner(
-    k: int,
-    t: int,
-    prime_search_bits: int = DEFAULT_PRIME_SEARCH_BITS,
-) -> ConstructionPlan:
-    """Build the explicit partner plan for 2^k.
+def _factorization(levels) -> list[tuple[int, int]]:
+    """m's factorization, known by construction: 3 * 7 * 11 and p_i^e_i."""
+    return [(3, 1), (7, 1), (11, 1)] + [(l.prime, l.exponent) for l in levels]
 
-    Requires t >= 4, 2^t | k, and k/2^t in the slow-growth set for this t
-    (checked, not assumed).  Levels whose power of two exceeds
-    prime_search_bits bits raise SearchBudgetError before any expensive
-    next-prime walk starts.
-    """
+
+def _plan(k: int, t: int, prime_for) -> ConstructionPlan:
+    """The plan for 2^k at t with level i's prime from prime_for(i, e_i,
+    bits_i), for build_pow2_partner and plan_from_dict alike.  ValueError
+    unless t >= 4, k >= 1, 2^t | k, tau(m) = k is within arith's count cap
+    (checked before k is factorized), k/2^t is in the slow-growth set for t,
+    and m's divisors fit arith's bit cap (checked before m is built)."""
     if t < 4:
         raise ValueError(f"build_pow2_partner: t must be >= 4, got {t}")
     if k < 1:
-        raise ValueError(f"build_pow2_partner: k must be >= 1, got {k}")
-    if k % (1 << t):
-        raise ValueError(f"build_pow2_partner: 2^{t} does not divide k = {k}")
+        raise ValueError(f"build_pow2_partner: k must be >= 1, got {decimal_text(k)}")
+    if (k & -k).bit_length() <= t:  # 2^t does not divide k; 2^t is not built
+        raise ValueError(f"build_pow2_partner: 2^{t} does not divide k = {decimal_text(k)}")
+    check_divisor_caps(k, 0)
     reduced = k >> t
     membership = has_bounded_jumps(reduced, JumpParams.from_t(t))
     if not membership.bounded:
@@ -488,10 +455,7 @@ def build_pow2_partner(
             f"set for t = {t}: divisor jump {prev} -> {cur} exceeds the bound"
         )
 
-    exps: list[int] = []
-    for p, e in factorize(k):
-        exps.extend([p - 1] * e)
-    exps.sort()
+    exps = sorted(p - 1 for p, e in factorize(k) for _ in range(e))
     r = len(exps)
     assert all(e == 1 for e in exps[:t]), "2^t | k forces e_i = 1 for i <= t"
 
@@ -499,27 +463,37 @@ def build_pow2_partner(
     partial = 1  # (e_1+1)...(e_{i-1}+1) as i advances
     for i, e in enumerate(exps, start=1):
         if i >= 4:
-            if partial > prime_search_bits:
-                raise SearchBudgetError(
-                    f"level {i} needs the next prime above 2^{partial}, beyond "
-                    f"the {prime_search_bits}-bit search budget"
-                )
-            pow2 = 1 << partial
-            prime = next_prime(pow2)
-            levels.append(PlanLevel(i, e, partial, pow2, prime, primality_is_certified(prime)))
+            prime = prime_for(i, e, partial)
+            levels.append(PlanLevel(i, e, partial, 1 << partial, prime,
+                                    primality_is_certified(prime)))
         partial *= e + 1
+    assert _tau_m(levels) == k, "8 * prod(e_i + 1) over levels must reproduce k"
+    check_divisor_caps(k, sum(e * p.bit_length() for p, e in _factorization(levels)))
 
     m = 231 * math.prod(lvl.prime**lvl.exponent for lvl in levels)
-    assert _tau_m(levels) == k, "8 * prod(e_i + 1) over levels must reproduce k"
-
     probabilistic = tuple(l.prime for l in levels if not l.certified)
     return ConstructionPlan(k, t, r, tuple(exps), tuple(levels), m, probabilistic)
 
 
+def build_pow2_partner(k: int, t: int,
+                       prime_search_bits: int = DEFAULT_PRIME_SEARCH_BITS) -> ConstructionPlan:
+    """Build the explicit partner plan for 2^k, with p_i the next prime above
+    n_i, under _plan's conditions on (k, t).  A level whose power of two
+    exceeds prime_search_bits bits raises SearchBudgetError before its
+    next-prime walk starts."""
+
+    def next_prime_above(index: int, exponent: int, bits: int) -> int:
+        if bits > prime_search_bits:
+            raise SearchBudgetError(f"level {index} needs the next prime above 2^{bits}, "
+                                    f"beyond the {prime_search_bits}-bit search budget")
+        return next_prime(1 << bits)
+
+    return _plan(k, t, next_prime_above)
+
+
 def plan_divisors(plan: ConstructionPlan) -> tuple[int, ...]:
     """All divisors of m, from the factorization known by construction."""
-    fac = [(3, 1), (7, 1), (11, 1)] + [(l.prime, l.exponent) for l in plan.levels]
-    return divisors_from_factorization(fac)
+    return divisors_from_factorization(_factorization(plan.levels))
 
 
 def _compute_claims(plan: ConstructionPlan) -> ClaimDiagnostics:
@@ -637,54 +611,53 @@ def plan_to_dict(plan: ConstructionPlan, report: ConstructionReport) -> dict:
     return _encode({**plan._asdict(), "claims": report.claims, "verified": report.verified})
 
 
-def _fields(data, keys: str, convert, where: str = "") -> dict:
-    """{key: convert(data[key])} per key; a bad or missing value names its field."""
-    out = {}
-    for key in keys.split():
+def _canonical(value):
+    """A JSON plan value as plan_to_dict writes it: each integer, decimal
+    text or JSON number, as decimal text, and None for malformed text."""
+    if type(value) in (int, str):
         try:
-            out[key] = convert(data[key])
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
-            raise ValueError(f"plan: bad or missing field '{where}{key}'") from exc
-    return out
+            return decimal_text(decimal_int(value))
+        except ValueError:
+            return None
+    if isinstance(value, dict):
+        return {key: _canonical(v) for key, v in value.items()}
+    return [_canonical(v) for v in value] if isinstance(value, list) else value
 
 
-def _check_plan_factorization(plan: ConstructionPlan) -> None:
-    """Raise ValueError unless m, k and the levels agree: verify_construction
-    takes m's divisors from the levels and never factorizes m."""
-    primes = [l.prime for l in plan.levels]
-    for l in plan.levels:
-        # p^e > 2^e, so a larger exponent cannot divide m (and p^e is not built)
-        if not (l.prime > 11 and primes.count(l.prime) == 1 and is_prime(l.prime)
-                and 1 <= l.exponent < plan.m.bit_length()):
-            raise ValueError(f"plan: level {l.index}: {decimal_text(l.prime)}^{l.exponent} "
-                             "is not a prime > 11, used once, to a power in range")
-        if (l.pow2 < 1 or l.pow2 & (l.pow2 - 1) or l.pow2.bit_length() != l.bits + 1
-                or l.certified != primality_is_certified(l.prime)):
-            raise ValueError(f"plan: level {l.index}: pow2 or certified is wrong")
-    if plan.probabilistic_primes != tuple(l.prime for l in plan.levels if not l.certified):
-        raise ValueError("plan: probabilistic_primes does not list the uncertified primes")
-    if _tau_m(plan.levels) != plan.k:
-        raise ValueError(f"plan: the levels give tau(m) != k = {plan.k}")
-    if 231 * math.prod(l.prime**l.exponent for l in plan.levels) != plan.m:
-        raise ValueError("plan: m is not 231 * prod(p_i^e_i) over the levels")
+def _int_field(data, key: str, where: str = "") -> int:
+    """data[key] as a plan integer, from decimal text or a JSON integer but
+    not from a float or bool; else ValueError names the field."""
+    text = _canonical(data.get(key)) if isinstance(data, dict) else None
+    if not isinstance(text, str):
+        raise ValueError(f"plan: bad or missing field '{where}{key}'")
+    return decimal_int(text)
 
 
 def plan_from_dict(data: dict) -> ConstructionPlan:
-    """The plan plan_to_dict wrote; its claims and verified keys are not
-    read, as verify_construction recomputes both.  A missing or malformed
-    field, or a plan whose m, k and levels disagree, raises ValueError."""
+    """The plan plan_to_dict wrote, rebuilt by _plan from its k, t and level
+    primes, each a prime > 11 used once.  Every other plan field must equal
+    the derived one in value, so an integer may be decimal text or a JSON
+    integer; claims and verified are not read, as verify_construction
+    recomputes both.  A file that fails raises ValueError naming the field."""
     if not isinstance(data, dict):
         raise ValueError(f"plan: expected a JSON object, got {type(data).__name__}")
-    levels = tuple(
-        PlanLevel(**_fields(l, "index exponent bits pow2 prime", decimal_int, f"levels[{i}]."),
-                  **_fields(l, "certified", bool, f"levels[{i}]."))
-        for i, l in enumerate(_fields(data, "levels", list)["levels"])
-    )
-    plan = ConstructionPlan(
-        **_fields(data, "k t r m", decimal_int),
-        **_fields(data, "exponents probabilistic_primes",
-                  lambda v: tuple(map(decimal_int, v))),
-        levels=levels,
-    )
-    _check_plan_factorization(plan)
+    rows = data.get("levels")
+    if not isinstance(rows, list):
+        raise ValueError("plan: bad or missing field 'levels'")
+    primes = [_int_field(row, "prime", f"levels[{i}].") for i, row in enumerate(rows)]
+
+    def saved_prime(index: int, exponent: int, bits: int) -> int:
+        if index - 4 >= len(primes):
+            raise ValueError(f"plan: field 'levels' has no level {index} for k")
+        prime = primes[index - 4]
+        if not (prime > 11 and primes.count(prime) == 1 and is_prime(prime)):
+            raise ValueError(f"plan: level {index}: {decimal_text(prime)}^{exponent} "
+                             "is not a prime > 11, used once")
+        return prime
+
+    plan = _plan(_int_field(data, "k"), _int_field(data, "t"), saved_prime)
+    for field in plan._fields[2:]:
+        if _canonical(data.get(field)) != _encode(getattr(plan, field)):
+            raise ValueError(f"plan: field '{field}' disagrees with the plan derived "
+                             "from k, t and the level primes")
     return plan

@@ -454,26 +454,31 @@ def load_census_cache(
     return {r.n: r for r in rows}
 
 
+def write_file_atomically(path, chunks) -> None:
+    """Write the text chunks to path under a temporary name, fsync it and
+    move it into place, so a crash leaves either the old file or the
+    complete new one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def append_census_cache(
     path: str | Path, results, cfg: SearchConfig = SearchConfig()
 ) -> None:
     """Add rows to those cached under cfg (a row for the same n is replaced)
-    and rewrite the file; rows of another config or of older code are
-    dropped.  The file is written under a temporary name and moved into
-    place, so a crash leaves either the old file or the complete new one."""
+    and rewrite the file with write_file_atomically; rows of another config
+    or of older code are dropped."""
     from pathlib import Path
     path = Path(path)
     rows = load_census_cache(path, cfg)
     rows.update((r.n, r) for r in results)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(_cache_header(cfg) + "\n")
-        for r in rows.values():
-            fh.write(json.dumps(result_to_record(r), sort_keys=True) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    records = (json.dumps(result_to_record(r), sort_keys=True) + "\n" for r in rows.values())
+    write_file_atomically(path, chain([_cache_header(cfg) + "\n"], records))
 
 
 # --- exhaustive non-separability verification for powers of two -------------

@@ -321,13 +321,20 @@ def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
     # 12345 does not interlock with 2^16; 259 = 7 * 37 is no level prime.
     bad_m = {**plan, "m": "12345"}
     bad_prime = {**plan, "levels": [{**plan["levels"][0], "prime": "259"}]}
-    bad_k = {**plan, "k": "32"}  # the levels give tau(m) = 16
+    bad_k = {**plan, "k": "32"}  # k = 32 needs a second level
+    moved = {**plan["levels"][0], "index": "7", "bits": "9", "pow2": "512"}
     cases = (
-        (bad_m, "m is not 231"),
+        (bad_m, "field 'm'"),
         (bad_prime, "259^1 is not a prime"),
         ({"k": "16"}, "missing field 'levels'"),
         ([plan], "JSON object"),
-        (bad_k, "tau(m) != k"),
+        (bad_k, "field 'levels'"),
+        ({**plan, "t": "2"}, "t must be >= 4, got 2"),
+        ({**plan, "r": "99"}, "field 'r'"),
+        ({**plan, "exponents": ["7"]}, "field 'exponents'"),
+        ({**plan, "levels": [moved]}, "field 'levels'"),
+        ({**plan, "k": 32.7}, "field 'k'"),
+        ({**plan, "t": True}, "field 't'"),
     )
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -338,6 +345,25 @@ def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
         assert message in rec["result"]["message"]
     code, check = invoke(capsys, "--jsonl", "check", "12345", "65536")
     assert code == 1 and check["result"]["verdict"] is False
+
+
+def test_construct_save_keeps_the_old_plan_when_the_write_fails(tmp_path, capsys, monkeypatch):
+    saved = tmp_path / "plan.json"
+    code, _ = invoke(
+        capsys, "--jsonl", "construct", "--k", "16", "--t", "4", "--save", str(saved)
+    )
+    assert code == 0
+    before = saved.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(separability.os, "fsync", failing_fsync)
+    code, rec = invoke(
+        capsys, "--jsonl", "construct", "--k", "32", "--t", "5", "--save", str(saved)
+    )
+    assert code == 2 and rec["result"] == {"error": "usage", "message": "fsync failed"}
+    assert saved.read_bytes() == before
 
 
 def test_construct_load_reports_crafted_plans(tmp_path, capsys):

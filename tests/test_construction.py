@@ -281,6 +281,9 @@ def test_build_plan_rejections():
         build_pow2_partner(32 * 514, 5)  # 514 jumps out of the set at t = 5
     with pytest.raises(SearchBudgetError):
         build_pow2_partner(2**13, 4, prime_search_bits=256)
+    # tau(m) = k is refused before m, 4.2 Mbit here, is built.
+    with pytest.raises(ValueError, match="value has 4193344 divisors, above the 2000000 cap"):
+        build_pow2_partner(64 * 65521, 6)
 
 
 def test_verify_k32_with_direct_check():
@@ -418,19 +421,24 @@ COVERAGE_PARAMS = [JumpParams.from_t(t) for t in range(3, 7)] + [
 
 @pytest.mark.parametrize("params", COVERAGE_PARAMS, ids=str)
 def test_coverage_comparisons_match_the_mpmath_intervals(params):
-    # The level and the interval endpoints against mpmath.iv, on a grid of
-    # x up to 10^6 that includes both integers next to every endpoint.
+    # The walk's level and every bracket it returns against mpmath.iv, on a
+    # grid of x up to 10^6 that includes both integers next to every endpoint.
     xs = set(range(1, 301)) | {round(1.07**i) for i in range(205)} | {10**6}
     bounds = {}
     for power_log2 in range(-1, 5):
         bounds[power_log2] = oracle_interval_bounds(params, power_log2)
-        assert construction._interval_bounds(params, power_log2) == bounds[power_log2]
         ceil, floor = bounds[power_log2]
         xs |= {x for x in (floor - 1, floor, ceil, ceil + 1) if 1 <= x <= 10**6}
         if floor > 10**6:
             break
+    levels = set()
     for x in sorted(xs):
-        assert construction._coverage_level(x, params) == oracle_coverage_level(x, params), x
+        brackets = construction._coverage_brackets(x, params)
+        level = oracle_coverage_level(x, params)
+        assert len(brackets) == (0 if level is None else level + 2), x
+        assert brackets == [bounds[p] for p in range(-1, len(brackets) - 1)], x
+        levels.add(level)
+    assert max(levels - {None}) == max(bounds) - 1  # every bracket but the last was checked
 
 
 def test_threshold_value_is_a_fraction():
