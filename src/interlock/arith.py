@@ -16,7 +16,6 @@ package's one codec between ints and decimal text.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from itertools import compress
 from math import gcd, isqrt
 
@@ -41,7 +40,8 @@ MAX_DIVISOR_LIST = 2_000_000
 # (128 MB), estimated as tau(n) * bits(n) / 2.
 MAX_DIVISOR_BITS = 1 << 30
 
-# Largest m a FactorTable covers: about 8 bytes an entry, 32 MB at the cap.
+# Largest m a FactorTable covers: 6 bytes an entry (a 2-byte tau and a 4-byte
+# least prime), 24 MB at the cap.
 FACTOR_TABLE_CAP = 1 << 22
 # A FactorTable grows by whole pieces of this many entries, and builds each
 # piece with one tau sieve, which holds about 24 bytes an entry while it runs.
@@ -258,12 +258,14 @@ def check_divisor_caps(count: int, bits: int) -> None:
     MAX_DIVISOR_LIST entries, or past MAX_DIVISOR_BITS bits in all."""
     if count > MAX_DIVISOR_LIST:
         raise ValueError(
-            f"divisors: value has {count} divisors, above the {MAX_DIVISOR_LIST} cap"
+            f"divisors: value has {decimal_text(count)} divisors, "
+            f"above the {MAX_DIVISOR_LIST} cap"
         )
     if count * bits // 2 > MAX_DIVISOR_BITS:
         raise ValueError(
-            f"divisors: the {count} divisors of a {bits}-bit value would hold about "
-            f"{count * bits // 2} bits, above the {MAX_DIVISOR_BITS}-bit cap"
+            f"divisors: the {decimal_text(count)} divisors of a {decimal_text(bits)}-bit "
+            f"value would hold about {decimal_text(count * bits // 2)} bits, "
+            f"above the {MAX_DIVISOR_BITS}-bit cap"
         )
 
 
@@ -364,18 +366,18 @@ def divisor_count_range(lo: int, hi: int, step: int = 1) -> list[int]:
 
 class FactorTable:
     """tau and least prime of every m in [1, size], for scans over many windows
-    of small m.  by_tau[t] holds the m <= size with tau(m) = t, ascending, and
-    lpf[m] is m's least prime (lpf[1] = 1, lpf[m] = m for prime m), both
-    array('I').  cover(hi) grows size to hi, rounded up to whole pieces of
-    _TABLE_PIECE entries, never past FACTOR_TABLE_CAP: the table holds at
-    most one piece more than its scans read.
+    of small m: tau[m] = tau(m) in array('H') and lpf[m], m's least prime
+    (lpf[1] = 1, lpf[m] = m for prime m), in array('I'), so 6 bytes an entry
+    (tau[0] = lpf[0] = 0).  cover(hi) grows size to hi, rounded up to whole
+    pieces of _TABLE_PIECE entries, never past FACTOR_TABLE_CAP: the table
+    holds at most one piece more than its scans read.
     """
 
     def __init__(self):
         from array import array  # loaded by a census, not by every command
 
         self.size = 0
-        self.by_tau = defaultdict(lambda: array("I"))
+        self.tau = array("H", [0])
         self.lpf = array("I", [0])
 
     def cover(self, hi: int) -> bool:
@@ -393,11 +395,9 @@ class FactorTable:
         # [lo, hi] piece at a time.
         from array import array
 
-        by_tau = self.by_tau
         for lo in range(self.size + 1, size + 1, _TABLE_PIECE):
             hi = min(lo + _TABLE_PIECE - 1, size)
-            for m, t in zip(range(lo, hi + 1), divisor_count_range(lo, hi)):
-                by_tau[t].append(m)
+            self.tau += array("H", divisor_count_range(lo, hi))
             least = array("I", range(lo, hi + 1))
             for p in reversed(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, isqrt(hi))]):
                 first = max(p * p, lo + (-lo) % p) - lo

@@ -130,16 +130,16 @@ def _pool_map(fn, tasks: list[tuple], jobs: int) -> list:
 
 
 def _window_scanner(jobs: int):
-    """A scan(n, lo, hi, cfg) for find_partner / verify_pow2_nonseparable.
-    A first-hit search is one ascending scan_range call over the window.  A
-    report-all scan with jobs > 1 splits the window into chunks, which run
-    over a pool when the window has at least _MIN_POOL_WINDOW entries, else
-    in this process."""
+    """A scan(n, lo, hi, cfg, div_n=None) for find_partner and
+    verify_pow2_nonseparable.  A first-hit search is one ascending scan_range
+    call over the window, with n's divisor list div_n.  A report-all scan with
+    jobs > 1 splits the window into chunks, which run over a pool when the
+    window has at least _MIN_POOL_WINDOW entries, else in this process."""
 
-    def scan(n, lo, hi, cfg):
+    def scan(n, lo, hi, cfg, div_n=None):
         windows = _chunks(lo, hi, jobs)
         if not cfg.report_all_partners or jobs <= 1 or len(windows) <= 1:
-            return scan_range(n, lo, hi, cfg)
+            return scan_range(n, lo, hi, cfg, div_n)
         workers = jobs if hi - lo + 1 >= _MIN_POOL_WINDOW else 1
         scans = _pool_map(scan_range, [(n, a, b, cfg) for a, b in windows], workers)
         return merge_chunk_scans(scans)
@@ -177,7 +177,7 @@ def _cmd_census(args):
     jobs = min(args.jobs, len(todo)) if len(todo) >= _MIN_POOL_CENSUS else 1
     batches = _pool_map(census_batch, [(todo[i::jobs], cfg) for i in range(jobs)], jobs)
     fresh = sorted(chain.from_iterable(batches), key=lambda r: r.n)
-    if args.cache:
+    if args.cache and fresh:
         append_census_cache(args.cache, fresh, cfg)
     served = [r for r in cached.values() if r.n <= args.max]
     rows = sorted(served + fresh, key=lambda r: r.n)

@@ -440,19 +440,21 @@ def _plan(k: int, t: int, prime_for) -> ConstructionPlan:
     (checked before k is factorized), k/2^t is in the slow-growth set for t,
     and m's divisors fit arith's bit cap (checked before m is built)."""
     if t < 4:
-        raise ValueError(f"build_pow2_partner: t must be >= 4, got {t}")
+        raise ValueError(f"build_pow2_partner: t must be >= 4, got {decimal_text(t)}")
     if k < 1:
         raise ValueError(f"build_pow2_partner: k must be >= 1, got {decimal_text(k)}")
     if (k & -k).bit_length() <= t:  # 2^t does not divide k; 2^t is not built
-        raise ValueError(f"build_pow2_partner: 2^{t} does not divide k = {decimal_text(k)}")
+        raise ValueError(f"build_pow2_partner: 2^{decimal_text(t)} does not divide "
+                         f"k = {decimal_text(k)}")
     check_divisor_caps(k, 0)
     reduced = k >> t
     membership = has_bounded_jumps(reduced, JumpParams.from_t(t))
     if not membership.bounded:
         prev, cur = membership.witness
         raise ValueError(
-            f"build_pow2_partner: k/2^t = {reduced} is outside the slow-growth "
-            f"set for t = {t}: divisor jump {prev} -> {cur} exceeds the bound"
+            f"build_pow2_partner: k/2^t = {decimal_text(reduced)} is outside the "
+            f"slow-growth set for t = {decimal_text(t)}: divisor jump "
+            f"{decimal_text(prev)} -> {decimal_text(cur)} exceeds the bound"
         )
 
     exps = sorted(p - 1 for p, e in factorize(k) for _ in range(e))

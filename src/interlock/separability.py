@@ -17,6 +17,11 @@ report-all scan split into chunks is merged back by merge_chunk_scans,
 which concatenates and sums.  Candidate pruning inside the window,
 all of it on or off together through the one switch SearchConfig.prune
 (off with the CLI's --no-prune):
+  * gap rule (tau(n) >= 3): every gap (a, b) of n's consecutive divisors
+    above 1 holds a divisor of a partner, so only multiples of some c with
+    a < c < b are tested, for one gap: an empty one (b = a + 1, as for
+    every n with 6 | n), leaving n no partner and no candidate, else the one
+    of least ratio b/a, whose multiples have density about ln(b/a).
   * tau filter: an interlocking pair with distinct smallest prime divisors
     has |tau(m) - tau(n)| <= 1, so only tau(m) in {tau(n)-1, tau(n),
     tau(n)+1} is tested.
@@ -37,17 +42,17 @@ all of it on or off together through the one switch SearchConfig.prune
     3. m's largest divisor below n (m, or m/pm if m > n > m/pm) exceeds n/p;
     4. p < d3(m) if pm < p (p is n's least divisor above pm), and pm < q
        if p < pm (pm is m's least divisor above p).
-All four prunings, and the window, are cross-validated against a
-pruning-free oracle in the test suite rather than assumed.  A scan takes
-tau and least primes from one of two sources, chosen by its caller.  A
-census shares one arith.FactorTable across all its n: the tau filter reads
-ascending per-tau lists of m, and least primes and factorizations come from
-the table's least-prime chain.  A single partner window, a pow2
-certificate window and any census window above the table's cap sieve tau
-over their own candidates (arith.divisor_count_range) and find least
-primes by trial division.  Either way the end-gap rules run from m's least
-prime, and only the candidates that pass them are factorized into divisor
-lists.
+All five prunings, and the window, are cross-validated against a
+pruning-free oracle in the test suite rather than assumed.  A scan marks
+the multiples of the gap's interior in each segment (_gap_marks) and reads
+tau for the marked m from one of two sources, chosen by its caller.
+A census shares one arith.FactorTable across all its n: tau comes from its
+per-m tau array, and least primes and factorizations from its least-prime
+chain.  A single partner window, a pow2 certificate window and any census
+window above the table's cap sieve tau over their own candidates
+(arith.divisor_count_range) and find least primes by trial division.
+Either way the end-gap rules run from m's least prime, and only the
+candidates that pass them are factorized into divisor lists.
 
 With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
 of scanning their window (pow2_partners).  By the parity and gap argument
@@ -62,10 +67,10 @@ from __future__ import annotations
 
 import json
 import os
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
-from itertools import chain
+from itertools import chain, compress, repeat
 
 from .arith import FactorTable, divisor_count_range, divisors, factorize
 from .arith import divisors_from_factorization, next_prime, smallest_prime_divisor
@@ -108,8 +113,8 @@ class SeparabilityResult(
 
 class ChunkScan(namedtuple("ChunkScan", "partners passed")):
     """Result of scanning one candidate sub-range: the partners found, in
-    ascending order, and how many candidates passed the tau/parity filters
-    (for pow2_partners, its complete placements).
+    ascending order, and how many candidates passed the gap rule and the
+    tau/parity filters (for pow2_partners, its complete placements).
     (collections.namedtuple: typing.NamedTuple would import typing.)"""
 
     __slots__ = ()
@@ -152,43 +157,56 @@ def _end_gaps_allow(m: int, n: int, div_n: tuple[int, ...], least_prime) -> bool
     return rest == 1 or p < least_prime(rest)
 
 
-def _sieved_candidates(start: int, end: int, step: int, n: int, below, above):
-    """The m in range(start, end + 1, step) with tau(m) in below (m < n) or
-    above (m >= n), from a tau sieve over just those m."""
-    taus = divisor_count_range(start, end, step)
-    ms = range(start, end + 1, step)
-    return [m for m, t in zip(ms, taus) if t in (below if m < n else above)]
+def _gap(div_n: tuple[int, ...]):
+    """The gap (a, b) of n's divisors above 1 that the gap rule reads (module
+    doc; the first on ties), from n's divisor list; None if tau(n) <= 2."""
+    best = None
+    for a, b in zip(div_n[1:], div_n[2:]):
+        if b == a + 1:
+            return a, b
+        if best is None or b * best[0] < best[1] * a:
+            best = a, b
+    return best
 
 
-def _table_candidates(table, start: int, end: int, step: int, n: int, below, above):
-    """_sieved_candidates read from table's per-tau lists, which hold end."""
-    runs = []
-    for taus, a, b in ((below, start, min(end, n - 1)), (above, max(start, n), end)):
-        for t in taus if a <= b else ():
-            ms = table.by_tau.get(t, ())
-            runs.append(ms[bisect_left(ms, a) : bisect_right(ms, b)])
-    merged = sorted(chain.from_iterable(runs))
-    return merged if step == 1 else [m for m in merged if m & 1]
+def _gap_marks(start: int, end: int, step: int, a: int, b: int) -> bytearray:
+    """A flag per m in range(start, end + 1, step) (odd start when step = 2):
+    1 where some c with a < c < b divides m.  Each such m = c * e, and the
+    marks are set with one slice per value of whichever factor, c or its
+    cofactor e, takes fewer values on [start, end]; under step = 2 only odd
+    c and e give odd m."""
+    marks, odd = bytearray(len(range(start, end + 1, step))), step - 1
+    cs, es = range(a + 1, b), range(-(-start // (b - 1)), end // (a + 1) + 1)
+    xs, ys = sorted((cs, es), key=len)
+    for x in range(xs.start | odd, xs.stop, step):
+        y0, y1 = max(ys.start, -(-start // x)) | odd, min(ys.stop - 1, end // x)
+        if y0 <= y1:
+            ones = b"\x01" * len(range(y0, y1 + 1, step))
+            marks[(x * y0 - start) // step : (x * y1 - start) // step + 1 : x] = ones
+    return marks
 
 
 def scan_range(
-    n: int, lo: int, hi: int, cfg: SearchConfig, table: FactorTable | None = None
+    n: int, lo: int, hi: int, cfg: SearchConfig, div_n=None, table: FactorTable | None = None
 ) -> ChunkScan:
     """Scan the candidates in [lo, hi] against n in ascending order.
 
-    With cfg.report_all_partners the scan checks the whole range; otherwise
-    it stops at the first partner.  The range is read in segments of 64,
-    128, ... entries, at most _SEGMENT_CAP, so a first-hit scan reads little
-    past its hit.
-    tau and least primes come from table, which grows to hold each segment,
-    or, without a table or above its cap, from a tau sieve over the
+    div_n is n's divisor list, built here when not given.  With
+    cfg.report_all_partners the scan checks the whole range; otherwise it
+    stops at the first partner.  The range is read in segments of 64, 128,
+    ... entries, at most _SEGMENT_CAP, so a first-hit scan reads little past
+    its hit.  tau and least primes come from table, which grows to hold each
+    segment, or, without a table or above its cap, from a tau sieve over the
     segment's own candidates (odd m only when the parity filter is on) and
     trial division.  Pure but for the table's growth: safe to run per-chunk
     in parallel workers and merge with merge_chunk_scans.
     """
-    div_n = divisors(n)
+    div_n = divisors(n) if div_n is None else div_n
     tau_n = len(div_n)
     prune = cfg.prune
+    gap = _gap(div_n) if prune else None
+    if gap and gap[1] == gap[0] + 1:  # an empty gap: n has no partner
+        return ChunkScan((), 0)
     odd_only = prune and n >= 4 and n & (n - 1) == 0
     skip_self = tau_n >= 3
     if odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
@@ -204,14 +222,14 @@ def scan_range(
         end = min(start + step * (size - 1), hi)
         if table is not None and table.cover(end):
             least_prime, factor = table.lpf.__getitem__, table.factorize
-            candidates = partial(_table_candidates, table)
+            taus = table.tau[start : end + 1 : step]
         else:
             least_prime, factor = smallest_prime_divisor, factorize
-            candidates = _sieved_candidates
-        if prune:
-            ms = candidates(start, end, step, n, below, above)
-        else:
-            ms = range(start, end + 1, step)
+            taus = divisor_count_range(start, end, step) if prune else ()
+        ms = range(start, end + 1, step)
+        if prune:  # the gap rule, then the tau and parity filters
+            marks = _gap_marks(start, end, step, *gap) if gap else repeat(1)
+            ms = [m for m, t in compress(zip(ms, taus), marks) if t in (below if m < n else above)]
         for m in ms:
             if skip_self and m == n:
                 continue
@@ -288,7 +306,7 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
     nodes it raises SearchBudgetError.
     """
     n, cap = 1 << k, hi
-    div_n = divisors(n)
+    div_n = tuple(1 << i for i in range(k + 1))
     found: list[int] = []
     spent = tested = 0
     shapes: dict[tuple, bool] = {}
@@ -334,8 +352,8 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
     return ChunkScan(tuple(sorted(found) if report_all else found[-1:]), tested)
 
 
-def partner_window(n: int, cfg: SearchConfig) -> tuple[int, int, bool]:
-    """(lo, hi, degenerate) for the partner scan of n.
+def partner_window(n: int, cfg: SearchConfig, div_n=None) -> tuple[int, int, bool]:
+    """(lo, hi, degenerate) for the partner scan of n; div_n, if given, is n's divisors.
 
     n = 1 gets the empty window [2, 1], whatever the bound override: it is
     degenerate-separable by convention (it interlocks with every prime
@@ -345,7 +363,7 @@ def partner_window(n: int, cfg: SearchConfig) -> tuple[int, int, bool]:
         raise ValueError(f"partner search: n must be >= 1, got {n}")
     if n == 1:
         return 2, 1, True
-    divs = divisors(n)
+    divs = divisors(n) if div_n is None else div_n
     lo, hi = (n // divs[1] + 1, n * divs[2]) if len(divs) >= 3 else (2, n * n)
     if cfg.bound_override is not None:
         hi = cfg.bound_override
@@ -361,13 +379,15 @@ def find_partner(
     With cfg.prune, n = 2^k (k >= 3) takes the slot search pow2_partners up
     to the window's top, and candidates_tested counts its complete
     placements; every other n, and every n under --no-prune, takes
-    scan(n, lo, hi, cfg) -> (partners, tested), the window scan.
+    scan(n, lo, hi, cfg, div_n) -> (partners, tested), the window scan,
+    with n's divisor list div_n, built once here for the window and the scan.
     """
-    lo, hi, degenerate = partner_window(n, cfg)
+    div_n = divisors(n) if n >= 1 else None  # partner_window refuses n < 1
+    lo, hi, degenerate = partner_window(n, cfg, div_n)
     if cfg.prune and n >= 8 and n & (n - 1) == 0:
         partners, tested = pow2_partners(n.bit_length() - 1, hi, cfg.report_all_partners)
     else:
-        partners, tested = scan(n, lo, hi, cfg)
+        partners, tested = scan(n, lo, hi, cfg, div_n)
     return SeparabilityResult(
         n=n,
         separable=bool(partners) or degenerate,
@@ -438,8 +458,10 @@ def load_census_cache(
     path: str | Path, cfg: SearchConfig = SearchConfig()
 ) -> dict[int, SeparabilityResult]:
     """Rows cached under cfg.  A missing file, a file written under another
-    config, one without a header (older code) or one with a row that does
-    not parse gives an empty cache; the next write replaces the file."""
+    config, one without a header (older code), or one with a row that does
+    not parse or a partner outside its n's partner_window or not interlocking
+    with n gives an empty cache; the next write replaces the file.  A row with
+    no partner is served unchecked: no cheap check shows that n has none."""
     from pathlib import Path  # imported here: no other command needs it
     path = Path(path)
     if not path.exists():
@@ -449,6 +471,12 @@ def load_census_cache(
             if fh.readline().strip() != _cache_header(cfg):
                 return {}
             rows = [record_to_result(json.loads(line)) for line in fh if line.strip()]
+            for n, partners in ((r.n, r.partners) for r in rows if r.partners):
+                div_n = divisors(n)
+                lo, hi, _ = partner_window(n, cfg, div_n)
+                if not all(lo <= m <= hi and check_interlock(m, n, None, div_n).verdict
+                           for m in partners):
+                    return {}
         except (ValueError, KeyError, TypeError):  # a damaged file
             return {}
     return {r.n: r for r in rows}
@@ -499,9 +527,9 @@ class Pow2Report(
     (2^(k-1), 2^k) of 2^k, so it exceeds 2^(k-1) (the general lower bound
     n/d2(n) + 1 of partner_search_bound); and the general search bound caps
     it below 2^k * d3(2^k) = 2^(k+2).  odd_candidates counts the odd m in the
-    window; tau_filtered counts those that pass the position-aware tau
-    filter (tau(m) = k below 2^k, k + 1 above).  confirmed = True means no
-    candidate in the window interlocks with 2^k.
+    window; tau_filtered counts the multiples of 3 among them (the gap rule)
+    that pass the position-aware tau filter (tau(m) = k below 2^k, k + 1
+    above).  confirmed = True means no candidate in the window interlocks.
     """
 
     __slots__ = ()

@@ -16,6 +16,7 @@ from interlock.arith import (
     MAX_DIVISOR_BITS,
     MAX_DIVISOR_LIST,
     FactorTable,
+    check_divisor_caps,
     decimal_int,
     decimal_text,
     divisor_count_range,
@@ -80,6 +81,17 @@ def test_divisors_from_factorization_high_powers():
 def test_divisor_list_cap_refuses():
     with pytest.raises(ValueError, match="cap"):
         divisors_from_factorization(((2, MAX_DIVISOR_LIST),))
+
+
+def test_divisor_caps_refuse_counts_past_the_str_digit_limit():
+    # A 5,001-digit count is named in the cap's own refusal, not in str()'s.
+    count = 10**5000
+    with pytest.raises(ValueError) as refused:
+        check_divisor_caps(count, 10)
+    assert str(refused.value) == (
+        f"divisors: value has {decimal_text(count)} divisors, "
+        f"above the {MAX_DIVISOR_LIST} cap"
+    )
 
 
 def test_divisor_list_size_cap_refuses_before_building():
@@ -305,12 +317,10 @@ def test_factorize_exact_below_50000_and_at_the_trial_bound():
 
 
 def check_factor_table(table: FactorTable, taus) -> None:
-    """table's per-tau lists and least primes against a tau table and
-    trial division, for every m it holds."""
+    """table's tau and least primes against a tau table and trial division,
+    for every m it holds."""
     size = table.size
-    for t, ms in table.by_tau.items():
-        assert list(ms) == [m for m in range(1, size + 1) if taus[m] == t], t
-    assert sum(map(len, table.by_tau.values())) == size
+    assert table.tau.typecode == "H" and list(table.tau) == taus[: size + 1]
     assert len(table.lpf) == size + 1 and table.lpf[1] == 1
     for m in range(2, size + 1):
         assert table.lpf[m] == smallest_prime_divisor(m), m

@@ -335,6 +335,8 @@ def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
         ({**plan, "levels": [moved]}, "field 'levels'"),
         ({**plan, "k": 32.7}, "field 'k'"),
         ({**plan, "t": True}, "field 't'"),
+        # t past str()'s 4,300-digit limit is refused in _plan's own words
+        ({**plan, "t": "9" * 5000}, f"2^{'9' * 5000} does not divide k = 16"),
     )
     for i, (data, message) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -689,6 +691,34 @@ def test_damaged_census_cache_is_recomputed(tmp_path, capsys, damage):
         assert again["result"]["rows"] == good["result"]["rows"]
 
 
+@pytest.mark.parametrize(
+    "n, partners",
+    [(10, [7777]), (10, [7]), (3, [101])],
+    ids=["outside-the-window", "not-interlocking", "interlocking-outside-the-window"],
+)
+def test_census_cache_rows_with_bad_partners_are_recomputed(tmp_path, capsys, n, partners):
+    # A served partner must lie in its row's window and interlock with n:
+    # 10's window is [6, 50] and 7 does not interlock with 10; 101
+    # interlocks with 3 (two primes, vacuously) outside 3's window [2, 9].
+    # One bad row makes the whole file damaged: recomputed and rewritten.
+    cache = tmp_path / "census.jsonl"
+    base = ("--jsonl", "--jobs", "1", "census", "--max", "12", "--cache", str(cache))
+    _, good = invoke(capsys, *base)
+    header, *lines = cache.read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    for row in rows:
+        if row["n"] == n:
+            row["partners"] = partners
+    cache.write_text("\n".join([header, *map(json.dumps, rows)]) + "\n")
+    _, rec = invoke(capsys, *base)
+    assert rec["result"]["from_cache"] == 0 and rec["result"]["computed"] == 12
+    assert rec["result"]["rows"] == good["result"]["rows"]
+    assert cache.read_text().splitlines()[0] == header
+    _, again = invoke(capsys, *base)
+    assert again["result"]["from_cache"] == 12
+    assert again["result"]["rows"] == good["result"]["rows"]
+
+
 def test_jobs_do_not_change_scan_payloads(capsys):
     commands = [("pow2", "--k", k) for k in ("9", "10", "11", "12", "13", "14")]
     commands.append(("partner", "524288", "--bound", "524288"))
@@ -705,7 +735,7 @@ def test_census_accounting_contract(capsys):
     _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", "census", "--max", "200")
     assert strip_volatile(serial) == strip_volatile(pooled)
     result = serial["result"]
-    assert sum(row["tested"] for row in result["rows"]) == 3714
+    assert sum(row["tested"] for row in result["rows"]) == 682
     assert result["separable_count"] == 149
     assert result["separable_count_nondegenerate"] == 102
 

@@ -2,6 +2,7 @@
 power-of-two exhaustion, and the census cache."""
 
 import json
+from fractions import Fraction
 from functools import cache
 
 import pytest
@@ -29,7 +30,14 @@ from interlock.separability import (
     scan_range,
     verify_pow2_nonseparable,
 )
-from oracles import divisor_table, oracle_factorize, oracle_interlock, prime_sieve, tau_table
+from oracles import (
+    divisor_table,
+    oracle_divisors,
+    oracle_factorize,
+    oracle_interlock,
+    prime_sieve,
+    tau_table,
+)
 
 NO_PRUNE = SearchConfig(prune=False, report_all_partners=True)
 ALL = SearchConfig(report_all_partners=True)
@@ -161,10 +169,11 @@ def test_end_gap_soundness_exhaustive_scan():
 
 
 def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
-    # Of the candidates that pass the tau/parity filters in the census
-    # scans up to 200 (3,707 of them), the helper rejects at least 80%, each
-    # rejection breaks one of the naive end-gap rules, and every rule is
-    # broken by some rejected candidate.
+    # The candidates that reach the end-gap rules in the census scans up to
+    # 200: 675 past the gap rule, and 3,707 with the gap rule off, which are
+    # the tau/parity survivors themselves.  The helper rejects at least 80% of
+    # the tau survivors, each rejection in either run breaks one of the naive
+    # end-gap rules, and every rule is broken by some rejected candidate.
     helper, seen = separability._end_gaps_allow, []
 
     def recording(m, n, div_n, least_prime):
@@ -172,16 +181,25 @@ def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
         seen.append((m, n, allowed))
         return allowed
 
+    def rejected_and_broken():
+        rejected = [(m, n) for m, n, allowed in seen if not allowed]
+        broken = set()
+        for m, n in rejected:
+            rules = naive_end_gap_rules(m, n, divisors(m), divisors(n))
+            assert rules, (m, n)
+            broken |= rules
+        return rejected, broken
+
     monkeypatch.setattr(separability, "_end_gaps_allow", recording)
     census(200)
+    assert len(seen) == 675
+    assert rejected_and_broken()[1] == {1, 2, 3, 4}
+    seen.clear()
+    monkeypatch.setattr(separability, "_gap", lambda div_n: None)
+    census(200)
     assert len(seen) == 3707
-    rejected = [(m, n) for m, n, allowed in seen if not allowed]
+    rejected, broken = rejected_and_broken()
     assert len(rejected) >= 0.8 * len(seen)
-    broken = set()
-    for m, n in rejected:
-        rules = naive_end_gap_rules(m, n, divisors(m), divisors(n))
-        assert rules, (m, n)
-        broken |= rules
     assert broken == {1, 2, 3, 4}
 
 
@@ -243,17 +261,30 @@ def test_find_partner_factorizes_n_at_most_twice(monkeypatch):
         assert calls.count(n) <= 2, n
 
 
+def naive_gap(dn) -> tuple[int, int] | None:
+    """The gap of n's divisor list dn that the gap rule reads: the first empty
+    gap if n has one, else the first of least ratio b/a; None if tau(n) <= 2."""
+    gaps = list(zip(dn[1:], dn[2:]))
+    if not gaps:
+        return None
+    empty = [(a, b) for a, b in gaps if b == a + 1]
+    return empty[0] if empty else min(gaps, key=lambda g: Fraction(g[1], g[0]))
+
+
 def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
     """The default-config scan of [lo, hi] in one ascending pass over a tau
-    table: (partners, candidates that passed the filters)."""
+    table: (partners, candidates that passed the filters).  The gap rule is
+    a divisibility test of m by every integer inside n's gap."""
     tn = taus[n]
     pow2 = n >= 4 and n & (n - 1) == 0
+    gap = naive_gap(oracle_divisors(n))
+    inside = range(gap[0] + 1, gap[1]) if gap else None
     hits, passed = [], 0
     for m in range(lo, hi + 1):
         if (pow2 and m % 2 == 0) or (tn >= 3 and m == n):
             continue
         allowed = ({tn - 1} if m < n else {tn}) if pow2 else {tn - 1, tn, tn + 1}
-        if taus[m] in allowed:
+        if taus[m] in allowed and (inside is None or any(m % c == 0 for c in inside)):
             passed += 1
             if check_interlock(m, n).verdict:
                 hits.append(m)
@@ -304,6 +335,53 @@ def test_census_with_the_table_matches_scans_without_it(monkeypatch, cfg, x, cap
     if cap is not None:
         monkeypatch.setattr(arith, "FACTOR_TABLE_CAP", cap)
     assert census(x, cfg) == [find_partner(n, cfg) for n in range(1, x + 1)]
+
+
+@cache
+def unpruned_census(x: int, report_all: bool):
+    return census(x, SearchConfig(prune=False, report_all_partners=report_all))
+
+
+@pytest.mark.parametrize("x, report_all", [(1000, False), (300, True)], ids=["first", "all"])
+def test_gap_rule_keeps_every_unpruned_partner(x, report_all):
+    # For every n <= x with tau(n) >= 3, each partner the pruning-free scan
+    # finds (the least, or every one) is a multiple of an integer inside the
+    # gap the rule reads, and an n with an empty gap has no partner at all.
+    empty = checked = 0
+    for r in unpruned_census(x, report_all):
+        gap = naive_gap(oracle_divisors(r.n))
+        if gap is None:
+            continue
+        inside = range(gap[0] + 1, gap[1])
+        empty += not inside
+        assert inside or not r.partners, r.n
+        for m in r.partners:
+            assert any(m % c == 0 for c in inside), (m, r.n)
+            checked += 1
+    assert empty > x // 6 and checked > x // 3  # 6 | n: the gap (2, 3)
+
+
+def test_census_partners_are_the_same_with_and_without_pruning():
+    pruned = census(300, ALL)
+    unpruned = unpruned_census(300, True)
+    assert [(r.n, r.separable, r.partners) for r in pruned] == [
+        (r.n, r.separable, r.partners) for r in unpruned
+    ]
+
+
+@given(
+    st.integers(1, 5000), st.integers(0, 400), st.integers(2, 90), st.integers(1, 120),
+    st.sampled_from([1, 2]),
+)
+@example(2001, 0, 2, 2, 2)  # the gap (2, 4) of 2^k at one odd entry
+@example(2001, 10, 40, 80, 2)  # marked from the cofactors: 33 values, not 79
+@settings(max_examples=300, deadline=None)
+def test_gap_marks_flag_the_multiples_of_the_gap(start, width, a, span, step):
+    start |= step - 1
+    end, b = start + width, a + span
+    marks = separability._gap_marks(start, end, step, a, b)
+    naive = [any(m % c == 0 for c in range(a + 1, b)) for m in range(start, end + 1, step)]
+    assert list(marks) == list(map(int, naive))
 
 
 def test_pow2_verifier():
