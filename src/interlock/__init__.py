@@ -22,14 +22,11 @@ _EXPORTS = {
         "primorial smallest_prime_divisor tau"
     ),
     "construction": (
-        "ClaimDiagnostics ConstructionPlan ConstructionReport CoverageReport JumpParams "
-        "build_pow2_partner count_bounded_jumps gap_census gap_ratio has_bounded_jumps "
-        "interval_coverage_diagnostic plan_from_dict plan_to_dict verify_construction"
+        "ClaimDiagnostics ConstructionPlan ConstructionReport JumpParams build_pow2_partner "
+        "count_bounded_jumps gap_census gap_ratio has_bounded_jumps plan_from_dict "
+        "plan_to_dict verify_construction"
     ),
-    "pairs": (
-        "GapWitness InterlockReport TauRelation check_alternation check_interlock "
-        "tau_relation"
-    ),
+    "pairs": "GapWitness InterlockReport check_alternation check_interlock",
     "precision": "PrecisionError precision_bits",
     "primorials": (
         "PlacementReport PrimorialSplit enumerate_primorial_pairs placement_consensus"

@@ -43,7 +43,6 @@ from .pairs import check_alternation, check_interlock
 from .separability import (
     SearchBudgetError,
     SearchConfig,
-    append_census_cache,
     census_batch,
     count_separable,
     find_partner,
@@ -52,6 +51,7 @@ from .separability import (
     result_to_record,
     scan_range,
     verify_pow2_nonseparable,
+    write_census_cache,
     write_file_atomically,
     VERIFIED_RESIDUES,
 )
@@ -170,16 +170,19 @@ def _cmd_census(args):
     if args.max < 1:
         raise ValueError(f"census: x must be >= 1, got {args.max}")
     cfg = SearchConfig(prune=not args.no_prune, report_all_partners=args.all)
-    cached = load_census_cache(args.cache, cfg) if args.cache and not args.recompute else {}
+    # One read of the file: served unless --recompute, kept in the rewrite.
+    stored = load_census_cache(args.cache, cfg) if args.cache else {}
+    cached = {} if args.recompute else stored
     todo = [n for n in range(1, args.max + 1) if n not in cached]
     # One batch per worker, n dealt round-robin so every batch gets its share
     # of the large n; each batch shares one factor table across its scans.
     jobs = min(args.jobs, len(todo)) if len(todo) >= _MIN_POOL_CENSUS else 1
     batches = _pool_map(census_batch, [(todo[i::jobs], cfg) for i in range(jobs)], jobs)
     fresh = sorted(chain.from_iterable(batches), key=lambda r: r.n)
-    if args.cache and fresh:
-        append_census_cache(args.cache, fresh, cfg)
     served = [r for r in cached.values() if r.n <= args.max]
+    if args.cache and fresh:
+        stored.update((r.n, r) for r in fresh)
+        write_census_cache(args.cache, stored.values(), cfg)
     rows = sorted(served + fresh, key=lambda r: r.n)
     payload = {
         "max": args.max,

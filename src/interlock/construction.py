@@ -50,16 +50,7 @@ from .arith import (
     primality_is_certified,
 )
 from .pairs import check_interlock
-from .precision import (
-    escalating,
-    exp_bounds,
-    exp_lt_fraction,
-    floor_exp,
-    fraction_lt_exp,
-    ln2_bounds,
-    log_le,
-    precision_bits,
-)
+from .precision import exp_lt_fraction, floor_exp, fraction_lt_exp, log_le
 from .separability import SearchBudgetError
 
 # Divisors of 231 = 3 * 7 * 11, the fixed low-end block of every plan: one
@@ -114,14 +105,6 @@ class JumpParams(namedtuple("JumpParams", "t override", defaults=(None, None))):
     def exp_threshold_log2(self) -> int | None:
         """log2 of e^threshold when that is an exact power of two (t-form)."""
         return None if self.t is None else 1 << (self.t - 2)
-
-    def threshold_value(self) -> Fraction:
-        """The threshold constant: exact for an override, and in t-form at
-        most 3 * 2^(t-2) / 2^precision_bits() below it (display only)."""
-        if self.t is not None:
-            prec = precision_bits()
-            return Fraction(ln2_bounds(prec)[0] << self.t - 2, 1 << prec)
-        return self.override
 
     def describe(self) -> str:
         if self.t is not None:
@@ -236,140 +219,6 @@ def gap_ratio(x: int, y: int, z: int, count: int) -> float:
     """count * log z / (x * log y): the scale on which the census count is
     expected to be bounded by an absolute constant."""
     return count * math.log(z) / (x * math.log(y))
-
-
-# --- interval-coverage diagnostic ---------------------------------------------
-
-
-class IntervalCensus(namedtuple("IntervalCensus", "index y_int z_int missing ratio")):
-    """y_int is the ceiling of the real lower endpoint e^(c^(2^(i-1))), z_int
-    the floor of the real upper endpoint e^(c^(2^i)), and missing counts the
-    n <= x with no divisor in [y_int, z_int]."""
-
-    __slots__ = ()
-
-
-class CoverageReport(namedtuple("CoverageReport", "x threshold regime l intervals sum_missing "
-                                "union_missing union_bound_ok covered majority_covered "
-                                "covered_in_set covered_outside_set")):
-    """Numerical replay of the interval-coverage argument at a desk-scale
-    threshold.
-
-    The intervals [y_i, z_i] tile divisor space so that an integer with a
-    divisor in every interval has bounded jumps (at the intended enormous
-    threshold).  At small thresholds the implication can fail, so the report
-    also counts covered integers that are nevertheless outside the set.
-    regime is "standard" or "vacuous"; union_bound_ok says union_missing <=
-    sum_missing; covered counts the n <= x with a divisor in every interval,
-    and majority_covered says covered > x / 2.
-    """
-
-    __slots__ = ()
-
-
-def _endpoint(params: JumpParams, power_log2: int, prec: int, x: int):
-    """(lo, bracket) for e^(c^p), p = 2^power_log2 or 1/2 for power_log2 = -1:
-    lo <= e^(c^p) * 2^prec <= hi by outward rounding, and the (ceil, floor)
-    bracket of e^(c^p), or None while [lo, hi] holds an integer.  None, with
-    no exponential taken, when c^p >= bits(x), as then x < 2^(c^p)."""
-    if params.t is not None:
-        lo, hi = (b << params.t - 2 for b in ln2_bounds(prec))
-    else:
-        q = params.override
-        lo, hi = (q.numerator << prec) // q.denominator, -(-(q.numerator << prec) // q.denominator)
-    if power_log2 < 0:
-        lo, hi = math.isqrt(lo << prec), math.isqrt(hi << prec) + 1
-    for _ in range(power_log2):
-        lo, hi = lo * lo >> prec, -(-hi * hi >> prec)
-    if lo >> prec >= x.bit_length():
-        return None
-    one = 1 << prec
-    lo, hi = exp_bounds(Fraction(lo, one), prec)[0], exp_bounds(Fraction(hi, one), prec)[1]
-    fl = lo >> prec
-    return lo, None if lo == fl << prec or hi >= fl + 1 << prec else (fl + 1, fl)
-
-
-def _coverage_brackets(x: int, params: JumpParams) -> list[tuple[int, int]]:
-    """The (ceil, floor) integer brackets of e^(c^p) for p = 1/2, 1, 2, ...,
-    2^L, where the coverage level L is the largest L >= 0 with
-    x >= e^(c^(2^L)): floor(log2(ln ln x / ln c)) for a threshold c > 1.
-    Empty when x < e^c or c <= 1.  In t-form e^c is the exact power of two,
-    built only when it is at most x; no other endpoint is an integer.  Each
-    precision step of the walk encloses each endpoint once."""
-    if params.t is None:
-        if params.override <= 1:
-            return []
-        exact = []
-    elif params.t < 3 or x.bit_length() <= params.exp_threshold_log2:
-        return []  # c = ln 2 * 2^(t-2) < 1, or x < 2^(2^(t-2)) = e^c
-    else:
-        exact = [(1 << params.exp_threshold_log2,) * 2]
-
-    def step(iv):
-        brackets = list(exact)  # brackets[j] is that of p = 2^j
-        while (found := _endpoint(params, len(brackets), iv.prec, x)) is not None:
-            lo, bracket = found
-            if x << iv.prec < lo:
-                break
-            if bracket is None:
-                return None
-            brackets.append(bracket)  # x >= lo / 2^prec > floor, so x > e^(c^p)
-        if not brackets:
-            return brackets
-        half = _endpoint(params, -1, iv.prec, x)[1]
-        return None if half is None else [half, *brackets]
-
-    return escalating(step, lambda: f"coverage endpoints for x={x}")
-
-
-def interval_coverage_diagnostic(x: int, params: JumpParams) -> CoverageReport:
-    """Compute the coverage level l, the intervals, per-interval censuses,
-    the union bound, and the empirical relation to set membership, all from
-    divisor-mark sieves (one per interval, then _jump_marks): about x ln x
-    byte writes per sieve and O(x) bytes of memory, with no factorization."""
-    if x < 1:
-        raise ValueError(f"interval_coverage_diagnostic: x must be >= 1, got {x}")
-    threshold = params.describe()
-    if not (brackets := _coverage_brackets(x, params)):
-        return CoverageReport(
-            x, threshold, "vacuous", None, (), None, None, None, None, None, None, None
-        )
-
-    intervals = []
-    # Exact union through the marks: bit 8n of has_all is 1 when n has a
-    # divisor in every interval so far (each mark byte is 0 or 1).
-    has_all = int.from_bytes(b"\x00" + b"\x01" * x, "little")
-    for i, ((y_ceil, _), (_, z_floor)) in enumerate(zip(brackets, brackets[1:])):
-        y_int = max(2, y_ceil)
-        z_int = min(x, z_floor)
-        if y_int > z_int:
-            continue  # rounding emptied the interval; nothing to census
-        marks = _divisor_marks(x, y_int, z_int)
-        missing = x - marks.count(1)
-        intervals.append(
-            IntervalCensus(i, y_int, z_int, missing, gap_ratio(x, y_int, z_int, missing))
-        )
-        has_all &= int.from_bytes(marks, "little")
-    covered = has_all.bit_count()
-    union_missing = x - covered
-    sum_missing = sum(ic.missing for ic in intervals)
-
-    covered_in = (has_all & ~_jump_marks(x, params)).bit_count()
-
-    return CoverageReport(
-        x=x,
-        threshold=threshold,
-        regime="standard",
-        l=len(brackets) - 2,
-        intervals=tuple(intervals),
-        sum_missing=sum_missing,
-        union_missing=union_missing,
-        union_bound_ok=union_missing <= sum_missing,
-        covered=covered,
-        majority_covered=2 * covered > x,
-        covered_in_set=covered_in,
-        covered_outside_set=covered - covered_in,
-    )
 
 
 # --- the partner construction -------------------------------------------------

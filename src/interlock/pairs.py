@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 
-from .arith import divisors, smallest_prime_divisor, tau
+from .arith import divisors
 
 FIRST = "first"
 SECOND = "second"
@@ -48,25 +48,6 @@ class InterlockReport(
 ):
     """method is "definitional" or "alternation"; a failure carries a
     GapWitness, a success the merged trace of divisors > 1."""
-
-    __slots__ = ()
-
-
-class TauRelation(
-    namedtuple(
-        "TauRelation",
-        "smaller_d2_side order expected_tau_delta observed_tau_delta consistent",
-    )
-):
-    """Divisor-count relation between the members of an oriented pair.
-
-    Orientation puts `b` = the member whose smallest prime divisor is
-    smaller and `a` = the other; smaller_d2_side names which argument that
-    is, and order ("less" | "greater") compares b with a.  For interlocking
-    pairs the expected difference tau(a) - tau(b) is 0 when b < a and -1
-    when b > a.  The relation is pure arithmetic: it is computed whether or
-    not the pair actually interlocks.
-    """
 
     __slots__ = ()
 
@@ -142,30 +123,3 @@ def check_alternation(m: int, n: int) -> InterlockReport:
         True, "alternation", m, n, degenerate,
         trace=tuple(d for d, _ in merged),
     )
-
-
-def tau_relation(m: int, n: int) -> TauRelation:
-    """Compute the divisor-count relation for a pair with distinct smallest
-    prime divisors.  Orientation is handled internally; equal smallest
-    primes and m = n are rejected because the relation is undefined there.
-    """
-    if m < 2 or n < 2:
-        raise ValueError(f"tau_relation: inputs must be >= 2, got ({m}, {n})")
-    if m == n:
-        raise ValueError("tau_relation: m = n is excluded")
-    pm = smallest_prime_divisor(m)
-    pn = smallest_prime_divisor(n)
-    if pm == pn:
-        raise ValueError(
-            f"tau_relation: both members have smallest prime divisor {pm}"
-        )
-    if pm < pn:
-        smaller_side = FIRST
-        a, b = n, m
-    else:
-        smaller_side = SECOND
-        a, b = m, n
-    order = "less" if b < a else "greater"
-    expected = 0 if b < a else -1
-    observed = tau(a) - tau(b)
-    return TauRelation(smaller_side, order, expected, observed, expected == observed)

@@ -3,12 +3,10 @@
 Every comparison here pits an exact rational against the exponential of a
 rational, or one of those against an integer, so equality is impossible (e^r
 is irrational for rational r != 0; r = 0 is settled exactly) and the answer
-is decidable in principle.  Two kernels carry all of it, in plain integers:
+is decidable in principle.  One kernel carries all of it, in plain integers:
+exp_bounds(r, prec) gives lo <= e^r * 2^prec <= hi for a rational r >= 0.
 
-- exp_bounds(r, prec): lo <= e^r * 2^prec <= hi for a rational r >= 0;
-- ln2_bounds(prec): lo <= ln 2 * 2^prec <= hi.
-
-Each sums a fixed-point series with every term rounded down for lo and up
+It sums a fixed-point series with every term rounded down for lo and up
 for hi, plus a bound on the tail, so the enclosure holds whatever the
 precision; the precision only sets how narrow it is.  A decision at the
 working precision that the enclosure cannot settle returns None, the
@@ -101,18 +99,6 @@ def exp_bounds(r: Fraction, prec: int) -> tuple[int, int]:
     for _ in range(s):
         lo, hi = lo * lo >> w, -(-hi * hi >> w)
     return lo >> w - prec, -(-hi >> w - prec)
-
-
-def ln2_bounds(prec: int) -> tuple[int, int]:
-    """Integers lo <= ln 2 * 2^prec <= hi, from ln 2 = sum 1/(k 2^k), k >= 1.
-
-    The terms k = 1..w of the sum in fixed point with w bits are each
-    rounded down, losing under one unit apiece; the tail past k = w is under
-    one unit too, so ln 2 * 2^w lies in [lo, lo + w + 1].
-    """
-    w = prec + prec.bit_length() + 2
-    lo = sum((1 << w - k) // k for k in range(1, w + 1))
-    return lo >> w - prec, -(-(lo + w + 1) >> w - prec)
 
 
 def log_le(value: int, bound: Fraction | int) -> bool:

@@ -494,18 +494,16 @@ def write_file_atomically(path, chunks) -> None:
     os.replace(tmp, path)
 
 
-def append_census_cache(
-    path: str | Path, results, cfg: SearchConfig = SearchConfig()
+def write_census_cache(
+    path: str | Path, rows, cfg: SearchConfig = SearchConfig()
 ) -> None:
-    """Add rows to those cached under cfg (a row for the same n is replaced)
-    and rewrite the file with write_file_atomically; rows of another config
-    or of older code are dropped."""
+    """Replace the file with exactly these rows under cfg's header, through
+    write_file_atomically.  The file is not read: the caller merges in the
+    cached rows worth keeping."""
     from pathlib import Path
     path = Path(path)
-    rows = load_census_cache(path, cfg)
-    rows.update((r.n, r) for r in results)
     path.parent.mkdir(parents=True, exist_ok=True)
-    records = (json.dumps(result_to_record(r), sort_keys=True) + "\n" for r in rows.values())
+    records = (json.dumps(result_to_record(r), sort_keys=True) + "\n" for r in rows)
     write_file_atomically(path, chain([_cache_header(cfg) + "\n"], records))
 
 

@@ -8,6 +8,7 @@ under test.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import combinations
 from math import isqrt, prod
 
@@ -112,3 +113,43 @@ def oracle_primorial_pairs(k: int) -> list[tuple[int, int]]:
         if oracle_interlock(m, n, table):
             found.append((m, n))
     return sorted(found)
+
+
+class TauRelation(
+    namedtuple(
+        "TauRelation",
+        "smaller_d2_side order expected_tau_delta observed_tau_delta consistent",
+    )
+):
+    """Divisor-count relation between the members of an oriented pair.
+
+    Orientation puts `b` = the member whose smallest prime divisor is
+    smaller and `a` = the other; smaller_d2_side ("first" | "second") names
+    which argument that is, and order ("less" | "greater") compares b with
+    a.  For interlocking pairs the expected difference tau(a) - tau(b) is 0
+    when b < a and -1 when b > a.  The relation is pure arithmetic: it is
+    computed whether or not the pair actually interlocks.
+    """
+
+    __slots__ = ()
+
+
+def tau_relation(m: int, n: int) -> TauRelation:
+    """The divisor-count relation for a pair with distinct smallest prime
+    divisors, by trial division.  Equal smallest primes and m = n are
+    rejected because the relation is undefined there."""
+    if m < 2 or n < 2:
+        raise ValueError(f"tau_relation: inputs must be >= 2, got ({m}, {n})")
+    if m == n:
+        raise ValueError("tau_relation: m = n is excluded")
+    pm, pn = min(oracle_factorize(m)), min(oracle_factorize(n))
+    if pm == pn:
+        raise ValueError(f"tau_relation: both members have smallest prime divisor {pm}")
+    if pm < pn:
+        smaller_side, a, b = "first", n, m
+    else:
+        smaller_side, a, b = "second", m, n
+    order = "less" if b < a else "greater"
+    expected = 0 if b < a else -1
+    observed = len(oracle_divisors(a)) - len(oracle_divisors(b))
+    return TauRelation(smaller_side, order, expected, observed, expected == observed)

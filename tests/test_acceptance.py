@@ -11,6 +11,7 @@ from bisect import bisect_right
 
 import pytest
 
+from interlock.arith import smallest_prime_divisor
 from interlock.cli import run as cli_run
 from interlock.construction import (
     JumpParams,
@@ -19,9 +20,9 @@ from interlock.construction import (
     gap_census,
     verify_construction,
 )
-from interlock.pairs import check_interlock, smallest_prime_divisor, tau_relation
+from interlock.pairs import check_interlock
 from interlock.separability import SearchConfig, find_partner
-from oracles import divisor_table
+from oracles import divisor_table, tau_relation
 
 
 def _cli_json(capsys, *argv):

@@ -665,6 +665,44 @@ def test_census_from_cache_counts_rows_served(tmp_path, capsys):
     assert [row["n"] for row in rec["result"]["rows"]] == list(range(1, 21))
 
 
+def test_census_reads_and_rechecks_the_cache_once(tmp_path, capsys, monkeypatch):
+    cache = str(tmp_path / "census.jsonl")
+    base = ("--jsonl", "--jobs", "1", "census", "--cache", cache)
+    _, first = invoke(capsys, *base, "--max", "20")
+    partners = {(p, row["n"]) for row in first["result"]["rows"] for p in row["partners"]}
+    assert len(partners) == 15
+    loads, checks = [], []
+    load, check = cli.load_census_cache, separability.check_interlock
+
+    def counted_load(*args, **kwargs):
+        loads.append(args)
+        return load(*args, **kwargs)
+
+    def counted_check(m, n, *rest):
+        checks.append((m, n))
+        return check(m, n, *rest)
+
+    monkeypatch.setattr(cli, "load_census_cache", counted_load)
+    monkeypatch.setattr(separability, "load_census_cache", counted_load)
+    monkeypatch.setattr(separability, "check_interlock", counted_check)
+    _, rec = invoke(capsys, *base, "--max", "40")
+    assert rec["result"]["from_cache"] == 20 and rec["result"]["computed"] == 20
+    assert len(loads) == 1
+    # the scans of n = 21..40 check only pairs with those n
+    assert sorted(c for c in checks if c[1] <= 20) == sorted(partners)
+
+
+def test_census_recompute_keeps_the_rows_above_its_max(tmp_path, capsys):
+    cache = str(tmp_path / "census.jsonl")
+    base = ("--jsonl", "--jobs", "1", "census", "--cache", cache)
+    _, full = invoke(capsys, *base, "--max", "40")
+    _, redone = invoke(capsys, *base, "--max", "20", "--recompute")
+    assert redone["result"]["from_cache"] == 0 and redone["result"]["computed"] == 20
+    _, rec = invoke(capsys, *base, "--max", "40")
+    assert rec["result"]["from_cache"] == 40 and rec["result"]["computed"] == 0
+    assert rec["result"]["rows"] == full["result"]["rows"]
+
+
 @pytest.mark.parametrize(
     "damage",
     [

@@ -1,17 +1,15 @@
-"""Membership thresholds, gap censuses, the coverage diagnostic, and the
-power-of-two partner construction with its exact verification."""
+"""Membership thresholds, gap censuses, and the power-of-two partner
+construction with its exact verification."""
 
 import json
 import math
 import pickle
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlock import construction, precision
 from interlock.arith import decimal_text, tau
 from interlock.construction import (
     DIVISORS_OF_231,
@@ -22,14 +20,12 @@ from interlock.construction import (
     gap_census,
     gap_ratio,
     has_bounded_jumps,
-    interval_coverage_diagnostic,
     plan_from_dict,
     plan_to_dict,
     verify_construction,
 )
 from interlock.pairs import check_interlock
 from interlock.construction import plan_divisors
-from interval_oracles import oracle_coverage_level, oracle_interval_bounds
 from oracles import divisor_table
 
 
@@ -43,10 +39,8 @@ def naive_in_set(divs, c_value: float) -> bool:
 def test_jump_constant():
     jc = JumpParams.from_t(2)
     assert jc.t == 2 and jc.exp_threshold_log2 == 1  # e^c = 2
-    assert abs(float(jc.threshold_value()) - math.log(2)) < 1e-12
     jc = JumpParams.from_t(5)
     assert jc.exp_threshold_log2 == 8  # e^c = 256
-    assert abs(float(jc.threshold_value()) - 8 * math.log(2)) < 1e-12
     jc = JumpParams.from_t(50)
     assert jc.exp_threshold_log2 == 2**48  # symbolic only; never materialized
     with pytest.raises(ValueError):
@@ -180,77 +174,6 @@ def test_gap_census_against_oracle():
             1 for n in range(1, x + 1) if not any(y <= d <= z for d in table[n])
         )
         assert gap_census(x, y, z) == expected, (x, y, z)
-
-
-def test_coverage_diagnostic_standard_regime():
-    report = interval_coverage_diagnostic(10**4, JumpParams.from_override(2))
-    assert report.regime == "standard"
-    assert report.l == 1  # floor(log2(log_2(ln 1e4))) = floor(log2(3.20)) = 1
-    assert [(ic.y_int, ic.z_int) for ic in report.intervals] == [(5, 7), (8, 54)]
-    assert report.union_bound_ok
-    assert report.union_missing <= report.sum_missing
-    assert report.covered + report.union_missing == 10**4
-    assert report.covered_in_set + report.covered_outside_set == report.covered
-    # per-interval censuses agree with direct calls
-    for ic in report.intervals:
-        assert ic.missing == gap_census(10**4, ic.y_int, ic.z_int)
-
-
-def test_coverage_diagnostic_escalates_a_bounded_number_of_times(monkeypatch):
-    calls = []
-    escalating = precision.escalating
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return escalating(*args, **kwargs)
-
-    monkeypatch.setattr(construction, "escalating", counted)
-    monkeypatch.setattr(precision, "escalating", counted)
-    params = JumpParams.from_override(2)
-    precision.floor_exp.cache_clear()
-    report = interval_coverage_diagnostic(10**4, params)
-    assert (report.covered, report.covered_in_set, report.covered_outside_set) == (3541, 3541, 0)
-    assert (report.sum_missing, report.union_missing) == (9263, 6459)
-    assert [ic.missing for ic in report.intervals] == [5715, 3548]
-    # One floor(e^C), the level, the interval endpoints and a few floor_exp
-    # values; not one interval exp per covered n (3,547 calls before).
-    assert len(calls) < 16
-    calls.clear()
-    precision.floor_exp.cache_clear()
-    assert interval_coverage_diagnostic(2 * 10**4, params).covered == 7178
-    assert len(calls) < 16
-
-
-@pytest.mark.parametrize("threshold", [Fraction(3, 2), 2, 3])
-def test_coverage_covered_in_set_matches_membership(threshold):
-    params = JumpParams.from_override(threshold)
-    x = 10**4
-    report = interval_coverage_diagnostic(x, params)
-    table = divisor_table(x)
-    covered = [
-        n for n in range(1, x + 1)
-        if all(any(ic.y_int <= d <= ic.z_int for d in table[n]) for ic in report.intervals)
-    ]
-    assert len(covered) == report.covered
-    assert report.covered_in_set == sum(has_bounded_jumps(n, params).bounded for n in covered)
-
-
-def test_coverage_diagnostic_vacuous_regimes():
-    # threshold at or above ln x
-    report = interval_coverage_diagnostic(100, JumpParams.from_override(5))
-    assert report.regime == "vacuous" and report.l is None
-    # threshold <= 1 cannot define the level at all
-    report = interval_coverage_diagnostic(10**4, JumpParams.from_override(1))
-    assert report.regime == "vacuous"
-    report = interval_coverage_diagnostic(10**4, JumpParams.from_t(2))
-    assert report.regime == "vacuous"
-
-
-def test_coverage_diagnostic_exact_power_boundary():
-    # x = e^c exactly (t-form): the level is exactly 0.
-    report = interval_coverage_diagnostic(256, JumpParams.from_t(5))
-    assert report.l == 0
-    assert report.intervals[0].z_int == 256
 
 
 def test_build_plan_k32():
@@ -412,38 +335,3 @@ def test_sorted_divisors_fill_one_slot_each():
     assert check_interlock(
         plan.m, 1 << 96, divs, tuple(1 << i for i in range(97))
     ).verdict
-
-
-COVERAGE_PARAMS = [JumpParams.from_t(t) for t in range(3, 7)] + [
-    JumpParams.from_override(Fraction(c)) for c in ("3/2", "2", "5/2", "3", "7/3", "5", "7")
-]
-
-
-@pytest.mark.parametrize("params", COVERAGE_PARAMS, ids=str)
-def test_coverage_comparisons_match_the_mpmath_intervals(params):
-    # The walk's level and every bracket it returns against mpmath.iv, on a
-    # grid of x up to 10^6 that includes both integers next to every endpoint.
-    xs = set(range(1, 301)) | {round(1.07**i) for i in range(205)} | {10**6}
-    bounds = {}
-    for power_log2 in range(-1, 5):
-        bounds[power_log2] = oracle_interval_bounds(params, power_log2)
-        ceil, floor = bounds[power_log2]
-        xs |= {x for x in (floor - 1, floor, ceil, ceil + 1) if 1 <= x <= 10**6}
-        if floor > 10**6:
-            break
-    levels = set()
-    for x in sorted(xs):
-        brackets = construction._coverage_brackets(x, params)
-        level = oracle_coverage_level(x, params)
-        assert len(brackets) == (0 if level is None else level + 2), x
-        assert brackets == [bounds[p] for p in range(-1, len(brackets) - 1)], x
-        levels.add(level)
-    assert max(levels - {None}) == max(bounds) - 1  # every bracket but the last was checked
-
-
-def test_threshold_value_is_a_fraction():
-    assert JumpParams.from_override(Fraction(7, 3)).threshold_value() == Fraction(7, 3)
-    value = JumpParams.from_t(7).threshold_value()
-    with mpmath.workprec(1000):
-        gap = 32 * mpmath.log(2) - mpmath.mpf(value.numerator) / value.denominator
-    assert isinstance(value, Fraction) and 0 <= gap < mpmath.mpf(2) ** -200

@@ -17,15 +17,12 @@ EXPORTS = {
         "is_prime", "next_prime", "primorial", "smallest_prime_divisor", "tau",
     ],
     "construction": [
-        "ClaimDiagnostics", "ConstructionPlan", "ConstructionReport", "CoverageReport",
-        "JumpParams", "SearchBudgetError", "build_pow2_partner", "count_bounded_jumps",
-        "gap_census", "gap_ratio", "has_bounded_jumps", "interval_coverage_diagnostic",
-        "plan_from_dict", "plan_to_dict", "verify_construction",
+        "ClaimDiagnostics", "ConstructionPlan", "ConstructionReport", "JumpParams",
+        "SearchBudgetError", "build_pow2_partner", "count_bounded_jumps", "gap_census",
+        "gap_ratio", "has_bounded_jumps", "plan_from_dict", "plan_to_dict",
+        "verify_construction",
     ],
-    "pairs": [
-        "GapWitness", "InterlockReport", "TauRelation", "check_alternation",
-        "check_interlock", "tau_relation",
-    ],
+    "pairs": ["GapWitness", "InterlockReport", "check_alternation", "check_interlock"],
     "precision": ["PrecisionError", "precision_bits"],
     "primorials": [
         "PlacementReport", "PrimorialSplit", "enumerate_primorial_pairs",
@@ -100,16 +97,14 @@ def test_commands_run_with_mpmath_unimportable(tmp_path):
     out = fresh_python(
         "import sys; sys.modules['mpmath'] = None\n"
         "from interlock.cli import run\n"
-        "from interlock.construction import JumpParams, interval_coverage_diagnostic\n"
         f"codes = [run(['--jsonl', *c.split()]) for c in ("
         f"'construct --k 96 --t 5 --save {plan}', 'construct --load {plan}', "
         "'s-count --max 20000 --C 5', 's-count --max 1000 --t 4', 's-member 148 --C 5', "
         "'s-member 149 --C 5', 's-member 5 --C 2000', 'gaps --x 30 --y 3 --z 5')]\n"
-        "report = interval_coverage_diagnostic(10**4, JumpParams.from_override(2))\n"
-        "print(*codes, report.l, report.covered, sys.modules['mpmath'] is None)"
+        "print(*codes, sys.modules['mpmath'] is None)"
     )
-    # exit codes, then the coverage level and count, then mpmath still None
-    assert out.splitlines()[-1].split() == "0 0 0 0 0 1 0 0 1 3541 True".split()
+    # exit codes, then mpmath still None
+    assert out.splitlines()[-1].split() == "0 0 0 0 0 1 0 0 True".split()
     assert '"verified": true' in out and '"count": 12' in out
 
 

@@ -9,12 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlock.arith import divisors, smallest_prime_divisor, tau
-from interlock.pairs import (
-    check_alternation,
-    check_interlock,
-    tau_relation,
-)
-from oracles import divisor_table, oracle_interlock
+from interlock.pairs import check_alternation, check_interlock
+from oracles import divisor_table, oracle_interlock, tau_relation
 
 SCAN = 300
 TABLE = divisor_table(SCAN)

@@ -15,7 +15,6 @@ from interlock.precision import (
     exp_lt_fraction,
     floor_exp,
     fraction_lt_exp,
-    ln2_bounds,
     log_le,
     precision_bits,
 )
@@ -129,9 +128,6 @@ def test_enclosures_contain_mpmath_values():
             # a few units of e^r relative to 2^prec
             assert hi - lo <= exact / mpmath.mpf(2) ** prec * 4, (r, prec)
         assert exp_bounds(Fraction(0), 64) == (1 << 64, 1 << 64)
-        for prec in range(8, 513):
-            lo, hi = ln2_bounds(prec)
-            assert lo <= mpmath.log(2) * mpmath.mpf(2) ** prec <= hi <= lo + 3, prec
 
 
 def test_floor_exp_matches_mpmath_to_300():

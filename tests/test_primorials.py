@@ -6,14 +6,14 @@ from math import prod
 import pytest
 
 from interlock.arith import first_primes, primorial, tau
-from interlock.pairs import check_interlock, tau_relation
+from interlock.pairs import check_interlock
 from interlock.primorials import (
     _find_contradiction,
     enumerate_primorial_pairs,
     placement_consensus,
 )
 
-from oracles import oracle_canonical_splits, oracle_primorial_pairs
+from oracles import oracle_canonical_splits, oracle_primorial_pairs, tau_relation
 
 
 def test_known_boundary():

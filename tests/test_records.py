@@ -9,8 +9,7 @@ import pytest
 
 from interlock import cli
 from interlock.cli import run
-from interlock.pairs import GapWitness, InterlockReport, TauRelation, check_interlock
-from interlock.pairs import tau_relation
+from interlock.pairs import GapWitness, InterlockReport, check_interlock
 from interlock.primorials import (
     ChainContradiction,
     ForcedStep,
@@ -92,7 +91,6 @@ RECORDS = [
     GapWitness("gap", "first", 2, 3),
     check_interlock(6, 10),
     check_interlock(63, 64),
-    tau_relation(63, 64),
     SearchConfig(bound_override=10, report_all_partners=True),
     find_partner(1010),
     verify_pow2_nonseparable(9),
@@ -133,7 +131,7 @@ def test_a_cache_file_under_the_pinned_header_is_served(tmp_path, capsys):
 def test_record_types_cover_every_record():
     kinds = {type(r) for r in RECORDS}
     assert kinds == {
-        GapWitness, InterlockReport, TauRelation, SearchConfig, SeparabilityResult,
+        GapWitness, InterlockReport, SearchConfig, SeparabilityResult,
         Pow2Report, PlacementReport, PrimorialSplit, ForcedStep, ChainContradiction,
         ParityCertificate,
     }

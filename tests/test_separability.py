@@ -16,7 +16,6 @@ from interlock.separability import (
     ChunkScan,
     Pow2Report,
     SearchConfig,
-    append_census_cache,
     census,
     count_separable,
     find_partner,
@@ -29,6 +28,7 @@ from interlock.separability import (
     result_to_record,
     scan_range,
     verify_pow2_nonseparable,
+    write_census_cache,
 )
 from oracles import (
     divisor_table,
@@ -424,7 +424,7 @@ def test_census_counts_and_monotonicity():
 def test_census_cache_roundtrip(tmp_path):
     path = tmp_path / "census.jsonl"
     rows = census(25)
-    append_census_cache(path, rows)
+    write_census_cache(path, rows)
     cached = load_census_cache(path)
     assert set(cached) == set(range(1, 26))
     for r in rows:
@@ -441,7 +441,7 @@ def test_census_cache_roundtrip(tmp_path):
 def test_census_cache_survives_a_crash_mid_write(tmp_path, monkeypatch, crash_at):
     path = tmp_path / "census.jsonl"
     rows = census(30)
-    append_census_cache(path, rows[:10])
+    write_census_cache(path, rows[:10])
     before = path.read_bytes()
     to_record, written = separability.result_to_record, []
 
@@ -460,12 +460,12 @@ def test_census_cache_survives_a_crash_mid_write(tmp_path, monkeypatch, crash_at
         else:
             patch.setattr(separability, "result_to_record", crash_on_third_row)
         with pytest.raises(OSError, match="injected crash"):
-            append_census_cache(path, rows)
+            write_census_cache(path, rows)
     # the old file is untouched and still served; the next write replaces it
     assert (tmp_path / "census.jsonl.tmp").exists()
     assert path.read_bytes() == before
     assert load_census_cache(path) == {r.n: r for r in rows[:10]}
-    append_census_cache(path, rows[10:])
+    write_census_cache(path, [*load_census_cache(path).values(), *rows[10:]])
     assert load_census_cache(path) == {r.n: r for r in rows}
     assert [p.name for p in tmp_path.iterdir()] == ["census.jsonl"]
 
