@@ -6,6 +6,7 @@ import math
 import pickle
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +137,44 @@ def test_count_sieve_matches_membership(params):
 def test_count_sieve_matches_membership_random(x, threshold):
     params = JumpParams.from_override(threshold)
     assert count_bounded_jumps(x, params) == member_prefix_counts(x, params)[x]
+
+
+BOUNDARY_PARAMS = [JumpParams.from_t(t) for t in range(3, 7)] + [
+    JumpParams.from_override(Fraction(c)) for c in ("3/2", "2", "5/2", "3", "7/3", "5", "7")
+]
+
+
+def _trial_prime(p: int) -> bool:
+    return p > 1 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _floor_exp_threshold(params: JumpParams) -> int:
+    """floor(e^threshold): exact in t-form, from mpmath for an override."""
+    if params.t is not None:
+        return 1 << (1 << (params.t - 2))
+    with mpmath.workprec(256):
+        value = mpmath.exp(mpmath.mpf(params.override.numerator) / params.override.denominator)
+        floor = int(mpmath.floor(value))
+        assert mpmath.mpf(2) ** -64 < value - floor < 1 - mpmath.mpf(2) ** -64
+    return floor
+
+
+@pytest.mark.parametrize("params", BOUNDARY_PARAMS, ids=str)
+def test_membership_boundary_matches_mpmath(params):
+    # A prime p has the one divisor pair (1, p): it is in the set exactly
+    # when p <= e^threshold (every threshold here is >= 1), so the primes on
+    # either side of floor(e^threshold) pin the exact comparison.
+    e_floor = _floor_exp_threshold(params)
+    below = next(p for p in range(e_floor, 1, -1) if _trial_prime(p))
+    above = next(p for p in range(e_floor + 1, 2 * e_floor + 2) if _trial_prime(p))
+    assert has_bounded_jumps(below, params) == (below, True, None)
+    assert has_bounded_jumps(above, params) == (above, False, (1, above))
+    # Up to floor(e^threshold) every n is a member without a sieve; one past
+    # it, the sieve counts what the membership test says of e_floor + 1.
+    assert count_bounded_jumps(e_floor, params) == e_floor
+    assert count_bounded_jumps(e_floor + 1, params) == (
+        e_floor + has_bounded_jumps(e_floor + 1, params).bounded
+    )
 
 
 def test_count_pinned_values():

@@ -9,6 +9,17 @@ import pytest
 
 from interlock import cli
 from interlock.cli import run
+from interlock.construction import (
+    ClaimDiagnostics,
+    ConstructionPlan,
+    ConstructionReport,
+    JumpCheck,
+    JumpParams,
+    PlanLevel,
+    build_pow2_partner,
+    has_bounded_jumps,
+    verify_construction,
+)
 from interlock.pairs import GapWitness, InterlockReport, check_interlock
 from interlock.primorials import (
     ChainContradiction,
@@ -19,12 +30,14 @@ from interlock.primorials import (
     placement_consensus,
 )
 from interlock.separability import (
+    ChunkScan,
     Pow2Report,
     SearchConfig,
     SeparabilityResult,
     _cache_header,
     census_batch,
     find_partner,
+    scan_range,
     verify_pow2_nonseparable,
 )
 
@@ -100,6 +113,14 @@ RECORDS = [
     ForcedStep(2, "m", "canonical orientation"),
     ChainContradiction("m", 23, 26, "no divisor between"),
     ParityCertificate(9, 16, 1),
+    scan_range(1010, 2000, 2200, SearchConfig()),
+    JumpParams.from_t(5),
+    JumpParams.from_override("7/3"),
+    has_bounded_jumps(514, JumpParams.from_t(5)),
+    build_pow2_partner(32, 5),
+    build_pow2_partner(32, 5).levels[0],
+    verify_construction(build_pow2_partner(32, 5), direct_interlock=True),
+    verify_construction(build_pow2_partner(32, 5)).claims,
 ]
 
 
@@ -133,7 +154,8 @@ def test_record_types_cover_every_record():
     assert kinds == {
         GapWitness, InterlockReport, SearchConfig, SeparabilityResult,
         Pow2Report, PlacementReport, PrimorialSplit, ForcedStep, ChainContradiction,
-        ParityCertificate,
+        ParityCertificate, ChunkScan, JumpParams, JumpCheck, ConstructionPlan, PlanLevel,
+        ConstructionReport, ClaimDiagnostics,
     }
 
 
