@@ -44,8 +44,11 @@ MAX_DIVISOR_BITS = 1 << 30
 # least prime), 24 MB at the cap.
 FACTOR_TABLE_CAP = 1 << 22
 # A FactorTable grows by whole pieces of this many entries, and builds each
-# piece with one tau sieve, which holds about 24 bytes an entry while it runs.
+# piece with one tau sieve, which holds about 9 bytes an entry while it runs.
 _TABLE_PIECE = 1 << 14
+# The tau sieve's byte tables: b + 2 mod 256, and 1 where that add wraps.
+_ADD2 = bytes((b + 2) & 255 for b in range(256))
+_WRAPS = bytes(b >= 254 for b in range(256))
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -345,23 +348,32 @@ def primorial(k: int) -> int:
 def divisor_count_range(lo: int, hi: int, step: int = 1) -> list[int]:
     """tau(m) for every m in range(lo, hi + 1, step), indexed by (m - lo) // step.
 
-    Divisor-pair sieve: each d <= isqrt(hi) adds 2 to its multiples m >= d^2
-    (for d and m/d), and m = d^2 takes 1 back; about W*ln(sqrt(hi)) + sqrt(hi)
-    steps for W entries.  step = 2 (odd lo) sieves only odd m with odd d, as
-    odd m has only odd divisors.  Either way d's multiples lie d entries apart.
+    Divisor-pair sieve: each d <= isqrt(hi) adds 1 to m = d^2 and 2 to its
+    multiples m > d^2 (for d and m/d); about W*ln(sqrt(hi)) + sqrt(hi) steps
+    for W entries.  step = 2 (odd lo) sieves only odd m with odd d, as odd m
+    has only odd divisors.  The counts are bytes, and d's slice takes its 2
+    in one bytes.translate; each wrap of a byte past 255 (tau(1,081,080) =
+    256 is the first) is listed, and its 256 added back at the end.
     """
     if lo < 1 or hi < lo or step not in (1, 2) or (step == 2 and lo % 2 == 0):
         raise ValueError(f"divisor_count_range: bad window [{lo}, {hi}], step {step}")
-    counts = [0] * len(range(lo, hi + 1, step))
+    counts, wrapped = bytearray(len(range(lo, hi + 1, step))), []
     for d in range(1, isqrt(hi) + 1, step):
         first = max(d * d, lo + (-lo) % d)
         if (first - lo) % step:  # an even multiple of odd d: take the next one
             first += d
         i = (first - lo) // step
-        counts[i::d] = [c + 2 for c in counts[i::d]]
-        if d * d >= lo:
-            counts[(d * d - lo) // step] -= 1
-    return counts
+        if first == d * d:  # its count is even here, so the 1 never wraps
+            counts[i] += 1
+            i += d
+        seg = counts[i::d]
+        if 254 in seg or 255 in seg:
+            wrapped += compress(range(i, len(counts), d), seg.translate(_WRAPS))
+        counts[i::d] = seg.translate(_ADD2)
+    taus = list(counts)
+    for i in wrapped:
+        taus[i] += 256
+    return taus
 
 
 class FactorTable:

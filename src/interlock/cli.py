@@ -18,7 +18,8 @@ collections.namedtuple class: loading dataclasses takes about 8 ms
 fractions are imported only by the values that need them, and the commands
 that compare with logs and exponentials (construct, s-member, s-count) do
 it in precision's integer enclosures, not in mpmath, which takes 35 ms or
-more to load.
+more to load.  main, not run, freezes the heap (gc.freeze) before it exits,
+so the interpreter's collections at exit skip it.
 
 primorial --table writes its human-readable table to stderr, so stdout
 still holds the one record.
@@ -31,6 +32,7 @@ precision cannot decide (see INTERLOCK_PRECISION_BITS).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -486,7 +488,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    gc.freeze()  # after any pool has shut down and every file is closed
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -193,13 +193,14 @@ def scan_range(
 
     div_n is n's divisor list, built here when not given.  With
     cfg.report_all_partners the scan checks the whole range; otherwise it
-    stops at the first partner.  The range is read in segments of 64, 128,
-    ... entries, at most _SEGMENT_CAP, so a first-hit scan reads little past
-    its hit.  tau and least primes come from table, which grows to hold each
-    segment, or, without a table or above its cap, from a tau sieve over the
-    segment's own candidates (odd m only when the parity filter is on) and
-    trial division.  Pure but for the table's growth: safe to run per-chunk
-    in parallel workers and merge with merge_chunk_scans.
+    stops at the first partner.  A report-all scan reads segments of
+    _SEGMENT_CAP entries; a first-hit scan reads 64, 128, ... entries, at
+    most _SEGMENT_CAP, so it reads little past its hit.  tau and least
+    primes come from table, which grows to hold each segment, or, without a
+    table or above its cap, from a tau sieve over the segment's own
+    candidates (odd m only when the parity filter is on) and trial division.
+    Pure but for the table's growth: safe to run per-chunk in parallel
+    workers and merge with merge_chunk_scans.
     """
     div_n = divisors(n) if div_n is None else div_n
     tau_n = len(div_n)
@@ -217,7 +218,8 @@ def scan_range(
     partners: list[int] = []
     passed = 0
     step = 2 if odd_only else 1
-    start, size = lo | (step - 1), 64  # odd_only: the first odd m >= lo
+    # odd_only: start at the first odd m >= lo; report-all: in whole segments
+    start, size = lo | (step - 1), _SEGMENT_CAP if cfg.report_all_partners else 64
     while start <= hi:
         end = min(start + step * (size - 1), hi)
         if table is not None and table.cover(end):
@@ -455,18 +457,16 @@ def record_to_result(rec: dict) -> SeparabilityResult:
 
 
 def load_census_cache(
-    path: str | Path, cfg: SearchConfig = SearchConfig()
+    path: str | os.PathLike, cfg: SearchConfig = SearchConfig()
 ) -> dict[int, SeparabilityResult]:
     """Rows cached under cfg.  A missing file, a file written under another
     config, one without a header (older code), or one with a row that does
     not parse or a partner outside its n's partner_window or not interlocking
     with n gives an empty cache; the next write replaces the file.  A row with
     no partner is served unchecked: no cheap check shows that n has none."""
-    from pathlib import Path  # imported here: no other command needs it
-    path = Path(path)
-    if not path.exists():
+    if not os.path.exists(path):
         return {}
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             if fh.readline().strip() != _cache_header(cfg):
                 return {}
@@ -485,24 +485,27 @@ def load_census_cache(
 def write_file_atomically(path, chunks) -> None:
     """Write the text chunks to path under a temporary name, fsync it and
     move it into place, so a crash leaves either the old file or the
-    complete new one."""
+    complete new one, and an error leaves the old one and no temporary."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    fh = open(tmp, "w", encoding="utf-8")
+    try:
+        with fh:
+            fh.writelines(chunks)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_census_cache(
-    path: str | Path, rows, cfg: SearchConfig = SearchConfig()
+    path: str | os.PathLike, rows, cfg: SearchConfig = SearchConfig()
 ) -> None:
     """Replace the file with exactly these rows under cfg's header, through
     write_file_atomically.  The file is not read: the caller merges in the
     cached rows worth keeping."""
-    from pathlib import Path
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     records = (json.dumps(result_to_record(r), sort_keys=True) + "\n" for r in rows)
     write_file_atomically(path, chain([_cache_header(cfg) + "\n"], records))
 

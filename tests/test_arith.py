@@ -295,6 +295,35 @@ def test_divisor_count_range():
             divisor_count_range(lo, hi, step)
 
 
+def test_divisor_count_range_carries_bytes_that_wrap():
+    # The sieve counts in bytes; a count that passes 255 must carry.
+    # tau(1,081,080) = 256 is the first; 43,648,605 is the least odd m with
+    # tau(m) >= 256; tau(735,134,400) = 1,344 wraps five times; and
+    # tau(4620^2) = tau(45045^2) = 405, a square whose own count wraps.
+    def check(lo, hi, step):
+        assert divisor_count_range(lo, hi, step) == [tau(m) for m in range(lo, hi + 1, step)]
+
+    for c in (1_081_080, 2_162_160, 3_603_600, 43_648_605, 735_134_400):
+        check(c - 400, c + 400, 1)
+        check((c - 400) | 1, c + 400, 2)
+    for root in (1040, 4620, 45045):
+        sq = root * root
+        for lo, hi in ((sq, sq + 300), (sq - 300, sq), (sq, sq)):
+            check(lo, hi, 1)
+            if sq % 2:
+                check(lo | 1, hi, 2)
+    assert divisor_count_range(1_081_080, 1_081_080) == [256]
+    assert divisor_count_range(735_134_400, 735_134_400) == [1344]
+    assert divisor_count_range(4620**2 - 1, 4620**2)[1] == 405
+
+
+def test_factor_table_reads_the_first_tau_past_255():
+    table = FactorTable()
+    assert table.cover(1_081_080)
+    assert table.tau[1_081_080] == 256 and table.tau[1_081_079] == tau(1_081_079)
+    assert max(table.tau) == 256
+
+
 def test_factorize_exact_below_50000_and_at_the_trial_bound():
     for n in range(1, 50_001):
         assert dict(factorize(n)) == oracle_factorize(n), n

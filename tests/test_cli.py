@@ -366,6 +366,7 @@ def test_construct_save_keeps_the_old_plan_when_the_write_fails(tmp_path, capsys
     )
     assert code == 2 and rec["result"] == {"error": "usage", "message": "fsync failed"}
     assert saved.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["plan.json"]  # no plan.json.tmp
 
 
 def test_construct_load_reports_crafted_plans(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The package surface: lazy re-exports, and what a CLI import loads."""
 
+import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import interlock
+from interlock.cli import run
 
 EXPORTS = {
     "arith": [
@@ -48,17 +51,21 @@ UNUSED_BY_IMPORT = [
 ]
 
 
-def fresh_python(code: str, *flags: str) -> str:
+def fresh_process(*args: str, check: bool = True) -> subprocess.CompletedProcess:
+    """python args, in a fresh interpreter that imports this checkout's package."""
     src = str(Path(interlock.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, *flags, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
-        check=True,
+        check=check,
     )
-    return done.stdout
+
+
+def fresh_python(code: str, *flags: str) -> str:
+    return fresh_process(*flags, "-c", code).stdout
 
 
 def test_cli_import_leaves_unused_modules_out():
@@ -85,8 +92,8 @@ def test_construction_import_leaves_mpmath_and_dataclasses_out():
 
 
 def test_cli_import_without_site_leaves_pathlib_out():
-    # Without site (python -S) nothing else loads pathlib first; only the
-    # census cache functions import it, when they run.
+    # Without site (python -S) nothing else loads pathlib first, and the
+    # package never imports it.
     out = fresh_python("import sys, interlock.cli; print('pathlib' in sys.modules)", "-S")
     assert out.split() == ["False"]
 
@@ -127,3 +134,42 @@ def test_from_import_in_a_fresh_process():
         "print(census.__module__, placement_consensus.__module__, PrecisionError.__module__)"
     )
     assert out.split() == ["interlock.separability", "interlock.primorials", "interlock.precision"]
+
+
+def without_timing(text: str) -> str:
+    return re.sub(r'"timing_ms": [-+.e0-9]+', '"timing_ms": 0', text)
+
+
+def test_main_in_a_fresh_process_matches_run_in_process(tmp_path, capsys):
+    # python -m interlock goes through main, which freezes the heap before
+    # it exits; run, called in process, leaves the heap collectable.
+    plan = str(tmp_path / "plan.json")
+    cases = [
+        (["pow2", "--k", "13"], 0),
+        (["check", "6", "10"], 1),
+        (["construct", "--k", "2000192", "--t", "6"], 2),  # the record on stderr
+        (["construct", "--k", "96", "--t", "5", "--save", plan], 0),
+        (["construct", "--load", plan], 0),
+    ]
+    results = []
+    for argv, code in cases:
+        argv = ["--jsonl", *argv]
+        cold = fresh_process("-m", "interlock", *argv, check=False)
+        cold_plan = Path(plan).read_bytes() if "--save" in argv else None
+        assert run(argv) == cold.returncode == code, argv
+        warm = capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+        assert without_timing(warm.out) == without_timing(cold.stdout), argv
+        assert without_timing(warm.err) == without_timing(cold.stderr), argv
+        assert (bool(cold.stdout), bool(cold.stderr)) == (code != 2, code == 2), argv
+        if cold_plan is not None:
+            assert Path(plan).read_bytes() == cold_plan
+        results.append(json.loads(cold.stdout or cold.stderr)["result"])
+    assert results[-1] == results[-2] and results[-1]["verification"]["verified"] is True
+    out = fresh_python(
+        "import gc, sys; from interlock.cli import main\n"
+        "sys.argv[1:] = ['--jsonl', 'check', '63', '64']\n"
+        "try:\n    main()\nexcept SystemExit as done:\n"
+        "    print(done.code, gc.get_freeze_count() > 0)"
+    )
+    assert out.splitlines()[-1] == "0 True"

@@ -437,7 +437,7 @@ def test_census_cache_roundtrip(tmp_path):
     assert record_to_result(result_to_record(rows[5])) == rows[5]
 
 
-@pytest.mark.parametrize("crash_at", ["third-row", "fsync"])
+@pytest.mark.parametrize("crash_at", ["third-row", "fsync", "replace"])
 def test_census_cache_survives_a_crash_mid_write(tmp_path, monkeypatch, crash_at):
     path = tmp_path / "census.jsonl"
     rows = census(30)
@@ -451,18 +451,19 @@ def test_census_cache_survives_a_crash_mid_write(tmp_path, monkeypatch, crash_at
             raise OSError("injected crash")
         return to_record(r)
 
-    def crash_on_fsync(fd):
+    def crash(*args):
         raise OSError("injected crash")
 
     with monkeypatch.context() as patch:
-        if crash_at == "fsync":
-            patch.setattr(separability.os, "fsync", crash_on_fsync)
-        else:
+        if crash_at == "third-row":
             patch.setattr(separability, "result_to_record", crash_on_third_row)
+        else:
+            patch.setattr(separability.os, crash_at, crash)
         with pytest.raises(OSError, match="injected crash"):
             write_census_cache(path, rows)
-    # the old file is untouched and still served; the next write replaces it
-    assert (tmp_path / "census.jsonl.tmp").exists()
+    # the old file is untouched and still served, the temporary file is
+    # gone, and the next write replaces the old file
+    assert [p.name for p in tmp_path.iterdir()] == ["census.jsonl"]
     assert path.read_bytes() == before
     assert load_census_cache(path) == {r.n: r for r in rows[:10]}
     write_census_cache(path, [*load_census_cache(path).values(), *rows[10:]])
