@@ -9,7 +9,8 @@ sides are flagged as degenerate rather than filtered out.
 
 Two deciders are provided.  check_interlock implements the definition
 directly and is the canonical semantics; callers that hold the divisor
-lists (a scanner, or a factorization known by construction) pass them in.
+lists (a scanner, or a factorization known by construction) pass them in,
+and check_interlock_divisors gives its verdict alone from those lists.
 check_alternation decides the same
 question for coprime inputs by merging the two divisor lists and requiring
 the sources to alternate strictly; a common divisor > 1 shows up as a tie
@@ -95,6 +96,12 @@ def check_interlock(
         )
     trace = tuple(sorted(set(dm) | set(dn)))
     return InterlockReport(True, "definitional", m, n, degenerate, trace=trace)
+
+
+def check_interlock_divisors(div_m, div_n) -> bool:
+    """check_interlock's verdict alone (no witness or trace), from the complete divisor lists."""
+    dm, dn = div_m[1:], div_n[1:]
+    return _first_unseparated_gap(dm, dn) is None and _first_unseparated_gap(dn, dm) is None
 
 
 def check_alternation(m: int, n: int) -> InterlockReport:

@@ -43,24 +43,25 @@ all of it on or off together through the one switch SearchConfig.prune
     4. p < d3(m) if pm < p (p is n's least divisor above pm), and pm < q
        if p < pm (pm is m's least divisor above p).
 All five prunings, and the window, are cross-validated against a
-pruning-free oracle in the test suite rather than assumed.  A scan marks
-the multiples of the gap's interior in each segment (_gap_marks) and reads
-tau for the marked m from one of two sources, chosen by its caller.
-A census shares one arith.FactorTable across all its n: tau comes from its
-per-m tau array, and least primes and factorizations from its least-prime
-chain.  A single partner window, a pow2 certificate window and any census
-window above the table's cap sieve tau over their own candidates
-(arith.divisor_count_range) and find least primes by trial division.
-Either way the end-gap rules run from m's least prime, and only the
-candidates that pass them are factorized into divisor lists.
+pruning-free oracle in the test suite rather than assumed.  Each segment
+of a scan runs one pipeline: gap marks (_gap_marks) AND a tau mask, which
+bytes.translate maps from byte taus (255 for every tau >= 255, so from
+tau(n) = 254 on the walk also checks m's exact tau) -> a walk that reads
+the survivors one at a time with bytes.find, so a first-hit scan reads no
+survivor past its hit -> the end-gap rules, from m's least prime -> m's
+divisor list -> its verdict from pairs.check_interlock_divisors.
+A census shares one arith.FactorTable across all its n: byte taus, least
+primes and a bounded memo of divisor lists.  A single partner window, a
+pow2 certificate window and any census window above the table's cap sieve
+tau over their own candidates and find least primes by trial division.
 
 With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
 of scanning their window (pow2_partners).  By the parity and gap argument
 above, an odd m interlocks with 2^k exactly when its divisors fill the
 slots (2^(j-1), 2^j), j = 2..k, one each (bit length j), with at most one
 more, m itself, above 2^k.  A depth-first search introduces m's divisors in
-increasing order, each in a slot of its own, and hands every complete
-placement to check_interlock.
+increasing order, each in a slot of its own, and tests every complete
+placement with check_interlock_divisors.
 """
 
 from __future__ import annotations
@@ -70,11 +71,10 @@ import os
 from bisect import bisect_left
 from collections import namedtuple
 from functools import partial
-from itertools import chain, compress, repeat
+from itertools import chain
 
-from .arith import FactorTable, divisor_count_range, divisors, factorize
-from .arith import divisors_from_factorization, next_prime, smallest_prime_divisor
-from .pairs import check_interlock
+from .arith import FactorTable, _tau_bytes, divisors, next_prime, smallest_prime_divisor, tau
+from .pairs import check_interlock, check_interlock_divisors
 
 # Largest tau segment a scan sieves at once, in entries.
 _SEGMENT_CAP = 1 << 16
@@ -195,10 +195,10 @@ def scan_range(
     cfg.report_all_partners the scan checks the whole range; otherwise it
     stops at the first partner.  A report-all scan reads segments of
     _SEGMENT_CAP entries; a first-hit scan reads 64, 128, ... entries, at
-    most _SEGMENT_CAP, so it reads little past its hit.  tau and least
-    primes come from table, which grows to hold each segment, or, without a
-    table or above its cap, from a tau sieve over the segment's own
-    candidates (odd m only when the parity filter is on) and trial division.
+    most _SEGMENT_CAP, so it reads little past its hit.  tau, least primes
+    and divisor lists come from table, which grows to hold each segment, or,
+    without a table or above its cap, from a tau sieve over the segment's
+    own candidates (odd m only when the parity filter is on) and factorize.
     Pure but for the table's growth: safe to run per-chunk in parallel
     workers and merge with merge_chunk_scans.
     """
@@ -211,9 +211,11 @@ def scan_range(
     odd_only = prune and n >= 4 and n & (n - 1) == 0
     skip_self = tau_n >= 3
     if odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
-        below, above = (tau_n - 1,), (tau_n,)
+        below, above = range(tau_n - 1, tau_n), range(tau_n, tau_n + 1)
     else:
-        below = above = (tau_n - 1, tau_n, tau_n + 1)
+        below = above = range(tau_n - 1, tau_n + 2)
+    # bytes.translate tables, 1 at each allowed byte tau (module doc)
+    keep = [(bytes(min(r.start, 255)) + b"\x01" * len(r) + bytes(256))[:256] for r in (below, above)]
 
     partners: list[int] = []
     passed = 0
@@ -223,23 +225,28 @@ def scan_range(
     while start <= hi:
         end = min(start + step * (size - 1), hi)
         if table is not None and table.cover(end):
-            least_prime, factor = table.lpf.__getitem__, table.factorize
-            taus = table.tau[start : end + 1 : step]
+            least_prime, divisors_of = table.lpf.__getitem__, table.divisors
+            taus = table.tau_bytes[start : end + 1 : step]
         else:
-            least_prime, factor = smallest_prime_divisor, factorize
-            taus = divisor_count_range(start, end, step) if prune else ()
-        ms = range(start, end + 1, step)
-        if prune:  # the gap rule, then the tau and parity filters
-            marks = _gap_marks(start, end, step, *gap) if gap else repeat(1)
-            ms = [m for m, t in compress(zip(ms, taus), marks) if t in (below if m < n else above)]
-        for m in ms:
-            if skip_self and m == n:
+            least_prime, divisors_of = smallest_prime_divisor, divisors
+            taus = _tau_bytes(start, end, step)[0] if prune else None
+        if prune:  # the tau and parity mask, ANDed with the gap rule's marks
+            k = len(range(start, min(end + 1, n), step))  # the m below n
+            mask = taus[:k].translate(keep[0]) + taus[k:].translate(keep[1])
+            if gap:
+                marks = int.from_bytes(_gap_marks(start, end, step, *gap), "little")
+                mask = (int.from_bytes(mask, "little") & marks).to_bytes(len(mask), "little")
+        else:
+            mask = b"\x01" * len(range(start, end + 1, step))
+        i = mask.find(1)  # the walk: one survivor at a time
+        while i >= 0:
+            m, i = start + step * i, mask.find(1, i + 1)
+            if (skip_self and m == n) or (tau_n >= 254 and tau(m) not in (below if m < n else above)):
                 continue
             passed += 1
             if prune and not _end_gaps_allow(m, n, div_n, least_prime):
                 continue
-            fac = factor(m)
-            if check_interlock(m, n, divisors_from_factorization(fac), div_n).verdict:
+            if check_interlock_divisors(divisors_of(m), div_n):
                 partners.append(m)
                 if not cfg.report_all_partners:
                     return ChunkScan((m,), passed)
@@ -295,7 +302,7 @@ def _divides(t: int, exps) -> bool:
 def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
     """The partners m <= hi of 2^k, k >= 3, from the slot search (module
     doc): every one with report_all, else the least.  passed counts the
-    complete placements handed to check_interlock, each with its divisors.
+    complete placements, each tested with its sorted divisors.
 
     A node holds the divisors ds of f, the product of the prime powers
     chosen so far, and the slots they fill.  The least divisor of m outside
@@ -329,7 +336,7 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
         j = (~used & (used + 1)).bit_length() - 1  # the first empty slot
         if j > k:  # every slot up to 2^k is filled: m = f
             tested += 1
-            if check_interlock(f, n, tuple(sorted(ds)), div_n).verdict:
+            if check_interlock_divisors(sorted(ds), div_n):
                 found.append(f)
                 cap = cap if report_all else f - 1
             return

@@ -381,6 +381,18 @@ def test_factor_table_never_grows_past_its_cap(monkeypatch):
     assert not table.cover(3001) and table.size == 3000
 
 
+def test_factor_table_remembers_its_divisor_lists(monkeypatch):
+    table = FactorTable()
+    assert table.cover(3000)
+    assert all(table.divisors(m) == divisors(m) for m in range(1, 3001))
+    assert len(table._divisors) == 3000 and table.divisors(2520) is table.divisors(2520)
+    monkeypatch.setattr(arith, "_DIVISOR_MEMO_CAP", 8)
+    table = FactorTable()
+    assert table.cover(100)
+    for m in range(1, 21):
+        assert table.divisors(m) == divisors(m) and len(table._divisors) == (m - 1) % 8 + 1
+
+
 def test_arith_holds_no_mutable_globals():
     # factorize keeps no table that grows, and a forked worker inherits
     # nothing that changes an answer.

@@ -5,11 +5,11 @@ from functools import cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlock.arith import divisors, smallest_prime_divisor, tau
-from interlock.pairs import check_alternation, check_interlock
+from interlock.pairs import check_alternation, check_interlock, check_interlock_divisors
 from oracles import divisor_table, oracle_interlock, tau_relation
 
 SCAN = 300
@@ -89,6 +89,27 @@ def test_given_divisor_lists_match_computed():
         for n in range(1, 201):
             given = check_interlock(m, n, divs[m], divs[n])
             assert given == check_interlock(m, n), (m, n)
+
+
+def test_verdict_only_test_matches_check_interlock():
+    divs = {m: divisors(m) for m in range(1, 201)}
+    hits = 0
+    for m in range(1, 201):
+        for n in range(1, 201):
+            verdict = check_interlock_divisors(divs[m], divs[n])
+            assert verdict == check_interlock(m, n).verdict, (m, n)
+            hits += verdict
+    assert hits > 1000  # both verdicts are exercised
+
+
+@given(st.integers(1, 2**27), st.integers(1, 2**27))
+@example(63, 64)
+@example(19_191_826, 67_108_865)  # the least partner of 2^26 + 1
+@example(67_108_865, 19_191_826)
+@settings(max_examples=300, deadline=None)
+def test_verdict_only_test_matches_check_interlock_random(m, n):
+    verdict = check_interlock_divisors(divisors(m), divisors(n))
+    assert verdict == check_interlock(m, n).verdict
 
 
 def test_check_interlock_rejects_nonpositive_with_lists():

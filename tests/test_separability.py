@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from interlock import arith, separability
 from interlock.arith import FactorTable, divisors, factorize, smallest_prime_divisor, tau
-from interlock.pairs import check_interlock
+from interlock.pairs import check_interlock, check_interlock_divisors
 from interlock.separability import (
     ChunkScan,
     Pow2Report,
@@ -284,7 +284,7 @@ def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
         if (pow2 and m % 2 == 0) or (tn >= 3 and m == n):
             continue
         allowed = ({tn - 1} if m < n else {tn}) if pow2 else {tn - 1, tn, tn + 1}
-        if taus[m] in allowed and (inside is None or any(m % c == 0 for c in inside)):
+        if (inside is None or any(m % c == 0 for c in inside)) and taus[m] in allowed:
             passed += 1
             if check_interlock(m, n).verdict:
                 hits.append(m)
@@ -316,6 +316,62 @@ def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(monkeypatch, ca
         scan = scan_range(n, lo, hi, ALL, table=factors)
         assert (scan.partners, scan.passed) == table_scan(n, lo, hi, taus), n
     assert factors.size == min(cap, 2 * arith._TABLE_PIECE)  # 149^2 < 2^15
+
+
+class TauOf(dict):
+    """tau(m) by factorization, on first lookup."""
+
+    def __missing__(self, m):
+        self[m] = tau(m)
+        return self[m]
+
+
+def test_tau_mask_is_exact_where_byte_taus_wrap():
+    # tau(1,081,080) = 256 and tau(2,162,160) = 320 pass a byte; the scans
+    # read them as 255 and must pass or drop them as their exact taus would,
+    # from the table's clipped bytes and from the segment sieve alike.
+    factors = FactorTable()
+    assert factors.cover(2_163_000)
+    clipped = bytes(min(t, 255) for t in factors.tau)
+    assert factors.tau_bytes == clipped and max(factors.tau) == 320
+    taus = TauOf()
+    for c in (1_081_080, 2_162_160):
+        lo, hi = c - 1500, c + 1500
+        assert arith._tau_bytes(lo, hi, 1)[0] == clipped[lo : hi + 1]
+        for n in (1, 7, 1024, 255_255, 43_648_605):  # tau 1, 2, 11, 64, 256
+            scan = scan_range(n, lo, hi, ALL)
+            assert scan == scan_range(n, lo, hi, ALL, table=factors), (c, n)
+            assert (scan.partners, scan.passed) == table_scan(n, lo, hi, taus), (c, n)
+            assert n != 7 or scan.passed > 200  # the primes and prime squares
+
+
+def test_an_n_with_tau_past_253_filters_by_exact_taus():
+    # tau(43,648,605) = 256 allows 255, 256 and 257, which a byte tau cannot
+    # tell from 288.  Its gap is (663, 665); in this window the multiples of
+    # 664 include 10,667,160 with tau 256 and 10,876,320 with tau 288.
+    n, lo, hi = 43_648_605, 10_667_000, 10_877_000
+    taus = TauOf()
+    assert taus[n] == 256 and taus[10_667_160] == 256 and taus[10_876_320] == 288
+    scan = scan_range(n, lo, hi, ALL)
+    assert scan.passed >= 1 and (scan.partners, scan.passed) == table_scan(n, lo, hi, taus)
+    assert scan_range(n, lo, hi, SearchConfig()).passed <= scan.passed
+
+
+def test_census_with_a_tiny_divisor_memo_is_unchanged(monkeypatch):
+    # The memo forgets every list once it holds _DIVISOR_MEMO_CAP of them.
+    expected = census(300)
+    sizes = []
+
+    class Recording(FactorTable):
+        def divisors(self, m):
+            divs = super().divisors(m)
+            sizes.append(len(self._divisors))
+            return divs
+
+    monkeypatch.setattr(arith, "_DIVISOR_MEMO_CAP", 8)
+    monkeypatch.setattr(separability, "FactorTable", Recording)
+    assert census(300) == expected
+    assert max(sizes) == 8 and sizes.count(1) > 1  # full, then emptied
 
 
 @pytest.mark.parametrize("cap", [None, 256])
@@ -589,17 +645,17 @@ def test_prime_runs_match_placing_each_prime(monkeypatch):
 
 
 def test_slot_search_hands_complete_divisor_lists_to_check_interlock(monkeypatch):
-    # Each complete placement reaches check_interlock with its own divisors,
-    # so no placement is factorized again (the partners are pinned to the
-    # window scan above).
+    # Each complete placement reaches check_interlock_divisors with its own
+    # divisors, so no placement is factorized again (the partners are pinned
+    # to the window scan above).
     seen = []
 
-    def recording(m, n, div_m=None, div_n=None):
-        seen.append((m, div_m))
-        return check_interlock(m, n, div_m, div_n)
+    def recording(div_m, div_n):
+        seen.append(div_m)
+        return check_interlock_divisors(div_m, div_n)
 
-    monkeypatch.setattr(separability, "check_interlock", recording)
+    monkeypatch.setattr(separability, "check_interlock_divisors", recording)
     placements = sum(pow2_partners(k, 4 << k, True).passed for k in range(3, 21))
     assert placements == len(seen) > 0
-    for m, div_m in seen:
-        assert div_m == divisors(m), m
+    for div_m in seen:
+        assert tuple(div_m) == divisors(div_m[-1]), div_m
