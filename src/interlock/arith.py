@@ -360,10 +360,7 @@ def divisor_count_range(lo: int, hi: int, step: int = 1) -> list[int]:
     if lo < 1 or hi < lo or step not in (1, 2) or (step == 2 and lo % 2 == 0):
         raise ValueError(f"divisor_count_range: bad window [{lo}, {hi}], step {step}")
     counts, big = _tau_bytes(lo, hi, step)
-    taus = list(counts)
-    for i, t in big.items():
-        taus[i] = t
-    return taus
+    return list(map(big.get, range(len(counts)), counts))  # big.get(i, counts[i])
 
 
 def _tau_bytes(lo: int, hi: int, step: int) -> tuple[bytearray, dict[int, int]]:

@@ -43,17 +43,16 @@ all of it on or off together through the one switch SearchConfig.prune
     4. p < d3(m) if pm < p (p is n's least divisor above pm), and pm < q
        if p < pm (pm is m's least divisor above p).
 All five prunings, and the window, are cross-validated against a
-pruning-free oracle in the test suite rather than assumed.  Each segment
-of a scan runs one pipeline: gap marks (_gap_marks) AND a tau mask, which
-bytes.translate maps from byte taus (255 for every tau >= 255, so from
-tau(n) = 254 on the walk also checks m's exact tau) -> a walk that reads
-the survivors one at a time with bytes.find, so a first-hit scan reads no
-survivor past its hit -> the end-gap rules, from m's least prime -> m's
-divisor list -> its verdict from pairs.check_interlock_divisors.
+pruning-free oracle in the test suite rather than assumed.  A scan runs
+each segment through one pipeline: gap marks (_gap_marks) AND a tau mask,
+bytes.translate of byte taus (255 for any tau >= 255, so at tau(n) >= 254
+the walk also checks m's exact tau) -> a walk reading the survivors one at
+a time with bytes.find, none past a first hit -> the end-gap rules, from
+m's least prime -> m's divisor list -> pairs.check_interlock_divisors.
 A census shares one arith.FactorTable across all its n: byte taus, least
-primes and a bounded memo of divisor lists.  A single partner window, a
-pow2 certificate window and any census window above the table's cap sieve
-tau over their own candidates and find least primes by trial division.
+primes and a bounded memo of divisor lists.  A lone partner window, a pow2
+certificate window and a census window past the table's cap sieve their
+own taus and trial-divide for least primes.
 
 With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
 of scanning their window (pow2_partners).  By the parity and gap argument
@@ -209,7 +208,7 @@ def scan_range(
     if gap and gap[1] == gap[0] + 1:  # an empty gap: n has no partner
         return ChunkScan((), 0)
     odd_only = prune and n >= 4 and n & (n - 1) == 0
-    skip_self = tau_n >= 3
+    skip_self, exact = tau_n >= 3, prune and tau_n >= 254  # exact: byte taus clip at 255
     if odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
         below, above = range(tau_n - 1, tau_n), range(tau_n, tau_n + 1)
     else:
@@ -225,10 +224,10 @@ def scan_range(
     while start <= hi:
         end = min(start + step * (size - 1), hi)
         if table is not None and table.cover(end):
-            least_prime, divisors_of = table.lpf.__getitem__, table.divisors
-            taus = table.tau_bytes[start : end + 1 : step]
+            least_prime, tau_of = table.lpf.__getitem__, table.tau.__getitem__
+            divisors_of, taus = table.divisors, table.tau_bytes[start : end + 1 : step]
         else:
-            least_prime, divisors_of = smallest_prime_divisor, divisors
+            least_prime, divisors_of, tau_of = smallest_prime_divisor, divisors, tau
             taus = _tau_bytes(start, end, step)[0] if prune else None
         if prune:  # the tau and parity mask, ANDed with the gap rule's marks
             k = len(range(start, min(end + 1, n), step))  # the m below n
@@ -241,7 +240,7 @@ def scan_range(
         i = mask.find(1)  # the walk: one survivor at a time
         while i >= 0:
             m, i = start + step * i, mask.find(1, i + 1)
-            if (skip_self and m == n) or (tau_n >= 254 and tau(m) not in (below if m < n else above)):
+            if (skip_self and m == n) or (exact and tau_of(m) not in (below if m < n else above)):
                 continue
             passed += 1
             if prune and not _end_gaps_allow(m, n, div_n, least_prime):

@@ -357,6 +357,38 @@ def test_an_n_with_tau_past_253_filters_by_exact_taus():
     assert scan_range(n, lo, hi, SearchConfig()).passed <= scan.passed
 
 
+class NoTau:
+    """Stands in for tau and FactorTable.tau where no tau may be looked up."""
+
+    def __call__(self, m):
+        raise AssertionError(f"tau({m}) looked up")
+
+    __getitem__ = __call__
+
+
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [
+        (1_081_080, 1_080_780, 1_081_380),
+        (2_162_160, 2_161_860, 2_162_460),
+        (43_648_605, 4_000_000, 4_000_400),
+    ],
+)
+def test_unpruned_scan_of_an_n_with_tau_past_253_tests_every_m(monkeypatch, n, lo, hi):
+    # tau 256, 320 and 256: --no-prune is the oracle for every filter, the
+    # exact tau check too, so it tests each m in the window but n and looks
+    # up no tau, with the table and without it.
+    factors = FactorTable()
+    assert factors.cover(hi)
+    raw = SearchConfig(prune=False, report_all_partners=True)
+    expected = tuple(m for m in range(lo, hi + 1) if m != n and check_interlock(m, n).verdict)
+    monkeypatch.setattr(separability, "tau", NoTau())
+    monkeypatch.setattr(factors, "tau", NoTau())
+    for table in (None, factors):
+        scan = scan_range(n, lo, hi, raw, table=table)
+        assert scan == ChunkScan(expected, len(range(lo, hi + 1)) - (lo <= n <= hi)), (n, table)
+
+
 def test_census_with_a_tiny_divisor_memo_is_unchanged(monkeypatch):
     # The memo forgets every list once it holds _DIVISOR_MEMO_CAP of them.
     expected = census(300)
