@@ -9,8 +9,10 @@ The module holds no mutable state: factorize trial-divides by a fixed tuple
 of the primes below 2^16 and hands a larger cofactor to Pollard rho.  A
 caller that needs tau, least primes and divisor lists of many small m
 builds its own FactorTable, up to the largest m asked for so far, never
-past FACTOR_TABLE_CAP.  decimal_text and decimal_int are the package's one
-codec between ints and decimal text.
+past FACTOR_TABLE_CAP (5 bytes an entry, 20 MB at the cap).  Its taus,
+like those of the window sieve _tau_bytes, are bytes that saturate at 255;
+an exact tau past that is the length of m's divisor list.  decimal_text
+and decimal_int are the package's one codec between ints and decimal text.
 """
 
 from __future__ import annotations
@@ -40,17 +42,16 @@ MAX_DIVISOR_LIST = 2_000_000
 # (128 MB), estimated as tau(n) * bits(n) / 2.
 MAX_DIVISOR_BITS = 1 << 30
 
-# Largest m a FactorTable covers: 7 bytes an entry (a 2-byte tau, a 1-byte
-# clipped tau and a 4-byte least prime), 28 MB at the cap.
+# Largest m a FactorTable covers: 5 bytes an entry (a 1-byte saturated tau
+# and a 4-byte least prime), 20 MB at the cap.
 FACTOR_TABLE_CAP = 1 << 22
 # Divisor lists a FactorTable remembers before it forgets them all.
 _DIVISOR_MEMO_CAP = 1 << 14
 # A FactorTable grows by whole pieces of this many entries, and builds each
-# piece with one tau sieve, which holds about 9 bytes an entry while it runs.
+# piece with one tau sieve, which holds about 3 bytes an entry while it runs.
 _TABLE_PIECE = 1 << 14
-# The tau sieve's byte tables: b + 2 mod 256, and 1 where that add wraps.
-_ADD2 = bytes((b + 2) & 255 for b in range(256))
-_WRAPS = bytes(b >= 254 for b in range(256))
+# The tau sieve's byte table: b + 2, saturating at 255.
+_ADD2 = bytes(min(b + 2, 255) for b in range(256))
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -347,50 +348,34 @@ def primorial(k: int) -> int:
     return result
 
 
-def divisor_count_range(lo: int, hi: int, step: int = 1) -> list[int]:
-    """tau(m) for every m in range(lo, hi + 1, step), indexed by (m - lo) // step.
+def _tau_bytes(lo: int, hi: int, step: int) -> bytearray:
+    """min(tau(m), 255) for every m in range(lo, hi + 1, step), indexed by
+    (m - lo) // step; 1 <= lo <= hi, and step = 2 only for odd lo.
 
     Divisor-pair sieve: each d <= isqrt(hi) adds 1 to m = d^2 and 2 to its
     multiples m > d^2 (for d and m/d); about W*ln(sqrt(hi)) + sqrt(hi) steps
-    for W entries.  step = 2 (odd lo) sieves only odd m with odd d, as odd m
-    has only odd divisors.  The counts are bytes, and d's slice takes its 2
-    in one bytes.translate; each wrap of a byte past 255 (tau(1,081,080) =
-    256 is the first) is listed, and its 256 added back at the end.
+    for W entries.  step = 2 sieves only odd m with odd d, as odd m has only
+    odd divisors.  The counts are bytes that saturate at 255, and d's slice
+    takes its 2 in one bytes.translate.
     """
-    if lo < 1 or hi < lo or step not in (1, 2) or (step == 2 and lo % 2 == 0):
-        raise ValueError(f"divisor_count_range: bad window [{lo}, {hi}], step {step}")
-    counts, big = _tau_bytes(lo, hi, step)
-    return list(map(big.get, range(len(counts)), counts))  # big.get(i, counts[i])
-
-
-def _tau_bytes(lo: int, hi: int, step: int) -> tuple[bytearray, dict[int, int]]:
-    """divisor_count_range's sieve on a checked window: tau(m) as a byte, 255
-    for each tau(m) >= 255, and {index: tau(m)} for each tau(m) >= 256."""
-    counts, wrapped = bytearray(len(range(lo, hi + 1, step))), []
+    counts = bytearray(len(range(lo, hi + 1, step)))
     for d in range(1, isqrt(hi) + 1, step):
         first = max(d * d, lo + (-lo) % d)
         if (first - lo) % step:  # an even multiple of odd d: take the next one
             first += d
         i = (first - lo) // step
-        if first == d * d:  # its count is even here, so the 1 never wraps
-            counts[i] += 1
+        if first == d * d:  # its count may be 255 already: tau(4620^2) = 405
+            counts[i] = min(counts[i] + 1, 255)
             i += d
-        seg = counts[i::d]
-        if 254 in seg or 255 in seg:
-            wrapped += compress(range(i, len(counts), d), seg.translate(_WRAPS))
-        counts[i::d] = seg.translate(_ADD2)
-    big: dict[int, int] = {}
-    for i in wrapped:  # counts[i] is read before its first clip only
-        big[i] = big.get(i, counts[i]) + 256
-        counts[i] = 255
-    return counts, big
+        counts[i::d] = counts[i::d].translate(_ADD2)
+    return counts
 
 
 class FactorTable:
     """tau and least prime of every m in [1, size], for scans over many windows
-    of small m: tau[m] = tau(m) in array('H'), tau_bytes[m] = min(tau(m), 255)
-    in a bytearray, and lpf[m], m's least prime (lpf[1] = 1, lpf[m] = m for
-    prime m), in array('I'), so 7 bytes an entry (index 0 holds 0).
+    of small m: tau_bytes[m] = min(tau(m), 255) in a bytearray, and lpf[m],
+    m's least prime (lpf[1] = 1, lpf[m] = m for prime m), in array('I'), so
+    5 bytes an entry (index 0 holds 0).
     cover(hi) grows size to hi, rounded up to whole pieces of _TABLE_PIECE
     entries, never past FACTOR_TABLE_CAP: the table holds at most one piece
     more than its scans read.  divisors(m) remembers at most 2^14 lists
@@ -402,7 +387,6 @@ class FactorTable:
         from array import array  # loaded by a census, not by every command
 
         self.size = 0
-        self.tau = array("H", [0])
         self.tau_bytes = bytearray(1)
         self.lpf = array("I", [0])
         self._divisors: dict[int, tuple[int, ...]] = {}
@@ -424,11 +408,7 @@ class FactorTable:
 
         for lo in range(self.size + 1, size + 1, _TABLE_PIECE):
             hi = min(lo + _TABLE_PIECE - 1, size)
-            counts, big = _tau_bytes(lo, hi, 1)
-            self.tau += array("H", list(counts))
-            for i, t in big.items():
-                self.tau[lo + i] = t
-            self.tau_bytes += counts
+            self.tau_bytes += _tau_bytes(lo, hi, 1)
             least = array("I", range(lo, hi + 1))
             for p in reversed(_TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, isqrt(hi))]):
                 first = max(p * p, lo + (-lo) % p) - lo

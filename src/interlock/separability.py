@@ -46,13 +46,14 @@ All five prunings, and the window, are cross-validated against a
 pruning-free oracle in the test suite rather than assumed.  A scan runs
 each segment through one pipeline: gap marks (_gap_marks) AND a tau mask,
 bytes.translate of byte taus (255 for any tau >= 255, so at tau(n) >= 254
-the walk also checks m's exact tau) -> a walk reading the survivors one at
-a time with bytes.find, none past a first hit -> the end-gap rules, from
-m's least prime -> m's divisor list -> pairs.check_interlock_divisors.
-A census shares one arith.FactorTable across all its n: byte taus, least
-primes and a bounded memo of divisor lists.  A lone partner window, a pow2
-certificate window and a census window past the table's cap sieve their
-own taus and trial-divide for least primes.
+the walk also checks m's exact tau, the length of its divisor list) -> a
+walk reading the survivors one at a time with bytes.find, none past a first
+hit -> the end-gap rules, from m's least prime -> m's divisor list ->
+pairs.check_interlock_divisors.  A census shares one arith.FactorTable
+across all its n: byte taus, least primes and a bounded memo of divisor
+lists.  A lone partner window, a pow2 certificate window and a census
+window past the table's cap sieve their own taus and trial-divide for least
+primes.
 
 With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
 of scanning their window (pow2_partners).  By the parity and gap argument
@@ -72,7 +73,7 @@ from collections import namedtuple
 from functools import partial
 from itertools import chain
 
-from .arith import FactorTable, _tau_bytes, divisors, next_prime, smallest_prime_divisor, tau
+from .arith import FactorTable, _tau_bytes, divisors, next_prime, smallest_prime_divisor
 from .pairs import check_interlock, check_interlock_divisors
 
 # Largest tau segment a scan sieves at once, in entries.
@@ -224,11 +225,11 @@ def scan_range(
     while start <= hi:
         end = min(start + step * (size - 1), hi)
         if table is not None and table.cover(end):
-            least_prime, tau_of = table.lpf.__getitem__, table.tau.__getitem__
-            divisors_of, taus = table.divisors, table.tau_bytes[start : end + 1 : step]
+            least_prime, divisors_of = table.lpf.__getitem__, table.divisors
+            taus = table.tau_bytes[start : end + 1 : step]
         else:
-            least_prime, divisors_of, tau_of = smallest_prime_divisor, divisors, tau
-            taus = _tau_bytes(start, end, step)[0] if prune else None
+            least_prime, divisors_of = smallest_prime_divisor, divisors
+            taus = _tau_bytes(start, end, step) if prune else None
         if prune:  # the tau and parity mask, ANDed with the gap rule's marks
             k = len(range(start, min(end + 1, n), step))  # the m below n
             mask = taus[:k].translate(keep[0]) + taus[k:].translate(keep[1])
@@ -240,12 +241,15 @@ def scan_range(
         i = mask.find(1)  # the walk: one survivor at a time
         while i >= 0:
             m, i = start + step * i, mask.find(1, i + 1)
-            if (skip_self and m == n) or (exact and tau_of(m) not in (below if m < n else above)):
+            if skip_self and m == n:
+                continue
+            divs = divisors_of(m) if exact else None  # its length is m's exact tau
+            if exact and len(divs) not in (below if m < n else above):
                 continue
             passed += 1
             if prune and not _end_gaps_allow(m, n, div_n, least_prime):
                 continue
-            if check_interlock_divisors(divisors_of(m), div_n):
+            if check_interlock_divisors(divs or divisors_of(m), div_n):
                 partners.append(m)
                 if not cfg.report_all_partners:
                     return ChunkScan((m,), passed)

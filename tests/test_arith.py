@@ -19,7 +19,6 @@ from interlock.arith import (
     check_divisor_caps,
     decimal_int,
     decimal_text,
-    divisor_count_range,
     divisors,
     divisors_from_factorization,
     factorize,
@@ -266,13 +265,14 @@ def test_first_primes():
 
 
 def test_divisor_count_range():
-    taus = tau_table(20_000)
+    # The window sieve's byte taus, min(tau(m), 255), against a tau table.
+    taus = bytes(min(t, 255) for t in tau_table(20_000))
 
     def check(lo, hi):
-        assert divisor_count_range(lo, hi) == taus[lo : hi + 1], (lo, hi)
+        assert arith._tau_bytes(lo, hi, 1) == taus[lo : hi + 1], (lo, hi)
         odd = lo | 1
         if odd <= hi:
-            assert divisor_count_range(odd, hi, 2) == taus[odd : hi + 1 : 2], (odd, hi)
+            assert arith._tau_bytes(odd, hi, 2) == taus[odd : hi + 1 : 2], (odd, hi)
 
     check(1000, 2000)
     rng = random.Random(4)
@@ -287,21 +287,19 @@ def test_divisor_count_range():
         below = max(1, sq - 50)
         for lo, hi in ((sq, sq), (sq, sq + 50), (below, sq), (below, sq + 50)):
             check(lo, hi)
-    assert divisor_count_range(1, 1) == divisor_count_range(1, 1, 2) == [1]
-    assert divisor_count_range(9, 9, 2) == [3]
-    bad = ((5, 4, 1), (5, 4, 2), (0, 4, 1), (4, 9, 2), (2, 2, 2), (1, 5, 3))
-    for lo, hi, step in bad:
-        with pytest.raises(ValueError):
-            divisor_count_range(lo, hi, step)
+    assert arith._tau_bytes(1, 1, 1) == arith._tau_bytes(1, 1, 2) == b"\x01"
+    assert arith._tau_bytes(9, 9, 2) == b"\x03"
 
 
 def test_divisor_count_range_carries_bytes_that_wrap():
-    # The sieve counts in bytes; a count that passes 255 must carry.
-    # tau(1,081,080) = 256 is the first; 43,648,605 is the least odd m with
-    # tau(m) >= 256; tau(735,134,400) = 1,344 wraps five times; and
-    # tau(4620^2) = tau(45045^2) = 405, a square whose own count wraps.
+    # The sieve counts in bytes that saturate at 255 and must not wrap.
+    # tau(1,081,080) = 256 is the first tau past 255; 43,648,605 is the least
+    # odd m with tau(m) >= 256; tau(735,134,400) = 1,344 would wrap a byte
+    # five times; and tau(4620^2) = tau(45045^2) = 405, a square whose count
+    # already reads 255 when its own 1 arrives.
     def check(lo, hi, step):
-        assert divisor_count_range(lo, hi, step) == [tau(m) for m in range(lo, hi + 1, step)]
+        clipped = bytes(min(tau(m), 255) for m in range(lo, hi + 1, step))
+        assert arith._tau_bytes(lo, hi, step) == clipped, (lo, hi, step)
 
     for c in (1_081_080, 2_162_160, 3_603_600, 43_648_605, 735_134_400):
         check(c - 400, c + 400, 1)
@@ -312,16 +310,16 @@ def test_divisor_count_range_carries_bytes_that_wrap():
             check(lo, hi, 1)
             if sq % 2:
                 check(lo | 1, hi, 2)
-    assert divisor_count_range(1_081_080, 1_081_080) == [256]
-    assert divisor_count_range(735_134_400, 735_134_400) == [1344]
-    assert divisor_count_range(4620**2 - 1, 4620**2)[1] == 405
+    assert tau(1_081_080) == 256 and arith._tau_bytes(1_081_080, 1_081_080, 1) == b"\xff"
+    assert tau(735_134_400) == 1344 and arith._tau_bytes(735_134_400, 735_134_400, 1) == b"\xff"
+    assert tau(4620**2) == 405 and arith._tau_bytes(4620**2 - 1, 4620**2, 1)[1] == 255
 
 
 def test_factor_table_reads_the_first_tau_past_255():
     table = FactorTable()
     assert table.cover(1_081_080)
-    assert table.tau[1_081_080] == 256 and table.tau[1_081_079] == tau(1_081_079)
-    assert max(table.tau) == 256
+    assert table.tau_bytes[1_081_080] == 255 and table.tau_bytes[1_081_079] == tau(1_081_079)
+    assert table.tau_bytes.index(255) == 1_081_080 and len(table.divisors(1_081_080)) == 256
 
 
 def test_factorize_exact_below_50000_and_at_the_trial_bound():
@@ -349,7 +347,7 @@ def check_factor_table(table: FactorTable, taus) -> None:
     """table's tau and least primes against a tau table and trial division,
     for every m it holds."""
     size = table.size
-    assert table.tau.typecode == "H" and list(table.tau) == taus[: size + 1]
+    assert table.tau_bytes == bytes(min(t, 255) for t in taus[: size + 1])
     assert len(table.lpf) == size + 1 and table.lpf[1] == 1
     for m in range(2, size + 1):
         assert table.lpf[m] == smallest_prime_divisor(m), m
@@ -370,6 +368,16 @@ def test_factor_table_against_the_oracles():
         assert table.cover(hi) and table.size == size, hi
         check_factor_table(table, taus)
     assert table.factorize(1) == () and table.factorize(2) == ((2, 1),)
+
+
+def test_a_factor_table_holds_two_arrays_an_entry():
+    # A byte tau and a 4-byte least prime for each m, 5 bytes an entry: a
+    # second copy of tau, in any form, would be a third per-entry array.
+    table = FactorTable()
+    assert table.cover(3 * PIECE) and table.divisors(2520)
+    arrays = {k: len(v) for k, v in vars(table).items() if isinstance(v, (array, bytearray, bytes, list))}
+    assert arrays == {"tau_bytes": table.size + 1, "lpf": table.size + 1}
+    assert type(table.tau_bytes) is bytearray and table.lpf.typecode == "I"
 
 
 def test_factor_table_never_grows_past_its_cap(monkeypatch):

@@ -332,12 +332,12 @@ def test_tau_mask_is_exact_where_byte_taus_wrap():
     # from the table's clipped bytes and from the segment sieve alike.
     factors = FactorTable()
     assert factors.cover(2_163_000)
-    clipped = bytes(min(t, 255) for t in factors.tau)
-    assert factors.tau_bytes == clipped and max(factors.tau) == 320
     taus = TauOf()
+    assert taus[1_081_080] == 256 and taus[2_162_160] == 320
     for c in (1_081_080, 2_162_160):
         lo, hi = c - 1500, c + 1500
-        assert arith._tau_bytes(lo, hi, 1)[0] == clipped[lo : hi + 1]
+        clipped = bytes(min(taus[m], 255) for m in range(lo, hi + 1))
+        assert factors.tau_bytes[lo : hi + 1] == arith._tau_bytes(lo, hi, 1) == clipped
         for n in (1, 7, 1024, 255_255, 43_648_605):  # tau 1, 2, 11, 64, 256
             scan = scan_range(n, lo, hi, ALL)
             assert scan == scan_range(n, lo, hi, ALL, table=factors), (c, n)
@@ -357,15 +357,6 @@ def test_an_n_with_tau_past_253_filters_by_exact_taus():
     assert scan_range(n, lo, hi, SearchConfig()).passed <= scan.passed
 
 
-class NoTau:
-    """Stands in for tau and FactorTable.tau where no tau may be looked up."""
-
-    def __call__(self, m):
-        raise AssertionError(f"tau({m}) looked up")
-
-    __getitem__ = __call__
-
-
 @pytest.mark.parametrize(
     "n, lo, hi",
     [
@@ -374,16 +365,14 @@ class NoTau:
         (43_648_605, 4_000_000, 4_000_400),
     ],
 )
-def test_unpruned_scan_of_an_n_with_tau_past_253_tests_every_m(monkeypatch, n, lo, hi):
+def test_unpruned_scan_of_an_n_with_tau_past_253_tests_every_m(n, lo, hi):
     # tau 256, 320 and 256: --no-prune is the oracle for every filter, the
-    # exact tau check too, so it tests each m in the window but n and looks
-    # up no tau, with the table and without it.
+    # exact tau check too, so it tests each m in the window but n, with the
+    # table and without it; a tau filter that ran would lower the count.
     factors = FactorTable()
     assert factors.cover(hi)
     raw = SearchConfig(prune=False, report_all_partners=True)
     expected = tuple(m for m in range(lo, hi + 1) if m != n and check_interlock(m, n).verdict)
-    monkeypatch.setattr(separability, "tau", NoTau())
-    monkeypatch.setattr(factors, "tau", NoTau())
     for table in (None, factors):
         scan = scan_range(n, lo, hi, raw, table=table)
         assert scan == ChunkScan(expected, len(range(lo, hi + 1)) - (lo <= n <= hi)), (n, table)
