@@ -471,9 +471,13 @@ def load_census_cache(
 ) -> dict[int, SeparabilityResult]:
     """Rows cached under cfg.  A missing file, a file written under another
     config, one without a header (older code), or one with a row that does
-    not parse or a partner outside its n's partner_window or not interlocking
-    with n gives an empty cache; the next write replaces the file.  A row with
-    no partner is served unchecked: no cheap check shows that n has none."""
+    not parse gives an empty cache; so does a row whose n is below 1, whose
+    degenerate is not tau(n) <= 2, whose separable is not degenerate or a
+    partner listed, whose bound is not the top of n's partner_window, or
+    with a partner outside that window or not interlocking with n.  The next
+    write replaces the file.  A row with no partner is served without a
+    scan, so its n is not proven partnerless: no cheap check shows that n
+    has none."""
     if not os.path.exists(path):
         return {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -481,11 +485,14 @@ def load_census_cache(
             if fh.readline().strip() != _cache_header(cfg):
                 return {}
             rows = [record_to_result(json.loads(line)) for line in fh if line.strip()]
-            for n, partners in ((r.n, r.partners) for r in rows if r.partners):
-                div_n = divisors(n)
-                lo, hi, _ = partner_window(n, cfg, div_n)
-                if not all(lo <= m <= hi and check_interlock(m, n, None, div_n).verdict
-                           for m in partners):
+            for n, separable, degenerate, partners, bound, _ in rows:
+                div_n = divisors(n)  # ValueError for n < 1
+                lo, hi, window_degenerate = partner_window(n, cfg, div_n)
+                if (degenerate != window_degenerate or bound != hi
+                        or separable != (degenerate or bool(partners))
+                        or not all(lo <= m <= hi
+                                   and check_interlock(m, n, None, div_n).verdict
+                                   for m in partners)):
                     return {}
         except (ValueError, KeyError, TypeError):  # a damaged file
             return {}

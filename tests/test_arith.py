@@ -264,7 +264,7 @@ def test_first_primes():
     assert first_primes(5) == (2, 3, 5, 7, 11)
 
 
-def test_divisor_count_range():
+def test_tau_bytes_match_a_tau_table():
     # The window sieve's byte taus, min(tau(m), 255), against a tau table.
     taus = bytes(min(t, 255) for t in tau_table(20_000))
 
@@ -291,7 +291,7 @@ def test_divisor_count_range():
     assert arith._tau_bytes(9, 9, 2) == b"\x03"
 
 
-def test_divisor_count_range_carries_bytes_that_wrap():
+def test_tau_bytes_saturate_where_taus_pass_255():
     # The sieve counts in bytes that saturate at 255 and must not wrap.
     # tau(1,081,080) = 256 is the first tau past 255; 43,648,605 is the least
     # odd m with tau(m) >= 256; tau(735,134,400) = 1,344 would wrap a byte

@@ -40,6 +40,9 @@ def test_check_false_exit_one(capsys):
     assert code == 1
     assert rec["result"]["verdict"] is False
     assert rec["result"]["witness"]["lower"] == 2
+    code, rec = invoke(capsys, "--jsonl", "check", "6", "10")
+    assert code == 1
+    assert rec["result"]["witness"] == {"kind": "gap", "side": "first", "lower": 2, "upper": 3}
 
 
 def test_check_zero_input_usage_error(capsys):
@@ -59,6 +62,8 @@ def test_partner_payloads(capsys):
     code, rec = invoke(capsys, "--jsonl", "partner", "1", "--bound", "10")
     assert code == 0
     assert rec["result"]["partners"] == [] and rec["result"]["search_bound"] == 1
+    code, rec = invoke(capsys, "--jsonl", "partner", "720720")  # the empty gap (2, 3)
+    assert code == 1 and rec["result"]["candidates_tested"] == 0
 
 
 def test_partner_jobs_determinism(capsys):
@@ -449,6 +454,9 @@ def test_construct_over_the_divisor_cap_is_a_usage_error(capsys):
         "error": "usage",
         "message": "divisors: value has 2000192 divisors, above the 2000000 cap",
     }
+    for k in ("1033216", "1024003072"):  # past the bit cap, and far past the divisor cap
+        code, rec = invoke(capsys, "--jsonl", "construct", "--k", k, "--t", "10")
+        assert code == 2 and rec["result"]["error"] == "usage", k
 
 
 def test_pow2_rejects_negative_k(capsys):
@@ -620,6 +628,11 @@ def test_census_cache_and_determinism(tmp_path, capsys):
     code, par = invoke(capsys, "--jsonl", "census", "--max", "40", "--jobs", "3")
     assert par["result"]["rows"] == cold["result"]["rows"]
     assert cold["result"]["separable_count"] == par["result"]["separable_count"]
+    _, pruned = invoke(capsys, "--jsonl", "census", "--max", "500")
+    _, unpruned = invoke(capsys, "--jsonl", "census", "--max", "500", "--no-prune")
+    pruned, unpruned = ([(r["n"], r["separable"], r["degenerate"], r["partners"])
+                         for r in rec["result"]["rows"]] for rec in (pruned, unpruned))
+    assert len(pruned) == 500 and pruned == unpruned
 
 
 def test_census_cache_is_not_served_across_configs(tmp_path, capsys):
@@ -699,6 +712,8 @@ def test_census_reads_and_rechecks_the_cache_once(tmp_path, capsys, monkeypatch)
     # check only pairs with those n
     assert sorted(c for c in checks if c[1] <= 20) == sorted(partners)
     assert scanned and min(n for _, n in scanned) > 20
+    _, uncached = invoke(capsys, "--jsonl", "--jobs", "1", "census", "--max", "40")
+    assert rec["result"]["rows"] == uncached["result"]["rows"]
 
 
 def test_census_recompute_keeps_the_rows_above_its_max(tmp_path, capsys):
@@ -717,8 +732,13 @@ def test_census_recompute_keeps_the_rows_above_its_max(tmp_path, capsys):
     [
         lambda text: text[: text.rindex("}")],  # the last row cut short
         lambda text: text.replace(', "tested": 0', "", 1),  # a row lacks a field
+        lambda text: text + text.splitlines()[1].replace('"n": 1', '"n": 0') + "\n",
+        lambda text: text.replace('[3], "separable": true', '[3], "separable": false'),
+        lambda text: text.replace('"degenerate": true, "n": 3', '"degenerate": false, "n": 3'),
+        lambda text: text.replace('"bound": 16,', '"bound": 17,'),  # n = 4's window is [3, 16]
     ],
-    ids=["truncated-row", "missing-field"],
+    ids=["truncated-row", "missing-field", "n-below-one", "separable-despite-a-partner",
+         "prime-not-degenerate", "bound-off-the-window"],
 )
 def test_damaged_census_cache_is_recomputed(tmp_path, capsys, damage):
     cache = tmp_path / "census.jsonl"
@@ -767,12 +787,23 @@ def test_census_cache_rows_with_bad_partners_are_recomputed(tmp_path, capsys, n,
 
 
 def test_jobs_do_not_change_scan_payloads(capsys):
-    commands = [("pow2", "--k", k) for k in ("9", "10", "11", "12", "13", "14")]
-    commands.append(("partner", "524288", "--bound", "524288"))
-    for command in commands:
-        _, serial = invoke(capsys, "--jsonl", "--jobs", "1", *command)
-        _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", *command)
-        assert strip_volatile(serial) == strip_volatile(pooled), command
+    # Exit codes.  --jobs 2 starts real pools for census 1200 (_MIN_POOL_CENSUS),
+    # pow2 --k 21 and 43648605's window (_MIN_POOL_WINDOW).
+    exact = "partner 43648605 --all --bound 20000000"
+    commands = {f"pow2 --k {k}": 0 for k in (9, 10, 11, 12, 13, 14, 21, 40)}
+    commands.update({"partner 524288 --bound 524288": 1, exact: 1, "partner 16777217": 0,
+                     "partner 67108865": 0, "census --max 40": 0, "census --max 1200": 0})
+    results = {}
+    for command, code in commands.items():
+        serial = invoke(capsys, "--jsonl", "--jobs", "1", *command.split())
+        pooled = invoke(capsys, "--jsonl", "--jobs", "2", *command.split())
+        assert serial[0] == pooled[0] == code, command
+        assert strip_volatile(serial[1]) == strip_volatile(pooled[1]), command
+        results[command] = serial[1]["result"]
+    assert results["partner 67108865"]["partners"] == [19191826]
+    assert results[exact]["partners"] == [] and results[exact]["candidates_tested"] == 15
+    assert results["pow2 --k 21"]["report"]["confirmed"] is True
+    assert results["pow2 --k 40"]["result"]["partners"] == [1007730662631]
 
 
 def test_census_accounting_contract(capsys):
@@ -795,6 +826,8 @@ def test_big_integers_cross_as_strings(capsys):
     # every big value in levels is a decimal string round-trippable to int
     for level in rec["result"]["plan"]["levels"]:
         assert int(level["pow2"]) and int(level["prime"])
+    code, rec = invoke(capsys, "--jsonl", "construct", "--k", "1024", "--t", "10")
+    assert code == 0 and rec["result"]["verification"]["verified"] is True
 
 
 def test_inputs_echo(capsys):
