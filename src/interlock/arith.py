@@ -5,8 +5,9 @@ size (the partner construction routinely produces 2^128-scale numbers).
 A factorization is an ascending tuple of (prime, exponent) pairs; a divisor
 list is the full ascending tuple of divisors, starting at 1, built afresh on
 each call: callers testing many pairs against one n compute it once.
-The module holds no mutable state: factorize trial-divides by a fixed tuple
-of the primes below 2^16 and hands a larger cofactor to Pollard rho.  A
+factorize trial-divides by the primes below 2^16, a tuple built the first
+time a factorization needs one past 251 (until then, those below 2^8), and
+hands a larger cofactor to Pollard rho; that tuple is the module's one state.  A
 caller that needs tau, least primes and divisor lists of many small m
 builds its own FactorTable, up to the largest m asked for so far, never
 past FACTOR_TABLE_CAP (5 bytes an entry, 20 MB at the cap).  Its taus,
@@ -197,8 +198,19 @@ def _primes_below(limit: int) -> tuple[int, ...]:
     return (2, *compress(range(1, limit, 2), flags))
 
 
-# factorize's trial divisors: every prime below 2^16, built once at import.
-_TRIAL_PRIMES = _primes_below(1 << 16)
+# factorize's trial divisors: the primes below 2^8, then every prime below
+# 2^16 from the first call that needs one past 251 (_grow_trial_primes).
+_TRIAL_PRIMES = _primes_below(1 << 8)
+
+
+def _grow_trial_primes(root: int) -> bool:
+    """Build every prime below 2^16 into _TRIAL_PRIMES, once, if trial
+    division up to root needs one past 251; True if this call built them."""
+    global _TRIAL_PRIMES
+    if root <= 251 or _TRIAL_PRIMES[-1] > 251:
+        return False
+    _TRIAL_PRIMES = _primes_below(1 << 16)
+    return True
 
 
 def _pollard_rho(n: int) -> int:
@@ -244,6 +256,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             fac.append((p, e))
             root = isqrt(n)
     else:
+        if _grow_trial_primes(root):
+            return (*fac, *factorize(n))  # n has no prime factor below 2^8
         tail: dict[int, int] = {}
         stack = [n] if n > 1 else []  # the last table prime can leave 1
         while stack:
@@ -325,7 +339,7 @@ def smallest_prime_divisor(n: int) -> int:
             return n
         if n % p == 0:
             return p
-    return factorize(n)[0][0]  # no prime factor below 2^16
+    return factorize(n)[0][0]  # no prime factor in the table
 
 
 def first_primes(k: int) -> tuple[int, ...]:
@@ -406,6 +420,7 @@ class FactorTable:
         # [lo, hi] piece at a time.
         from array import array
 
+        _grow_trial_primes(isqrt(size))
         for lo in range(self.size + 1, size + 1, _TABLE_PIECE):
             hi = min(lo + _TABLE_PIECE - 1, size)
             self.tau_bytes += _tau_bytes(lo, hi, 1)

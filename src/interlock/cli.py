@@ -18,8 +18,11 @@ collections.namedtuple class: loading dataclasses takes about 8 ms
 fractions are imported only by the values that need them, and the commands
 that compare with logs and exponentials (construct, s-member, s-count) do
 it in precision's integer enclosures, not in mpmath, which takes 35 ms or
-more to load.  main, not run, freezes the heap (gc.freeze) before it exits,
-so the interpreter's collections at exit skip it.
+more to load.  run builds the parser of the invoked subcommand alone
+(_command_of), and the full one only for --help, --version, an unknown
+command or an argv it cannot read the command from.  main, not run, freezes
+the heap (gc.freeze) before it exits, so the interpreter's collections at
+exit skip it.
 
 primorial --table writes its human-readable table to stderr, so stdout
 still holds the one record.
@@ -345,100 +348,100 @@ def _add_common_flags(p: argparse.ArgumentParser, top: bool = False) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs):
+    return flags, kwargs
+
+
+def _int(*flags, **kwargs):
+    return flags, {"type": int, **kwargs}
+
+
+def _flag(*flags, **kwargs):
+    return flags, {"action": "store_true", **kwargs}
+
+
+# Each subcommand: (help, its arguments as (flags, add_argument kwargs)); its
+# handler is _cmd_<name>, with "-" as "_".
+_COMMANDS = {
+    "check": ("interlock verdict and merged trace", (
+        _int("m"), _int("n"),
+        _flag("--alternation", help="use the merge-alternation decider (coprime inputs)"),
+    )),
+    "partner": ("search the proven window for partners", (
+        _int("n"),
+        _flag("--all", help="report every partner"),
+        _int("--bound", help="override the window top"),
+        _flag("--no-prune", help="disable all pruning"),
+    )),
+    "census": ("separability of every n <= max", (
+        _int("--max", required=True),
+        _arg("--cache", help="JSONL cache path"),
+        _flag("--recompute", help="ignore cached rows"),
+        _flag("--no-prune"),
+        _flag("--all", help="report every partner per n"),
+    )),
+    "pow2": ("2^k: exhaustive non-separability verification in the proven residue "
+             "classes, partner search otherwise", (_int("--k", required=True),)),
+    "construct": ("build and verify a 2^k partner plan", (
+        _int("--k"), _int("--t"),
+        _flag("--verify-direct", help="force the full interlock cross-check"),
+        _arg("--save", help="write plan JSON here"),
+        _arg("--load", help="re-verify a saved plan"),
+        _int("--budget-bits", default=1024, help="largest 2^bits allowed in the next-prime search"),
+    )),
+    "s-member": ("bounded-divisor-jump membership", (
+        _int("n"), _int("--t"), _arg("--C", help="direct threshold (rational)"),
+    )),
+    "s-count": ("count members up to a bound", (
+        _int("--max", required=True), _int("--t"), _arg("--C"),
+    )),
+    "gaps": ("count n <= x with no divisor in [y, z]", (
+        _int("--x", required=True), _int("--y", required=True), _int("--z", required=True),
+    )),
+    "primorial": ("interlocking splits of the first k primes", (
+        _int("--k", required=True),
+        _flag("--consensus", help="per-prime placement consensus and forced chain"),
+        _flag("--table", help="human-readable table on stderr"),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, or with a command, one that builds only that
+    subcommand's parser: its usage line still names every subcommand, so its
+    parses, usage errors and help for that command are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="interlock",
         description="Interlocking divisor pairs: checks, searches, constructions.",
     )
     _add_common_flags(parser, top=True)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         _add_common_flags(p)
-        return p
-
-    p = add_parser("check", help="interlock verdict and merged trace")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument(
-        "--alternation",
-        action="store_true",
-        help="use the merge-alternation decider (coprime inputs)",
-    )
-    p.set_defaults(fn=_cmd_check)
-
-    p = add_parser("partner", help="search the proven window for partners")
-    p.add_argument("n", type=int)
-    p.add_argument("--all", action="store_true", help="report every partner")
-    p.add_argument("--bound", type=int, default=None, help="override the window top")
-    p.add_argument("--no-prune", action="store_true", help="disable all pruning")
-    p.set_defaults(fn=_cmd_partner)
-
-    p = add_parser("census", help="separability of every n <= max")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--cache", type=str, default=None, help="JSONL cache path")
-    p.add_argument("--recompute", action="store_true", help="ignore cached rows")
-    p.add_argument("--no-prune", action="store_true")
-    p.add_argument("--all", action="store_true", help="report every partner per n")
-    p.set_defaults(fn=_cmd_census)
-
-    p = add_parser(
-        "pow2",
-        help="2^k: exhaustive non-separability verification in the proven "
-        "residue classes, partner search otherwise",
-    )
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=_cmd_pow2)
-
-    p = add_parser("construct", help="build and verify a 2^k partner plan")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument(
-        "--verify-direct",
-        action="store_true",
-        help="force the full interlock cross-check",
-    )
-    p.add_argument("--save", type=str, default=None, help="write plan JSON here")
-    p.add_argument("--load", type=str, default=None, help="re-verify a saved plan")
-    p.add_argument(
-        "--budget-bits",
-        type=int,
-        default=1024,
-        help="largest 2^bits allowed in the next-prime search",
-    )
-    p.set_defaults(fn=_cmd_construct)
-
-    p = add_parser("s-member", help="bounded-divisor-jump membership")
-    p.add_argument("n", type=int)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--C", type=str, default=None, help="direct threshold (rational)")
-    p.set_defaults(fn=_cmd_s_member)
-
-    p = add_parser("s-count", help="count members up to a bound")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--C", type=str, default=None)
-    p.set_defaults(fn=_cmd_s_count)
-
-    p = add_parser("gaps", help="count n <= x with no divisor in [y, z]")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--y", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.set_defaults(fn=_cmd_gaps)
-
-    p = add_parser("primorial", help="interlocking splits of the first k primes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument(
-        "--consensus",
-        action="store_true",
-        help="per-prime placement consensus and forced chain",
-    )
-    p.add_argument("--table", action="store_true", help="human-readable table on stderr")
-    p.set_defaults(fn=_cmd_primorial)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=globals()["_cmd_" + name.replace("-", "_")])
     return parser
+
+
+def _command_of(argv) -> str | None:
+    """The subcommand argv names, if only --jsonl and --jobs N (or their
+    abbreviations) come before it; else None, for the full parser (--help,
+    --version, an unknown or missing command, anything unusual)."""
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("--js") and "--jsonl".startswith(token):
+            continue
+        if token.startswith("--jo") and "--jobs".startswith(token.partition("=")[0]):
+            if "=" not in token and next(tokens, "-").startswith("-"):
+                return None  # no value, or one argparse may not read as one
+            continue
+        return token if token in _COMMANDS else None
+    return None
 
 
 def _inputs_echo(args) -> dict:
@@ -461,8 +464,8 @@ def _error_kind(exc: Exception):
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(_command_of(argv)).parse_args(argv)
     started = time.perf_counter()
     stream = sys.stdout
     try:

@@ -383,7 +383,7 @@ def partner_window(n: int, cfg: SearchConfig, div_n=None) -> tuple[int, int, boo
 
 
 def find_partner(
-    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_range
+    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_range, div_n=None
 ) -> SeparabilityResult:
     """Ascending search for interlocking partners of n inside the proven
     window.  Returns the first partner unless cfg.report_all_partners; an
@@ -392,9 +392,9 @@ def find_partner(
     to the window's top, and candidates_tested counts its complete
     placements; every other n, and every n under --no-prune, takes
     scan(n, lo, hi, cfg, div_n) -> (partners, tested), the window scan,
-    with n's divisor list div_n, built once here for the window and the scan.
+    with n's divisor list div_n (built here if not given) for the window and the scan.
     """
-    div_n = divisors(n) if n >= 1 else None  # partner_window refuses n < 1
+    div_n = divisors(n) if div_n is None and n >= 1 else div_n  # partner_window refuses n < 1
     lo, hi, degenerate = partner_window(n, cfg, div_n)
     if cfg.prune and n >= 8 and n & (n - 1) == 0:
         partners, tested = pow2_partners(n.bit_length() - 1, hi, cfg.report_all_partners)
@@ -412,9 +412,11 @@ def find_partner(
 
 def census_batch(ns, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
     """find_partner(n, cfg) for each n of ns, in order, with every scan reading
-    tau and least primes from one FactorTable."""
-    scan = partial(scan_range, table=FactorTable())
-    return [find_partner(n, cfg, scan) for n in ns]
+    tau and least primes from one FactorTable, which also gives n's divisor
+    list (factorize gives it above the table's cap)."""
+    table = FactorTable()
+    scan = partial(scan_range, table=table)
+    return [find_partner(n, cfg, scan, table.divisors(n) if table.cover(n) else None) for n in ns]
 
 
 def census(x: int, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:

@@ -328,7 +328,6 @@ def test_factorize_exact_below_50000_and_at_the_trial_bound():
     # Around 2^16, where trial division by the prime table stops: the early
     # break (p^2 > n), the table running out with 1, a prime or a composite
     # left, and Pollard rho on factors above 2^16.
-    assert arith._TRIAL_PRIMES[-1] == 65521 and next_prime(65521) == 65537
     edges = {
         65521**2: ((65521, 2),),
         65521 * 65537: ((65521, 1), (65537, 1)),
@@ -341,6 +340,30 @@ def test_factorize_exact_below_50000_and_at_the_trial_bound():
     }
     for n, fac in edges.items():
         assert factorize(n) == fac, n
+
+
+def test_the_trial_primes_past_251_are_built_once_on_first_need(monkeypatch):
+    small, full = arith._primes_below(1 << 8), arith._primes_below(1 << 16)
+    built = []
+    monkeypatch.setattr(arith, "_primes_below", lambda limit: built.append(limit) or full)
+    first_needs = (
+        lambda: factorize(257 * 263) == ((257, 1), (263, 1)),
+        lambda: smallest_prime_divisor(65521 * 65537) == 65521,
+        lambda: FactorTable().cover(1 << 16),  # isqrt(2^16) = 256 > 251
+    )
+    for first_need in first_needs:
+        monkeypatch.setattr(arith, "_TRIAL_PRIMES", small)
+        built.clear()
+        # Inside the small tier: primes up to 251, a prime cofactor below
+        # 257^2 (63,029 = 251 * 251 + 28), and tables up to isqrt 251.
+        assert factorize(2**10 * 241 * 251**2) == ((2, 10), (241, 1), (251, 2))
+        assert factorize(63029) == ((63029, 1),) and smallest_prime_divisor(63029) == 63029
+        assert FactorTable().cover(3 * PIECE) and built == []
+        assert first_need() and built == [1 << 16]
+        assert all(f() for f in first_needs) and factorize(65521**2) == ((65521, 2),)
+        assert built == [1 << 16] and arith._TRIAL_PRIMES is full
+    assert arith._TRIAL_PRIMES[-1] == 65521 and next_prime(65521) == 65537
+    assert len(full) == 6542 and small[-1] == 251 and full[: len(small)] == small
 
 
 def check_factor_table(table: FactorTable, taus) -> None:

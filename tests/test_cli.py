@@ -2,6 +2,7 @@
 the census cache."""
 
 import json
+import re
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 
@@ -601,6 +602,59 @@ def test_unexpected_errors_propagate(capsys, monkeypatch, error):
         run(["--jsonl", "check", "6", "7"])
     out = capsys.readouterr()
     assert out.out == "" and out.err == ""
+
+
+# Argument vectors the one-command parser must read exactly as the full
+# parser: every subcommand, the global flags before and after it, their
+# abbreviations, negative integers, "--", help and usage errors.
+PARSE_CORPUS = [
+    "check 6 10", "--jsonl check 6 10 --alternation", "check 6 10 --jobs 2 --jsonl",
+    "--jobs 2 partner 64 --all", "--jobs=2 partner 64 --bound 100 --no-prune",
+    "partner 64 --jobs=3", "--js --job 2 census --max 30", "--jo=1 census --max 30 --cache c",
+    "census --max 30 --recompute --no-prune --all --js", "pow2 --k 14", "--jsonl pow2 --k=-1",
+    "construct --k 96 --t 5 --verify-direct --save p --budget-bits 64", "construct --load p",
+    "s-member 148 --t 5", "s-member -148 --C 5/2", "s-count --max 100 --C 5", "s-count --max 10 --t 4",
+    "gaps --x 30 --y 3 --z 5", "primorial --k 6 --consensus --table", "check -6 10",
+    "check -- -6 10", "--jobs -1 check 6 10", "--jobs 2 -- check 6 10", "partner -- 64",
+    "census -h", "pow2 --help", "check 6", "check 6 10 --foo", "check 6 10 --j", "--jobs x check 6 10",
+    "--jobs=x check 6 10", "census", "pow2 --k", "pow2 --k x", "census --max 5 --cache",
+    "--jobs", "--js", "--help", "-h check 6 10", "--version", "--version check 6 10", "bogus",
+    "--jsonl=1 check 6 10", "check 6 10 --version", "",
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """vars(args) of a parse, or (exit code, stdout, stderr) of one that exits."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as done:
+        out = capsys.readouterr()
+        return done.code, out.out, out.err
+
+
+def test_the_one_command_parser_parses_as_the_full_parser(capsys):
+    full_only = []
+    for text in PARSE_CORPUS:
+        argv, command = text.split(), cli._command_of(text.split())
+        full = parse_outcome(cli.build_parser(), argv, capsys)
+        assert parse_outcome(cli.build_parser(command), argv, capsys) == full, argv
+        if command is None:
+            full_only.append(text)
+    assert full_only == [
+        "--jobs -1 check 6 10", "--jobs 2 -- check 6 10", "--jobs", "--js", "--help",
+        "-h check 6 10", "--version", "--version check 6 10", "bogus", "--jsonl=1 check 6 10", "",
+    ]
+
+
+def test_help_and_an_unknown_command_name_every_subcommand(capsys):
+    names = "check,partner,census,pow2,construct,s-member,s-count,gaps,primorial"
+    for argv, code in ((["--help"], 0), (["bogus"], 2)):
+        with pytest.raises(SystemExit) as done:
+            run(argv)
+        out = capsys.readouterr()
+        assert done.value.code == code and "{" + names + "}" in out.out + out.err
+        if code == 0:  # and --help gives each its own line
+            assert re.findall(r"^    (\S+) +\S", out.out, re.M) == names.split(",")
 
 
 def test_census_rejects_max_below_one(capsys):

@@ -99,6 +99,18 @@ def test_cli_import_without_site_leaves_pathlib_out():
     assert out.split() == ["False"]
 
 
+@pytest.mark.parametrize("command, code", [("pow2 --k 14", 0), ("check 6 10", 1)])
+def test_small_commands_never_build_the_trial_primes_past_251(command, code):
+    # As python -m interlock runs it; the primes below 2^8 (54) are all it reads.
+    out = fresh_python(
+        "import runpy, sys; from interlock import arith\n"
+        f"sys.argv[1:] = ['--jsonl', *{command.split()!r}]\n"
+        "try:\n    runpy.run_module('interlock', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as done:\n    print(done.code, len(arith._TRIAL_PRIMES))"
+    )
+    assert out.splitlines()[-1].split() == [str(code), "54"]
+
+
 def test_commands_run_with_mpmath_unimportable(tmp_path):
     # Every real comparison is decided by precision's integer enclosures.
     plan = tmp_path / "plan.json"
