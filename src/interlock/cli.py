@@ -365,7 +365,7 @@ def _flag(*flags, **kwargs):
 _COMMANDS = {
     "check": ("interlock verdict and merged trace", (
         _int("m"), _int("n"),
-        _flag("--alternation", help="use the merge-alternation decider (coprime inputs)"),
+        _flag("--alternation", help="use the merge-alternation decider (agrees unless M = N is prime)"),
     )),
     "partner": ("search the proven window for partners", (
         _int("n"),

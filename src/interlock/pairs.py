@@ -11,10 +11,10 @@ Two deciders are provided.  check_interlock implements the definition
 directly and is the canonical semantics; callers that hold the divisor
 lists (a scanner, or a factorization known by construction) pass them in,
 and check_interlock_divisors gives its verdict alone from those lists.
-check_alternation decides the same
-question for coprime inputs by merging the two divisor lists and requiring
-the sources to alternate strictly; a common divisor > 1 shows up as a tie
-and is reported as a violation instead of being broken arbitrarily.
+check_alternation merges the two divisor lists and requires the sources to
+alternate strictly; a common divisor > 1 shows up as a tie and is reported
+as a violation.  By the alternation lemma (separability), the two agree on
+every m != n; they differ only at m = n prime, a tie against a vacuous pair.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def check_interlock_divisors(div_m, div_n) -> bool:
 
 def check_alternation(m: int, n: int) -> InterlockReport:
     """Decide interlocking by merging divisor lists and requiring strict
-    alternation of sources.  Valid as an interlock test for coprime inputs;
-    a common divisor > 1 yields verdict False with a tie witness.
+    alternation of sources; a common divisor > 1 yields verdict False with
+    a tie witness.  Agrees with check_interlock on every m != n (module doc).
     """
     if m < 1 or n < 1:
         raise ValueError(f"check_alternation: inputs must be >= 1, got ({m}, {n})")

@@ -14,52 +14,57 @@ reported with degenerate = True.
 One scanner, scan_range, tests the candidates of a window in ascending
 order and stops at the first partner unless every partner is asked for; a
 report-all scan split into chunks is merged back by merge_chunk_scans,
-which concatenates and sums.  Candidate pruning inside the window,
-all of it on or off together through the one switch SearchConfig.prune
-(off with the CLI's --no-prune):
+which concatenates and sums.  Candidate pruning inside the window, all of
+it on or off together through SearchConfig.prune (off with --no-prune):
   * gap rule (tau(n) >= 3): every gap (a, b) of n's consecutive divisors
     above 1 holds a divisor of a partner, so only multiples of some c with
     a < c < b are tested, for one gap: an empty one (b = a + 1, as for
     every n with 6 | n), leaving n no partner and no candidate, else the one
     of least ratio b/a, whose multiples have density about ln(b/a).
-  * tau filter: an interlocking pair with distinct smallest prime divisors
-    has |tau(m) - tau(n)| <= 1, so only tau(m) in {tau(n)-1, tau(n),
-    tau(n)+1} is tested.
-  * parity filter (n = 2^k, k >= 2: the pow2 certificates and n = 4): an
-    even partner would need 3 | m to cut the gap (2, 4), leaving consecutive
-    divisors 2, 3 of m with no power of two between them; so only odd m is
-    tested.  The tau filter then becomes position-aware: each gap
-    (2^i, 2^(i+1)) of n holds exactly one divisor of an odd partner m, and
-    at most one divisor of m exceeds 2^k, so tau(m) = k when m < 2^k and
-    tau(m) = k + 1 when m > 2^k.
+  * alternation filter: the taus the lemma below allows; odd m for even n > 2.
   * end-gap rules (tau(m), tau(n) >= 3): each gap of either member,
-    lowest and top included, holds a divisor of the other.  With
-    p < q the least divisors > 1 of n, pm the least prime of m and
-    d3(m) = min(pm^2, m's second prime):
-    1. pm != p, else n's gap (p, q) needs d3(m) < q and m's gap (p, d3(m))
-       needs q < d3(m);
+    lowest and top included, holds a divisor of the other.  With p < q the
+    least divisors > 1 of n, pm the least prime of m, d3(m) = min(pm^2, m's
+    second prime):
+    1. pm != p (gcd(m, n) = 1, by the lemma below);
     2. n's largest divisor below m exceeds m/pm (m's top gap);
     3. m's largest divisor below n (m, or m/pm if m > n > m/pm) exceeds n/p;
     4. p < d3(m) if pm < p (p is n's least divisor above pm), and pm < q
        if p < pm (pm is m's least divisor above p).
-All five prunings, and the window, are cross-validated against a
-pruning-free oracle in the test suite rather than assumed.  A scan runs
-each segment through one pipeline: gap marks (_gap_marks) AND a tau mask,
-bytes.translate of byte taus (255 for any tau >= 255, so at tau(n) >= 254
-the walk also checks m's exact tau, the length of its divisor list) -> a
-walk reading the survivors one at a time with bytes.find, none past a first
-hit -> the end-gap rules, from m's least prime -> m's divisor list ->
-pairs.check_interlock_divisors.  A census shares one arith.FactorTable
-across all its n: byte taus, least primes and a bounded memo of divisor
-lists.  A lone partner window, a pow2 certificate window and a census
-window past the table's cap sieve their own taus and trial-divide for least
-primes.
+All three prunings, and the window, are cross-validated against a
+pruning-free oracle in the test suite rather than assumed.
+
+The alternation lemma.  Let tau(n) >= 3, m != n interlock with n, and p,
+q, pm be as in the end-gap rules; divisors and gaps are those above 1.  Each
+gap of n holds exactly one divisor of m (two would leave a gap of m with no
+divisor of n inside), and each gap of m one of n.  No d > 1 divides both:
+if d > p, the one divisor of m in n's gap just below d and d itself are
+consecutive divisors of m whose gap holds no divisor of n; if d = p, so are
+p and the one divisor of m in (p, q).  So gcd(m, n) = 1, the merged divisors
+strictly alternate, and counting the two ends (m's comes first iff pm < p,
+last iff m > n) gives tau(m) - tau(n) = [pm < p] + [m > n] - 1.  So below n
+tau(m) is tau(n) - 1 or tau(n), above it tau(n) or tau(n) + 1, the second
+only if pm < p, which no even n allows, and every partner of an even n is
+odd: for n = 2^k, tau(m) = k below n and k + 1 above.  The same sets hold
+for prime n, whose partners are the primes, n among them, and the r^2 with
+r < n < r^2 (tau 3, above n); n = 2 scans even m too, for its partner 2.
+
+A scan runs each segment through one pipeline: gap marks (_gap_marks) AND a
+tau mask, bytes.translate of byte taus (255 for any tau >= 255, so at
+tau(n) >= 254 the walk also checks m's exact tau, the length of its divisor
+list) -> a walk reading the survivors one at a time with bytes.find, none
+past a first hit -> the end-gap rules, from m's least prime -> m's divisor
+list -> pairs.check_interlock_divisors.  A census shares one
+arith.FactorTable across all its n: byte taus, least primes and a bounded
+memo of divisor lists.  A lone partner window, a pow2 certificate window
+and a census window past the table's cap sieve their own taus and
+trial-divide for least primes.
 
 With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
-of scanning their window (pow2_partners).  By the parity and gap argument
-above, an odd m interlocks with 2^k exactly when its divisors fill the
-slots (2^(j-1), 2^j), j = 2..k, one each (bit length j), with at most one
-more, m itself, above 2^k.  A depth-first search introduces m's divisors in
+of scanning their window (pow2_partners).  By the alternation lemma, an odd
+m interlocks with 2^k exactly when its divisors fill the slots
+(2^(j-1), 2^j), j = 2..k, one each (bit length j), with at most one more,
+m itself, above 2^k.  A depth-first search introduces m's divisors in
 increasing order, each in a slot of its own, and tests every complete
 placement with check_interlock_divisors.
 """
@@ -114,7 +119,7 @@ class SeparabilityResult(
 class ChunkScan(namedtuple("ChunkScan", "partners passed")):
     """Result of scanning one candidate sub-range: the partners found, in
     ascending order, and how many candidates passed the gap rule and the
-    tau/parity filters (for pow2_partners, its complete placements).
+    alternation filter (for pow2_partners, its complete placements).
     (collections.namedtuple: typing.NamedTuple would import typing.)"""
 
     __slots__ = ()
@@ -198,7 +203,7 @@ def scan_range(
     most _SEGMENT_CAP, so it reads little past its hit.  tau, least primes
     and divisor lists come from table, which grows to hold each segment, or,
     without a table or above its cap, from a tau sieve over the segment's
-    own candidates (odd m only when the parity filter is on) and factorize.
+    own candidates (odd m only, for even n > 2 under pruning) and factorize.
     Pure but for the table's growth: safe to run per-chunk in parallel
     workers and merge with merge_chunk_scans.
     """
@@ -208,13 +213,11 @@ def scan_range(
     gap = _gap(div_n) if prune else None
     if gap and gap[1] == gap[0] + 1:  # an empty gap: n has no partner
         return ChunkScan((), 0)
-    odd_only = prune and n >= 4 and n & (n - 1) == 0
+    odd_only = prune and n > 2 and n % 2 == 0
     skip_self, exact = tau_n >= 3, prune and tau_n >= 254  # exact: byte taus clip at 255
-    if odd_only:  # n = 2^k: tau(m) = k below n, k + 1 above (module doc)
-        below, above = range(tau_n - 1, tau_n), range(tau_n, tau_n + 1)
-    else:
-        below = above = range(tau_n - 1, tau_n + 2)
-    # bytes.translate tables, 1 at each allowed byte tau (module doc)
+    # the taus the alternation lemma (module doc) allows below n and above it,
+    # and bytes.translate tables, 1 at each allowed byte tau
+    below, above = (range(tau_n - 1 + up, tau_n + n % 2 + up) for up in (0, 1))
     keep = [(bytes(min(r.start, 255)) + b"\x01" * len(r) + bytes(256))[:256] for r in (below, above)]
 
     partners: list[int] = []
@@ -230,7 +233,7 @@ def scan_range(
         else:
             least_prime, divisors_of = smallest_prime_divisor, divisors
             taus = _tau_bytes(start, end, step) if prune else None
-        if prune:  # the tau and parity mask, ANDed with the gap rule's marks
+        if prune:  # the alternation filter's mask, ANDed with the gap rule's marks
             k = len(range(start, min(end + 1, n), step))  # the m below n
             mask = taus[:k].translate(keep[0]) + taus[k:].translate(keep[1])
             if gap:
@@ -542,14 +545,11 @@ class Pow2Report(
 ):
     """Exhaustion certificate for the non-separability of 2^k.
 
-    The window (2^(k-1), 2^(k+2)) provably contains every possible partner:
-    a partner must place a divisor strictly inside the top gap
-    (2^(k-1), 2^k) of 2^k, so it exceeds 2^(k-1) (the general lower bound
-    n/d2(n) + 1 of partner_search_bound); and the general search bound caps
-    it below 2^k * d3(2^k) = 2^(k+2).  odd_candidates counts the odd m in the
-    window; tau_filtered counts the multiples of 3 among them (the gap rule)
-    that pass the position-aware tau filter (tau(m) = k below 2^k, k + 1
-    above).  confirmed = True means no candidate in the window interlocks.
+    The window (2^(k-1), 2^(k+2)) = (2^k / d2(2^k), 2^k * d3(2^k)) holds
+    every possible partner (module doc).  odd_candidates counts the odd m in it;
+    tau_filtered counts the multiples of 3 among them (the gap rule) that
+    pass the alternation filter (tau(m) = k below 2^k, k + 1 above).
+    confirmed = True means no candidate in the window interlocks.
     """
 
     __slots__ = ()

@@ -867,7 +867,7 @@ def test_census_accounting_contract(capsys):
     _, pooled = invoke(capsys, "--jsonl", "--jobs", "2", "census", "--max", "200")
     assert strip_volatile(serial) == strip_volatile(pooled)
     result = serial["result"]
-    assert sum(row["tested"] for row in result["rows"]) == 682
+    assert sum(row["tested"] for row in result["rows"]) == 298
     assert result["separable_count"] == 149
     assert result["separable_count_nondegenerate"] == 102
 

@@ -2,7 +2,6 @@
 relation as an empirical theorem over an exhaustive small-range scan."""
 
 from functools import cache
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -143,13 +142,18 @@ def test_tau_relation_rejections():
         tau_relation(1, 5)
 
 
-def test_equivalence_of_deciders_on_coprime_pairs():
+def test_equivalence_of_deciders_on_distinct_pairs():
+    # By the alternation lemma the deciders agree on every m != n; at m = n
+    # they differ exactly when n is prime (a vacuous pair against a tie).
     for m in range(1, SCAN + 1):
         for n in range(1, SCAN + 1):
-            if gcd(m, n) == 1:
+            if m != n:
                 assert (
                     check_interlock(m, n).verdict == check_alternation(m, n).verdict
                 ), (m, n)
+    differ = [n for n in range(1, SCAN + 1)
+              if check_interlock(n, n).verdict != check_alternation(n, n).verdict]
+    assert differ == [n for n in range(2, SCAN + 1) if tau(n) == 2]
 
 
 def test_matches_definition_oracle():

@@ -60,7 +60,7 @@ PINNED_RESULTS = {
         },
     },
     ("partner", "1010"): {
-        "candidates_tested": 173, "degenerate": False, "n": 1010,
+        "candidates_tested": 40, "degenerate": False, "n": 1010,
         "partners": [2163], "search_bound": 5050, "separable": True,
     },
     ("primorial", "--k", "9", "--consensus"): {

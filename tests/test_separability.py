@@ -4,6 +4,7 @@ power-of-two exhaustion, and the census cache."""
 import json
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -115,7 +116,9 @@ def test_oracle_equivalence_small():
 
 
 def test_bound_soundness_exhaustive_scan():
-    # Every interlocking pair with tau(n) >= 3 fits in n/d2(n) < m <= n * d3(n).
+    # Every interlocking pair with tau(n) >= 3 fits in n/d2(n) < m <= n * d3(n),
+    # and, for m != n, is coprime with tau(m) - tau(n) = [pm < p] + [m > n] - 1
+    # (the alternation lemma, p and pm the least primes of n and m).
     limit = 500
     table = divisor_table(limit)
     worst_delta = 0
@@ -125,8 +128,12 @@ def test_bound_soundness_exhaustive_scan():
         if len(divs) >= 3:
             assert m <= n * divs[2], (m, n)
             assert m > n // divs[1], (m, n)
+            if m != n:
+                assert gcd(m, n) == 1, (m, n)
+                lemma = (table[m][1] < divs[1]) + (m > n) - 1
+                assert len(table[m]) - len(divs) == lemma, (m, n)
         if k is not None and m % 2:
-            # position-aware tau filter for n = 2^k
+            # the alternation filter for n = 2^k
             assert len(table[m]) == (k if m < n else k + 1), (m, n)
         worst_delta = max(worst_delta, abs(len(table[m]) - len(divs)))
     # tau filter soundness over the same scan: differences never exceed 1.
@@ -170,10 +177,10 @@ def test_end_gap_soundness_exhaustive_scan():
 
 def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
     # The candidates that reach the end-gap rules in the census scans up to
-    # 200: 675 past the gap rule, and 3,707 with the gap rule off, which are
-    # the tau/parity survivors themselves.  The helper rejects at least 80% of
-    # the tau survivors, each rejection in either run breaks one of the naive
-    # end-gap rules, and every rule is broken by some rejected candidate.
+    # 200: 291 past the gap rule, and 1,494 with the gap rule off, which are
+    # the alternation filter's survivors themselves.  The helper rejects 1,088
+    # (73%) of those survivors, each rejection in either run breaks one of the
+    # naive end-gap rules, and every rule is broken by some rejected candidate.
     helper, seen = separability._end_gaps_allow, []
 
     def recording(m, n, div_n, least_prime):
@@ -192,14 +199,14 @@ def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
 
     monkeypatch.setattr(separability, "_end_gaps_allow", recording)
     census(200)
-    assert len(seen) == 675
+    assert len(seen) == 291
     assert rejected_and_broken()[1] == {1, 2, 3, 4}
     seen.clear()
     monkeypatch.setattr(separability, "_gap", lambda div_n: None)
     census(200)
-    assert len(seen) == 3707
+    assert len(seen) == 1494
     rejected, broken = rejected_and_broken()
-    assert len(rejected) >= 0.8 * len(seen)
+    assert len(rejected) == 1088
     assert broken == {1, 2, 3, 4}
 
 
@@ -274,16 +281,17 @@ def naive_gap(dn) -> tuple[int, int] | None:
 def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
     """The default-config scan of [lo, hi] in one ascending pass over a tau
     table: (partners, candidates that passed the filters).  The gap rule is
-    a divisibility test of m by every integer inside n's gap."""
+    a divisibility test of m by every integer inside n's gap; the alternation
+    filter allows tau(n) - 1 + [m >= n] and, for odd n, one more."""
     tn = taus[n]
-    pow2 = n >= 4 and n & (n - 1) == 0
     gap = naive_gap(oracle_divisors(n))
     inside = range(gap[0] + 1, gap[1]) if gap else None
     hits, passed = [], 0
     for m in range(lo, hi + 1):
-        if (pow2 and m % 2 == 0) or (tn >= 3 and m == n):
+        if (n > 2 and n % 2 == 0 and m % 2 == 0) or (tn >= 3 and m == n):
             continue
-        allowed = ({tn - 1} if m < n else {tn}) if pow2 else {tn - 1, tn, tn + 1}
+        low = tn - 1 + (m >= n)
+        allowed = {low, low + 1} if n % 2 else {low}
         if (inside is None or any(m % c == 0 for c in inside)) and taus[m] in allowed:
             passed += 1
             if check_interlock(m, n).verdict:
@@ -477,10 +485,13 @@ def test_pow2_verifier():
 
 
 def test_even_partner_restriction_is_validated_not_assumed():
-    # The odd-only filter for powers of two must not drop partners: compare
-    # with the scan that prunes nothing.
+    # The odd-only filter for even n must not drop partners: compare with the
+    # scan that prunes nothing, on powers of two and on even n that are
+    # neither powers of two nor multiples of 6.
     for k in (2, 3, 4, 5, 6, 7):
         assert find_partner(2**k, ALL).partners == find_partner(2**k, NO_PRUNE).partners, k
+    for n in (1010, 2000):
+        assert find_partner(n, ALL).partners == find_partner(n, NO_PRUNE).partners, n
 
 
 def test_census_counts_and_monotonicity():
