@@ -12,8 +12,8 @@ caller that needs tau, least primes and divisor lists of many small m
 builds its own FactorTable, up to the largest m asked for so far, never
 past FACTOR_TABLE_CAP (5 bytes an entry, 20 MB at the cap).  Its taus,
 like those of the window sieve _tau_bytes, are bytes that saturate at 255;
-an exact tau past that is the length of m's divisor list.  decimal_text
-and decimal_int are the package's one codec between ints and decimal text.
+a scan leaves an m of byte 255 to the interlock test.  decimal_text and
+decimal_int are the package's one codec between ints and decimal text.
 """
 
 from __future__ import annotations

@@ -122,15 +122,21 @@ def _chunks(lo: int, hi: int, jobs: int) -> list[tuple[int, int]]:
     return out
 
 
+def _workers(jobs: int) -> int:
+    """jobs, capped at one worker process per CPU, the --jobs default."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _pool_map(fn, tasks: list[tuple], jobs: int) -> list:
     """[fn(*task) for task in tasks], in order, over at most jobs worker
-    processes: never more workers than tasks."""
+    processes: never more workers than tasks, nor than CPUs."""
     global ProcessPoolExecutor
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(_workers(jobs), len(tasks))
+    if workers <= 1:
         return [fn(*task) for task in tasks]
     if ProcessPoolExecutor is None:
         from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*tasks)))
 
 
@@ -181,7 +187,7 @@ def _cmd_census(args):
     todo = [n for n in range(1, args.max + 1) if n not in cached]
     # One batch per worker, n dealt round-robin so every batch gets its share
     # of the large n; each batch shares one factor table across its scans.
-    jobs = min(args.jobs, len(todo)) if len(todo) >= _MIN_POOL_CENSUS else 1
+    jobs = min(_workers(args.jobs), len(todo)) if len(todo) >= _MIN_POOL_CENSUS else 1
     batches = _pool_map(census_batch, [(todo[i::jobs], cfg) for i in range(jobs)], jobs)
     fresh = sorted(chain.from_iterable(batches), key=lambda r: r.n)
     served = [r for r in cached.values() if r.n <= args.max]
@@ -344,7 +350,7 @@ def _add_common_flags(p: argparse.ArgumentParser, top: bool = False) -> None:
         "--jobs",
         type=int,
         default=(os.cpu_count() or 1) if top else argparse.SUPPRESS,
-        help="worker processes for range scans (default: all cores)",
+        help="worker processes for window scans and censuses (default and cap: one per CPU)",
     )
 
 

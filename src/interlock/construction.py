@@ -5,10 +5,10 @@ The membership test: with a threshold constant c = ln 2 * 2^(t-2) (or a
 direct rational override), an integer belongs to the slow-growth set when
 every consecutive divisor pair d_prev < d satisfies d <= e^max(c, d_prev).
 In the t-parameterized form e^c is the exact power of two 2^(2^(t-2)), so
-that branch of the comparison is pure integer arithmetic; the e^d_prev
-branch reduces to d <= floor(e^d_prev), again exact.  Direct overrides go
-through the integer enclosures of precision.py, with a hard error on
-indeterminate margins.
+that branch of the comparison is pure integer arithmetic.  The e^d_prev
+branch and a direct override both go through precision.log_le, which
+decides d <= e^r as d <= floor(e^r), exact from precision.py's integer
+enclosures, with a hard error on indeterminate margins.
 
 The partner construction: for k divisible by 2^t (t >= 4) with k/2^t in the
 slow-growth set, write k = prod(e_i + 1) with each e_i + 1 prime, ascending,
@@ -50,7 +50,7 @@ from .arith import (
     primality_is_certified,
 )
 from .pairs import check_interlock
-from .precision import exp_lt_fraction, floor_exp, fraction_lt_exp, log_le
+from .precision import floor_exp, fraction_lt_exp, log_le
 from .separability import SearchBudgetError
 
 # Divisors of 231 = 3 * 7 * 11, the fixed low-end block of every plan: one
@@ -63,10 +63,6 @@ DEFAULT_PRIME_SEARCH_BITS = 1024
 
 # Direct interlock cross-checks are skipped above this tau(m) unless forced.
 _DIRECT_CHECK_CAP = 4096
-
-# An override threshold up to this gets its floor(e^threshold) computed once
-# (about 1,450 bits at the cap); a larger one is compared per divisor.
-_EXP_FLOOR_CAP = 1000
 
 
 # --- membership parameters ---------------------------------------------------
@@ -123,12 +119,10 @@ class JumpCheck(namedtuple("JumpCheck", "n bounded witness")):
 
 
 def _le_exp_threshold(d: int, params: JumpParams) -> bool:
-    """Decide d <= e^threshold, for an override up to _EXP_FLOOR_CAP by floor_exp."""
+    """Decide d <= e^threshold."""
     if params.t is not None:
         # d <= 2^E  <=>  bit_length(d - 1) <= E; never materializes 2^E.
         return (d - 1).bit_length() <= params.exp_threshold_log2
-    if params.override <= _EXP_FLOOR_CAP:
-        return d <= floor_exp(params.override)
     return log_le(d, params.override)
 
 
@@ -144,10 +138,7 @@ def has_bounded_jumps(n: int, params: JumpParams) -> JumpCheck:
         raise ValueError(f"has_bounded_jumps: n must be >= 1, got {n}")
     ds = divisors(n)
     for prev, cur in zip(ds, ds[1:]):
-        # cur <= e^prev  <=>  cur <= floor(e^prev); cheap power-of-two
-        # sufficient test first since 2^prev <= e^prev.
-        if not (_le_exp_threshold(cur, params) or (cur - 1).bit_length() <= prev
-                or cur <= floor_exp(prev)):
+        if not (_le_exp_threshold(cur, params) or log_le(cur, prev)):
             return JumpCheck(n, False, (prev, cur))
     return JumpCheck(n, True, None)
 
@@ -365,7 +356,7 @@ def _compute_claims(plan: ConstructionPlan) -> ClaimDiagnostics:
     )
     aggregate_below_exp = fraction_lt_exp(aggregate, Fraction(1, 192))
     aggregate_below_11_10 = aggregate < Fraction(11, 10)
-    exp_below = exp_lt_fraction(Fraction(1, 192), Fraction(11, 10))
+    exp_below = not fraction_lt_exp(Fraction(11, 10), Fraction(1, 192))
     all_hold = (
         all(ok for _, ok in exponent_fourth_root)
         and all(ok for _, ok in prime_ratio)

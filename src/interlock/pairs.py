@@ -82,18 +82,13 @@ def check_interlock(
     dm = (divisors(m) if div_m is None else div_m)[1:]
     dn = (divisors(n) if div_n is None else div_n)[1:]
     degenerate = len(dm) < 2 or len(dn) < 2
-    gap = _first_unseparated_gap(dm, dn)
-    if gap is not None:
-        return InterlockReport(
-            False, "definitional", m, n, degenerate,
-            witness=GapWitness("gap", FIRST, *gap),
-        )
-    gap = _first_unseparated_gap(dn, dm)
-    if gap is not None:
-        return InterlockReport(
-            False, "definitional", m, n, degenerate,
-            witness=GapWitness("gap", SECOND, *gap),
-        )
+    for side, own, other in ((FIRST, dm, dn), (SECOND, dn, dm)):
+        gap = _first_unseparated_gap(own, other)
+        if gap is not None:
+            return InterlockReport(
+                False, "definitional", m, n, degenerate,
+                witness=GapWitness("gap", side, *gap),
+            )
     trace = tuple(sorted(set(dm) | set(dn)))
     return InterlockReport(True, "definitional", m, n, degenerate, trace=trace)
 

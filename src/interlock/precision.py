@@ -102,15 +102,15 @@ def exp_bounds(r: Fraction, prec: int) -> tuple[int, int]:
 
 
 def log_le(value: int, bound: Fraction | int) -> bool:
-    """Decide ln(value) <= bound for integer value >= 1 and rational bound,
-    that is, value < e^bound (never a tie for value >= 2); ln(1) = 0 is
-    handled exactly."""
+    """Decide ln(value) <= bound, i.e. value <= e^bound, for integer value >= 1
+    and rational bound: False for bound < 0, else value <= 2^bound < e^bound
+    or value <= floor(e^bound), exact as e^bound is 1 or irrational.  The
+    floor has about 1.44 * bound bits, not many more than value has."""
     if value < 1:
         raise ValueError(f"log_le: value must be >= 1, got {value}")
-    bound = Fraction(bound)
-    if value == 1:
-        return bound >= 0
-    return fraction_lt_exp(Fraction(value), bound)
+    if bound < 0:
+        return False
+    return (value - 1).bit_length() <= bound or value <= floor_exp(bound)
 
 
 def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
@@ -140,16 +140,6 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
         return below if below or above else None
 
     return escalating(step, lambda: f"{decimal_text(q)} < exp({decimal_text(exponent)})")
-
-
-def exp_lt_fraction(exponent: Fraction, q: Fraction) -> bool:
-    """Decide e^exponent < q; the mirror of fraction_lt_exp."""
-    q = Fraction(q)
-    if q <= 0:
-        return False
-    if q == 1:
-        return Fraction(exponent) < 0
-    return not fraction_lt_exp(q, exponent)
 
 
 @lru_cache(maxsize=4096)

@@ -51,10 +51,12 @@ r < n < r^2 (tau 3, above n); n = 2 scans even m too, for its partner 2.
 
 A scan runs each segment through one pipeline: gap marks (_gap_marks) AND a
 tau mask, bytes.translate of byte taus (255 for any tau >= 255, so at
-tau(n) >= 254 the walk also checks m's exact tau, the length of its divisor
-list) -> a walk reading the survivors one at a time with bytes.find, none
-past a first hit -> the end-gap rules, from m's least prime -> m's divisor
-list -> pairs.check_interlock_divisors.  A census shares one
+tau(n) >= 254 every m of tau >= 255 passes on to the interlock test, which
+by the lemma fails a wrong tau) -> a walk reading the survivors one at a
+time with bytes.find, none past a first hit -> the end-gap rules, from m's
+least prime -> m's divisor list -> pairs.check_interlock_divisors.  No rule
+skips n: the gap rule never marks it, and unpruned, n fails against itself
+for tau(n) >= 3 (its gap (d2, d3) holds no divisor of n).  A census shares one
 arith.FactorTable across all its n: byte taus, least primes and a bounded
 memo of divisor lists.  A lone partner window, a pow2 certificate window
 and a census window past the table's cap sieve their own taus and
@@ -214,7 +216,6 @@ def scan_range(
     if gap and gap[1] == gap[0] + 1:  # an empty gap: n has no partner
         return ChunkScan((), 0)
     odd_only = prune and n > 2 and n % 2 == 0
-    skip_self, exact = tau_n >= 3, prune and tau_n >= 254  # exact: byte taus clip at 255
     # the taus the alternation lemma (module doc) allows below n and above it,
     # and bytes.translate tables, 1 at each allowed byte tau
     below, above = (range(tau_n - 1 + up, tau_n + n % 2 + up) for up in (0, 1))
@@ -244,15 +245,10 @@ def scan_range(
         i = mask.find(1)  # the walk: one survivor at a time
         while i >= 0:
             m, i = start + step * i, mask.find(1, i + 1)
-            if skip_self and m == n:
-                continue
-            divs = divisors_of(m) if exact else None  # its length is m's exact tau
-            if exact and len(divs) not in (below if m < n else above):
-                continue
             passed += 1
             if prune and not _end_gaps_allow(m, n, div_n, least_prime):
                 continue
-            if check_interlock_divisors(divs or divisors_of(m), div_n):
+            if check_interlock_divisors(divisors_of(m), div_n):
                 partners.append(m)
                 if not cfg.report_all_partners:
                     return ChunkScan((m,), passed)

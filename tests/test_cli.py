@@ -151,8 +151,10 @@ def pool_log(monkeypatch):
     return record_pools(monkeypatch)
 
 
-def test_pools_never_outnumber_tasks(capsys, pool_log):
-    # A census sends one batch of n per worker, and never more batches than n.
+def test_pools_never_outnumber_tasks(capsys, monkeypatch, pool_log):
+    # A census sends one batch of n per worker, and never more batches than n
+    # or CPUs; no pool has more workers than tasks or CPUs, whatever --jobs.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
     code, rec = invoke(capsys, "--jsonl", "--jobs", "64", "census", "--max", "20")
     assert code == 0 and rec["result"]["computed"] == 20
     assert pool_log == [(20, 20)]
@@ -168,6 +170,10 @@ def test_pools_never_outnumber_tasks(capsys, pool_log):
     pool_log.clear()
     invoke(capsys, "--jsonl", "pow2", "--k", "10", "--jobs", "3")
     assert len(pool_log) == 1 and pool_log[0][0] == 3 < pool_log[0][1]
+    pool_log.clear()
+    invoke(capsys, "--jsonl", "--jobs", "100000", "census", "--max", "200")
+    invoke(capsys, "--jsonl", "--jobs", "100000", "partner", "3072", "--all", "--bound", "40000")
+    assert pool_log == [(64, 64), (64, 75)]  # 75 chunks of the window
 
 
 def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
@@ -564,6 +570,17 @@ def test_primorial_table_goes_to_stderr(capsys):
     lines = out.out.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["result"]["count"] == 1
     assert out.err.startswith("m = 2470 = ")
+    # With --consensus the table ends with the consensus, or for k = 9, with
+    # the forced-chain contradiction and the parity certificate.
+    assert run(["--jsonl", "primorial", "--k", "8", "--consensus", "--table"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("m = 2470 = ")
+    assert err[-1].startswith("consensus: 2->m  3->n  5->m ")
+    assert run(["--jsonl", "primorial", "--k", "9", "--consensus", "--table"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "no interlocking splits"
+    assert err[1].startswith("forced-chain contradiction: 23 and 26 ")
+    assert err[2].startswith("parity certificate: ") and err[2].endswith(" >= 16 > 1")
 
 
 def test_primorial_consensus_payload(capsys):
@@ -843,9 +860,9 @@ def test_census_cache_rows_with_bad_partners_are_recomputed(tmp_path, capsys, n,
 def test_jobs_do_not_change_scan_payloads(capsys):
     # Exit codes.  --jobs 2 starts real pools for census 1200 (_MIN_POOL_CENSUS),
     # pow2 --k 21 and 43648605's window (_MIN_POOL_WINDOW).
-    exact = "partner 43648605 --all --bound 20000000"
+    tau256 = "partner 43648605 --all --bound 20000000"
     commands = {f"pow2 --k {k}": 0 for k in (9, 10, 11, 12, 13, 14, 21, 40)}
-    commands.update({"partner 524288 --bound 524288": 1, exact: 1, "partner 16777217": 0,
+    commands.update({"partner 524288 --bound 524288": 1, tau256: 1, "partner 16777217": 0,
                      "partner 67108865": 0, "census --max 40": 0, "census --max 1200": 0})
     results = {}
     for command, code in commands.items():
@@ -855,7 +872,7 @@ def test_jobs_do_not_change_scan_payloads(capsys):
         assert strip_volatile(serial[1]) == strip_volatile(pooled[1]), command
         results[command] = serial[1]["result"]
     assert results["partner 67108865"]["partners"] == [19191826]
-    assert results[exact]["partners"] == [] and results[exact]["candidates_tested"] == 15
+    assert results[tau256]["partners"] == [] and results[tau256]["candidates_tested"] == 33
     assert results["pow2 --k 21"]["report"]["confirmed"] is True
     assert results["pow2 --k 40"]["result"]["partners"] == [1007730662631]
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from interlock.precision import (
     PrecisionError,
     exp_bounds,
-    exp_lt_fraction,
     floor_exp,
     fraction_lt_exp,
     log_le,
@@ -24,7 +23,6 @@ def test_fraction_lt_exp_past_the_str_digit_limit():
     # Numerators of 5,000 digits: the comparison never writes q as text.
     tiny = Fraction(10**4999 + 1, 10**4999)  # 1 + 10^-4999
     assert fraction_lt_exp(tiny, Fraction(1, 10**6))
-    assert not exp_lt_fraction(Fraction(1, 10**6), tiny)
     near_three = Fraction(3 * 10**4999 + 1, 10**4999)
     assert near_three.numerator.bit_length() > 16000  # 5,000 digits
     assert not fraction_lt_exp(near_three, Fraction(1))  # e = 2.718...
@@ -40,6 +38,14 @@ def test_log_le_known_values():
     assert not log_le(2, 0)
     assert log_le(2, Fraction(7, 10))  # ln 2 = 0.693...
     assert not log_le(2, Fraction(69, 100))
+    # Either side of floor(e^C) and of 2^floor(C), where the two rules of
+    # log_le meet, against 4,000-bit mpmath.
+    with mpmath.workprec(4000):
+        for bound in (999, 1000, 1001, Fraction(2001, 2)):
+            e_bound = mpmath.exp(mpmath.mpf(bound.numerator) / bound.denominator)
+            e_floor, two = int(mpmath.floor(e_bound)), 1 << math.floor(bound)
+            for value in (e_floor, e_floor + 1, two, two + 1):
+                assert log_le(value, bound) == (value <= e_bound), (value, bound)
 
 
 def test_log_le_rejects_zero():
@@ -68,10 +74,10 @@ def test_fraction_lt_exp_tight_margin():
     assert fraction_lt_exp(Fraction(1), Fraction(1, 10**9))
 
 
-def test_exp_lt_fraction():
-    assert exp_lt_fraction(Fraction(1, 192), Fraction(11, 10))
-    assert not exp_lt_fraction(Fraction(1, 192), Fraction(1))
-    assert exp_lt_fraction(Fraction(-1), Fraction(1))
+def test_exp_below_a_fraction():
+    assert not fraction_lt_exp(Fraction(11, 10), Fraction(1, 192))
+    assert fraction_lt_exp(Fraction(1), Fraction(1, 192))
+    assert not fraction_lt_exp(Fraction(1), Fraction(-1))
 
 
 def test_precision_error_on_razor_margin(monkeypatch):
@@ -147,7 +153,6 @@ def test_decisions_match_mpmath_on_random_rationals():
                 mpmath.mpf(r.numerator) / r.denominator
             )
             assert fraction_lt_exp(q, r) == expected, (q, r)
-            assert exp_lt_fraction(r, q) == (not expected), (q, r)
 
 
 def test_exp_bounds_rejects_negative_exponents():
@@ -159,7 +164,6 @@ def test_decisions_far_from_one_stay_small():
     # ln(10^-900) = -2072.3..., decided through 1/q at relative precision.
     assert fraction_lt_exp(Fraction(1, 10**900), Fraction(-2000))
     assert not fraction_lt_exp(Fraction(1, 10**900), Fraction(-2100))
-    assert exp_lt_fraction(Fraction(-2100), Fraction(1, 10**900))
     # An exponent past q's bit length is settled without e^r: e^(10^12)
     # would have about 1.44e12 bits.
     assert fraction_lt_exp(Fraction(720720), Fraction(10**12))

@@ -177,8 +177,8 @@ def test_end_gap_soundness_exhaustive_scan():
 
 def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
     # The candidates that reach the end-gap rules in the census scans up to
-    # 200: 291 past the gap rule, and 1,494 with the gap rule off, which are
-    # the alternation filter's survivors themselves.  The helper rejects 1,088
+    # 200: 291 past the gap rule, and 1,499 with the gap rule off, which are
+    # the alternation filter's survivors themselves.  The helper rejects 1,093
     # (73%) of those survivors, each rejection in either run breaks one of the
     # naive end-gap rules, and every rule is broken by some rejected candidate.
     helper, seen = separability._end_gaps_allow, []
@@ -204,9 +204,9 @@ def test_end_gap_rules_reject_most_census_survivors(monkeypatch):
     seen.clear()
     monkeypatch.setattr(separability, "_gap", lambda div_n: None)
     census(200)
-    assert len(seen) == 1494
+    assert len(seen) == 1499
     rejected, broken = rejected_and_broken()
-    assert len(rejected) == 1088
+    assert len(rejected) == 1093
     assert broken == {1, 2, 3, 4}
 
 
@@ -282,17 +282,18 @@ def table_scan(n: int, lo: int, hi: int, taus) -> tuple[tuple, int]:
     """The default-config scan of [lo, hi] in one ascending pass over a tau
     table: (partners, candidates that passed the filters).  The gap rule is
     a divisibility test of m by every integer inside n's gap; the alternation
-    filter allows tau(n) - 1 + [m >= n] and, for odd n, one more."""
+    filter allows tau(n) - 1 + [m >= n] and, for odd n, one more, read as
+    byte taus, min(tau, 255)."""
     tn = taus[n]
     gap = naive_gap(oracle_divisors(n))
     inside = range(gap[0] + 1, gap[1]) if gap else None
     hits, passed = [], 0
     for m in range(lo, hi + 1):
-        if (n > 2 and n % 2 == 0 and m % 2 == 0) or (tn >= 3 and m == n):
+        if n > 2 and n % 2 == 0 and m % 2 == 0:
             continue
         low = tn - 1 + (m >= n)
-        allowed = {low, low + 1} if n % 2 else {low}
-        if (inside is None or any(m % c == 0 for c in inside)) and taus[m] in allowed:
+        allowed = {min(t, 255) for t in ((low, low + 1) if n % 2 else (low,))}
+        if (inside is None or any(m % c == 0 for c in inside)) and min(taus[m], 255) in allowed:
             passed += 1
             if check_interlock(m, n).verdict:
                 hits.append(m)
@@ -336,8 +337,9 @@ class TauOf(dict):
 
 def test_tau_mask_is_exact_where_byte_taus_wrap():
     # tau(1,081,080) = 256 and tau(2,162,160) = 320 pass a byte; the scans
-    # read them as 255 and must pass or drop them as their exact taus would,
-    # from the table's clipped bytes and from the segment sieve alike.
+    # read them as 255, from the table's clipped bytes and from the segment
+    # sieve alike, and must pass or drop them as their exact taus would for
+    # every n of tau below 254.  For 43,648,605, of tau 256, byte 255 passes.
     factors = FactorTable()
     assert factors.cover(2_163_000)
     taus = TauOf()
@@ -353,16 +355,18 @@ def test_tau_mask_is_exact_where_byte_taus_wrap():
             assert n != 7 or scan.passed > 200  # the primes and prime squares
 
 
-def test_an_n_with_tau_past_253_filters_by_exact_taus():
+def test_an_n_with_tau_past_253_leaves_byte_255_to_the_interlock_test():
     # tau(43,648,605) = 256 allows 255, 256 and 257, which a byte tau cannot
     # tell from 288.  Its gap is (663, 665); in this window the multiples of
-    # 664 include 10,667,160 with tau 256 and 10,876,320 with tau 288.
+    # 664 include 10,667,160 with tau 256 and 10,876,320 with tau 288.  Both
+    # pass the mask on byte 255, and the interlock test rejects both.
     n, lo, hi = 43_648_605, 10_667_000, 10_877_000
     taus = TauOf()
     assert taus[n] == 256 and taus[10_667_160] == 256 and taus[10_876_320] == 288
     scan = scan_range(n, lo, hi, ALL)
-    assert scan.passed >= 1 and (scan.partners, scan.passed) == table_scan(n, lo, hi, taus)
-    assert scan_range(n, lo, hi, SearchConfig()).passed <= scan.passed
+    assert scan == ChunkScan((), 2) and table_scan(n, lo, hi, taus) == ((), 2)
+    assert scan_range(n, lo, hi, SearchConfig()) == scan
+    assert not any(check_interlock(m, n).verdict for m in (10_667_160, 10_876_320))
 
 
 @pytest.mark.parametrize(
@@ -374,16 +378,17 @@ def test_an_n_with_tau_past_253_filters_by_exact_taus():
     ],
 )
 def test_unpruned_scan_of_an_n_with_tau_past_253_tests_every_m(n, lo, hi):
-    # tau 256, 320 and 256: --no-prune is the oracle for every filter, the
-    # exact tau check too, so it tests each m in the window but n, with the
-    # table and without it; a tau filter that ran would lower the count.
+    # tau 256, 320 and 256: --no-prune is the oracle for every filter, so it
+    # tests each m in the window, n included, with the table and without it;
+    # a tau filter that ran would lower the count.
     factors = FactorTable()
     assert factors.cover(hi)
     raw = SearchConfig(prune=False, report_all_partners=True)
-    expected = tuple(m for m in range(lo, hi + 1) if m != n and check_interlock(m, n).verdict)
+    expected = tuple(m for m in range(lo, hi + 1) if check_interlock(m, n).verdict)
+    assert n not in expected
     for table in (None, factors):
         scan = scan_range(n, lo, hi, raw, table=table)
-        assert scan == ChunkScan(expected, len(range(lo, hi + 1)) - (lo <= n <= hi)), (n, table)
+        assert scan == ChunkScan(expected, hi - lo + 1), (n, table)  # 601 with n inside, else 401
 
 
 def test_census_with_a_tiny_divisor_memo_is_unchanged(monkeypatch):
