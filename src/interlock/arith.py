@@ -5,15 +5,15 @@ size (the partner construction routinely produces 2^128-scale numbers).
 A factorization is an ascending tuple of (prime, exponent) pairs; a divisor
 list is the full ascending tuple of divisors, starting at 1, built afresh on
 each call: callers testing many pairs against one n compute it once.
-factorize trial-divides by the primes below 2^16, a tuple built the first
-time a factorization needs one past 251 (until then, those below 2^8), and
-hands a larger cofactor to Pollard rho; that tuple is the module's one state.  A
-caller that needs tau, least primes and divisor lists of many small m
-builds its own FactorTable, up to the largest m asked for so far, never
-past FACTOR_TABLE_CAP (5 bytes an entry, 20 MB at the cap).  Its taus,
-like those of the window sieve _tau_bytes, are bytes that saturate at 255;
-a scan leaves an m of byte 255 to the interlock test.  decimal_text and
-decimal_int are the package's one codec between ints and decimal text.
+factorize trial-divides by the 309 primes below 2^11, a fixed tuple that
+also strikes out the least primes of a FactorTable, and hands a larger
+cofactor to is_prime and Pollard rho.  A caller that needs tau, least
+primes and divisor lists of many small m builds its own FactorTable, up to
+the largest m asked for so far, never past FACTOR_TABLE_CAP (5 bytes an
+entry, 20 MB at the cap).  Its taus, like those of the window sieve
+_tau_bytes, are bytes that saturate at 255; a scan leaves an m of byte 255
+to the interlock test.  decimal_text and decimal_int are the package's one
+codec between ints and decimal text.
 """
 
 from __future__ import annotations
@@ -198,19 +198,9 @@ def _primes_below(limit: int) -> tuple[int, ...]:
     return (2, *compress(range(1, limit, 2), flags))
 
 
-# factorize's trial divisors: the primes below 2^8, then every prime below
-# 2^16 from the first call that needs one past 251 (_grow_trial_primes).
-_TRIAL_PRIMES = _primes_below(1 << 8)
-
-
-def _grow_trial_primes(root: int) -> bool:
-    """Build every prime below 2^16 into _TRIAL_PRIMES, once, if trial
-    division up to root needs one past 251; True if this call built them."""
-    global _TRIAL_PRIMES
-    if root <= 251 or _TRIAL_PRIMES[-1] > 251:
-        return False
-    _TRIAL_PRIMES = _primes_below(1 << 16)
-    return True
+# The trial divisors of factorize and smallest_prime_divisor, and the primes
+# a FactorTable strikes out: the 309 primes below isqrt(FACTOR_TABLE_CAP) = 2^11.
+_TRIAL_PRIMES = _primes_below(isqrt(FACTOR_TABLE_CAP))
 
 
 def _pollard_rho(n: int) -> int:
@@ -237,9 +227,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ascending (prime, exponent) pairs.
 
     factorize(1) is the empty tuple.  Trial division by the primes below
-    2^16 stops once p exceeds the square root of what is left, which is
+    2^11 stops once p exceeds the square root of what is left, which is
     then 1 or a prime.  If the table runs out first, what is left has no
-    prime factor below 2^16, and is_prime with Pollard rho splits it.
+    prime factor below 2^11, and is_prime with Pollard rho splits it.
     """
     if n < 1:
         raise ValueError(f"factorize: n must be >= 1, got {n}")
@@ -256,8 +246,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             fac.append((p, e))
             root = isqrt(n)
     else:
-        if _grow_trial_primes(root):
-            return (*fac, *factorize(n))  # n has no prime factor below 2^8
         tail: dict[int, int] = {}
         stack = [n] if n > 1 else []  # the last table prime can leave 1
         while stack:
@@ -420,7 +408,6 @@ class FactorTable:
         # [lo, hi] piece at a time.
         from array import array
 
-        _grow_trial_primes(isqrt(size))
         for lo in range(self.size + 1, size + 1, _TABLE_PIECE):
             hi = min(lo + _TABLE_PIECE - 1, size)
             self.tau_bytes += _tau_bytes(lo, hi, 1)

@@ -144,11 +144,12 @@ def _window_scanner(jobs: int):
     """A scan(n, lo, hi, cfg, div_n=None) for find_partner and
     verify_pow2_nonseparable.  A first-hit search is one ascending scan_range
     call over the window, with n's divisor list div_n.  A report-all scan with
-    jobs > 1 splits the window into chunks, which run over a pool when the
-    window has at least _MIN_POOL_WINDOW entries, else in this process."""
+    jobs > 1 splits the window into chunks, at most four for each worker
+    that runs, which run over a pool when the window has at least
+    _MIN_POOL_WINDOW entries, else in this process."""
 
     def scan(n, lo, hi, cfg, div_n=None):
-        windows = _chunks(lo, hi, jobs)
+        windows = _chunks(lo, hi, _workers(jobs))
         if not cfg.report_all_partners or jobs <= 1 or len(windows) <= 1:
             return scan_range(n, lo, hi, cfg, div_n)
         workers = jobs if hi - lo + 1 >= _MIN_POOL_WINDOW else 1

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import prod
 
-from .arith import divisors_from_factorization, first_primes
+from .arith import divisors_from_factorization, factorize, first_primes
 from .pairs import check_interlock
 
 # Definite-divisor gaps wider than this are not scanned during the search;
@@ -89,30 +89,14 @@ def _parity_certificate(k: int) -> ParityCertificate:
 # --- the pruned search -------------------------------------------------------
 
 
-def _possible_divisor(
-    c: int, side: str, assignment: dict[int, str], primes: tuple[int, ...]
-) -> bool:
-    """Could c divide the `side` member in some completion of the partial
-    assignment?  Needs c squarefree with all prime factors among the first k
-    primes and none assigned to the other side."""
-    for p in primes:  # ascending
-        if p * p > c:
-            break
-        if c % p == 0:
-            c //= p
-            if c % p == 0:
-                return False  # square factor
-            placed = assignment.get(p)
-            if placed is not None and placed != side:
-                return False
-    if c > 1:
-        # remaining cofactor is prime; must be one of the first k primes
-        if c not in primes:
-            return False
-        placed = assignment.get(c)
-        if placed is not None and placed != side:
-            return False
-    return True
+def _possible(c: int, assignment: dict[int, str], largest: int) -> bool:
+    """Could c divide m or n in some completion of the partial assignment,
+    whose primes are those up to largest?  It can divide one side iff it is
+    squarefree, its primes are among them and none of them is assigned to
+    the other side; so one of the two iff its primes are not on both sides."""
+    fac = factorize(c)
+    squarefree_in_range = all(e == 1 and p <= largest for p, e in fac)
+    return squarefree_in_range and not {"m", "n"} <= {assignment.get(p) for p, _ in fac}
 
 
 def _find_contradiction(
@@ -123,21 +107,13 @@ def _find_contradiction(
     either member (impossible for the own side makes the two divisors truly
     consecutive; impossible for the other side leaves the gap uncut).  Such
     a gap dooms every extension of the assignment."""
-    other = {"m": "n", "n": "m"}
     for side in ("m", "n"):
         definite = _squarefree_divisors([p for p, s in assignment.items() if s == side])
         above_one = [d for d in definite if d > 1]
         for lo, hi in zip(above_one, above_one[1:]):
             if hi - lo > _GAP_SCAN_LIMIT:
                 continue  # too wide to certify cheaply; stay silent
-            doomed = True
-            for c in range(lo + 1, hi):
-                if _possible_divisor(c, side, assignment, primes) or _possible_divisor(
-                    c, other[side], assignment, primes
-                ):
-                    doomed = False
-                    break
-            if doomed:
+            if not any(_possible(c, assignment, primes[-1]) for c in range(lo + 1, hi)):
                 return ChainContradiction(
                     side=side,
                     lower=lo,

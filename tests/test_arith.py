@@ -325,10 +325,16 @@ def test_factor_table_reads_the_first_tau_past_255():
 def test_factorize_exact_below_50000_and_at_the_trial_bound():
     for n in range(1, 50_001):
         assert dict(factorize(n)) == oracle_factorize(n), n
-    # Around 2^16, where trial division by the prime table stops: the early
-    # break (p^2 > n), the table running out with 1, a prime or a composite
-    # left, and Pollard rho on factors above 2^16.
+    # Around 2^11, where trial division by the prime table stops, and around
+    # 2^16: the early break (p^2 > n), the table running out with 1, a prime
+    # or a composite left, and Pollard rho on factors above the table.
     edges = {
+        2039**2: ((2039, 2),),
+        2039 * 2053: ((2039, 1), (2053, 1)),
+        2053**2: ((2053, 2),),
+        2053**3: ((2053, 3),),
+        2 * 2053 * 2063: ((2, 1), (2053, 1), (2063, 1)),
+        2039 * 2053 * 2063: ((2039, 1), (2053, 1), (2063, 1)),
         65521**2: ((65521, 2),),
         65521 * 65537: ((65521, 1), (65537, 1)),
         65537 * 65539: ((65537, 1), (65539, 1)),
@@ -340,30 +346,16 @@ def test_factorize_exact_below_50000_and_at_the_trial_bound():
     }
     for n, fac in edges.items():
         assert factorize(n) == fac, n
+        assert smallest_prime_divisor(n) == fac[0][0], n
 
 
-def test_the_trial_primes_past_251_are_built_once_on_first_need(monkeypatch):
-    small, full = arith._primes_below(1 << 8), arith._primes_below(1 << 16)
-    built = []
-    monkeypatch.setattr(arith, "_primes_below", lambda limit: built.append(limit) or full)
-    first_needs = (
-        lambda: factorize(257 * 263) == ((257, 1), (263, 1)),
-        lambda: smallest_prime_divisor(65521 * 65537) == 65521,
-        lambda: FactorTable().cover(1 << 16),  # isqrt(2^16) = 256 > 251
-    )
-    for first_need in first_needs:
-        monkeypatch.setattr(arith, "_TRIAL_PRIMES", small)
-        built.clear()
-        # Inside the small tier: primes up to 251, a prime cofactor below
-        # 257^2 (63,029 = 251 * 251 + 28), and tables up to isqrt 251.
-        assert factorize(2**10 * 241 * 251**2) == ((2, 10), (241, 1), (251, 2))
-        assert factorize(63029) == ((63029, 1),) and smallest_prime_divisor(63029) == 63029
-        assert FactorTable().cover(3 * PIECE) and built == []
-        assert first_need() and built == [1 << 16]
-        assert all(f() for f in first_needs) and factorize(65521**2) == ((65521, 2),)
-        assert built == [1 << 16] and arith._TRIAL_PRIMES is full
-    assert arith._TRIAL_PRIMES[-1] == 65521 and next_prime(65521) == 65537
-    assert len(full) == 6542 and small[-1] == 251 and full[: len(small)] == small
+def test_trial_primes_cover_the_factor_table():
+    # Every prime a FactorTable strikes out, up to isqrt of its cap, and no more.
+    sieve = prime_sieve(isqrt(FACTOR_TABLE_CAP))
+    assert arith._TRIAL_PRIMES == tuple(p for p in range(len(sieve)) if sieve[p])
+    last = arith._TRIAL_PRIMES[-1]
+    assert len(arith._TRIAL_PRIMES) == 309 and last == 2039
+    assert last <= isqrt(FACTOR_TABLE_CAP) < next_prime(last)
 
 
 def check_factor_table(table: FactorTable, taus) -> None:

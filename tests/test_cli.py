@@ -178,6 +178,7 @@ def test_pools_never_outnumber_tasks(capsys, monkeypatch, pool_log):
 
 def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
     assert cli._MIN_POOL_WINDOW > 1 << 18
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     pools = record_pools(monkeypatch)
     chunks = record_scans(monkeypatch)
     command = ("partner", "786432", "--bound", "655360", "--all")  # 2^18 entries
@@ -188,6 +189,18 @@ def test_windows_below_the_pool_threshold_run_in_process(capsys, monkeypatch):
     assert pools == []
     assert len(chunks) == 8 and chunks[0][0] == 393217 and chunks[-1][1] == 655360
     assert strip_volatile(serial) == strip_volatile(split)
+
+
+def test_chunks_are_cut_for_the_workers_that_run(capsys, monkeypatch):
+    # At most four chunks per worker, and at most one worker per CPU,
+    # however many --jobs ask for.
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    chunks = record_scans(monkeypatch)
+    _, wide = invoke(capsys, "--jsonl", "--jobs", "1000", "pow2", "--k", "13")
+    assert len(chunks) == 8
+    chunks.clear()
+    _, two = invoke(capsys, "--jsonl", "--jobs", "2", "pow2", "--k", "13")
+    assert len(chunks) == 8 and strip_volatile(wide) == strip_volatile(two)
 
 
 def test_first_hit_search_is_one_scan_at_every_jobs(capsys, monkeypatch, pool_log):

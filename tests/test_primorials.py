@@ -1,6 +1,7 @@
 """Primorial splits: the k <= 8 boundary, certificates, the forced
 placement chain, and the pruned search against a naive enumerator."""
 
+from itertools import product
 from math import prod
 
 import pytest
@@ -9,6 +10,7 @@ from interlock.arith import first_primes, primorial, tau
 from interlock.pairs import check_interlock
 from interlock.primorials import (
     _find_contradiction,
+    _possible,
     enumerate_primorial_pairs,
     placement_consensus,
 )
@@ -119,6 +121,24 @@ def test_search_matches_naive_enumerator():
         assert [(s.m, s.n) for s in enumerate_primorial_pairs(k)] == (
             oracle_primorial_pairs(k)
         ), k
+
+
+def test_possible_gap_integers_divide_a_member_of_some_completion():
+    # _possible(c, prefix, p_k) holds iff some completion of the prefix
+    # assignment of the first j primes to m and n has c | m or c | n.
+    for k in range(1, 9):
+        primes = first_primes(k)
+        for j in range(k + 1):
+            for prefix in product("mn", repeat=j):
+                assignment = dict(zip(primes, prefix))
+                members = [  # m and n of every completion
+                    prod(p for p, s in zip(primes, prefix + rest) if s == side)
+                    for rest in product("mn", repeat=k - j)
+                    for side in "mn"
+                ]
+                for c in range(2, 401):
+                    divides = any(member % c == 0 for member in members)
+                    assert _possible(c, assignment, primes[-1]) == divides, (k, prefix, c)
 
 
 def test_pruned_prefixes_have_no_interlocking_completion():
