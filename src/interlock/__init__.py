@@ -27,7 +27,7 @@ _EXPORTS = {
         "plan_to_dict verify_construction"
     ),
     "pairs": "GapWitness InterlockReport check_alternation check_interlock",
-    "precision": "PrecisionError precision_bits",
+    "precision": "PrecisionError",
     "primorials": (
         "PlacementReport PrimorialSplit enumerate_primorial_pairs placement_consensus"
     ),

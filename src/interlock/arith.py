@@ -35,8 +35,6 @@ _MR_BOUND_4, _MR_BOUND_6 = 3215031751, 3474749660383
 # test this pushes the composite-accept probability far below 2^-128.
 _PROBABLE_EXTRA_ROUNDS = 64
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 # Divisor lists with more entries than this are refused rather than built.
 MAX_DIVISOR_LIST = 2_000_000
 # ... and so are lists whose integers would hold more bits than this in all
@@ -131,8 +129,9 @@ def _jacobi(a: int, n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact below DETERMINISTIC_PRIME_BOUND, by Miller-Rabin with the first
-    4, 6 or all 13 bases of _MR_BASES as n grows; above it, a Baillie-PSW-style
+    """Trial division by the 13 primes of _MR_BASES, then: below
+    DETERMINISTIC_PRIME_BOUND, exact by Miller-Rabin with the first 4, 6 or
+    all 13 of them as bases as n grows; above it, a Baillie-PSW-style
     test (strong base-2 + strong Lucas) plus 64 derandomized Miller-Rabin
     rounds.  No pseudoprime for the combined test is known; the residual
     false-positive probability is far below 2^-128 but not zero, which
@@ -140,7 +139,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_BASES:
         if n == p:
             return True
         if n % p == 0:
@@ -152,8 +151,7 @@ def is_prime(n: int) -> bool:
         s += 1
     if n < DETERMINISTIC_PRIME_BOUND:
         used = 4 if n < _MR_BOUND_4 else 6 if n < _MR_BOUND_6 else len(_MR_BASES)
-        # a >= n only happens for n = 41 here; a multiple of n is no witness.
-        return all(_miller_rabin_round(n, a, d, s) for a in _MR_BASES[:used] if a % n)
+        return all(_miller_rabin_round(n, a, d, s) for a in _MR_BASES[:used])
     if not _miller_rabin_round(n, 2, d, s):
         return False
     if not _strong_lucas(n):

@@ -28,8 +28,8 @@ primorial --table writes its human-readable table to stderr, so stdout
 still holds the one record.
 
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
-not a member); 2 usage or domain error; 3 a comparison that the configured
-precision cannot decide (see INTERLOCK_PRECISION_BITS).
+not a member); 2 usage or domain error; 3 a comparison that precision's
+doubling ladder cannot decide by the ceiling its operands set.
 """
 
 from __future__ import annotations

@@ -8,67 +8,51 @@ exp_bounds(r, prec) gives lo <= e^r * 2^prec <= hi for a rational r >= 0.
 
 It sums a fixed-point series with every term rounded down for lo and up
 for hi, plus a bound on the tail, so the enclosure holds whatever the
-precision; the precision only sets how narrow it is.  A decision at the
-working precision that the enclosure cannot settle returns None, the
-precision escalates a few times, and then PrecisionError is raised rather
-than guessing.  The working precision defaults to 256 bits and can be
-overridden with the INTERLOCK_PRECISION_BITS environment variable.
+precision; the precision only sets how narrow it is.  A decision that the
+enclosure cannot settle returns None, and escalating doubles the precision,
+from 256 bits (or more where the answer itself is longer), until it can.
+How close a comparison comes to a tie grows with its operands: ln 3 to d
+digits, 6.6d bits of numerator and denominator, puts e^r within 2^(-3.3d)
+of 3.  So the ladder's ceiling is sized by them, 8 * max(start, B) bits for
+operands of B bits in all, and past it PrecisionError is raised rather than
+a guess.  Operands under 256 bits in all climb 256, 512, 1024, 2048.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import Callable, TypeVar
 
 from .arith import decimal_text
 
-DEFAULT_PRECISION_BITS = 256
-PRECISION_ENV_VAR = "INTERLOCK_PRECISION_BITS"
-
-_ESCALATION_FACTORS = (1, 2, 4, 8)
-
-T = TypeVar("T")
+START_BITS = 256
 
 
 class PrecisionError(ArithmeticError):
-    """A comparison could not be decided at the working precision."""
+    """A comparison could not be decided at the precision its operands allow."""
 
 
-def precision_bits() -> int:
-    raw = os.environ.get(PRECISION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be an integer, got {raw!r}") from None
-    if bits < 8:
-        raise ValueError(f"{PRECISION_ENV_VAR} must be >= 8, got {bits}")
-    return bits
+def _bits(*values: Fraction) -> int:
+    return sum(v.numerator.bit_length() + v.denominator.bit_length() for v in values)
 
 
-def escalating(step: Callable[..., T | None], what: Callable[[], str],
-               base: int | None = None) -> T:
-    """Run step(iv) at growing precision until it returns a non-None value.
+def escalating(step, what, operand_bits: int, start: int = START_BITS):
+    """Run step(iv) at doubling precision until it returns a non-None value.
 
-    iv.prec is the working precision in bits, starting at base (default:
-    precision_bits()).  step must return None exactly when the enclosures it
-    computed were too wide to decide; after an 8x escalation the failure
-    becomes a PrecisionError carrying the text what() builds, which is built
-    only then.
+    iv.prec is the working precision in bits, from start up to 8 *
+    max(start, operand_bits).  step must return None exactly when the
+    enclosures it computed were too wide to decide; past the ceiling the
+    failure becomes a PrecisionError carrying the text what() builds, which
+    is built only then.
     """
-    base = base or precision_bits()
-    for factor in _ESCALATION_FACTORS:
-        result = step(SimpleNamespace(prec=base * factor))
+    prec, ceiling = start, 8 * max(start, operand_bits)
+    while prec <= ceiling:
+        result = step(SimpleNamespace(prec=prec))
         if result is not None:
             return result
-    raise PrecisionError(
-        f"cannot decide {what()} at {base * _ESCALATION_FACTORS[-1]} bits; "
-        f"raise {PRECISION_ENV_VAR} to resolve"
-    )
+        prec *= 2
+    raise PrecisionError(f"cannot decide {what()} at {prec // 2} bits")
 
 
 def exp_bounds(r: Fraction, prec: int) -> tuple[int, int]:
@@ -139,7 +123,8 @@ def fraction_lt_exp(q: Fraction, exponent: Fraction) -> bool:
         below, above = scaled < lo * q.denominator, scaled > hi * q.denominator
         return below if below or above else None
 
-    return escalating(step, lambda: f"{decimal_text(q)} < exp({decimal_text(exponent)})")
+    return escalating(step, lambda: f"{decimal_text(q)} < exp({decimal_text(exponent)})",
+                      _bits(q, exponent))
 
 
 @lru_cache(maxsize=4096)
@@ -151,11 +136,12 @@ def floor_exp(a: Fraction | int) -> int:
         return 1
     a = Fraction(a)
     # e^a has about 1.45 * a bits before the point; give headroom.
-    needed = max(precision_bits(), int(a * 3 / 2) + 64)
+    int_bits = int(a * 3 / 2)
 
     def step(iv):
         lo, hi = exp_bounds(a, iv.prec)
         f = lo >> iv.prec
         return f if hi >> iv.prec == f else None
 
-    return escalating(step, lambda: f"floor(e^{a})", needed)
+    return escalating(step, lambda: f"floor(e^{a})", _bits(a) + int_bits,
+                      max(START_BITS, int_bits + 64))

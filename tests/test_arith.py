@@ -205,6 +205,9 @@ def test_is_prime_examples():
     assert is_prime(65537)
     assert not is_prime(1)
     assert not is_prime(0)
+    # Either side of the last base, 41, which the screen and the rounds share.
+    for n, prime in ((41, True), (43, True), (41**2, False), (41 * 43, False), (43**2, False)):
+        assert is_prime(n) is prime, n
     # Independent check for 2^32 + 15: trial division to the square root.
     n = 2**32 + 15
     assert all(n % d for d in range(2, isqrt(n) + 1))

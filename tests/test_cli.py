@@ -511,14 +511,28 @@ def test_threshold_text_for_a_large_t(capsys):
     assert rec["result"]["threshold"].endswith(f"e^c = 2^{Decimal(1 << 14298)})")
 
 
+def ln3_text(digits: int, up: bool) -> str:
+    """--C text for ln 3 rounded down (or up) to this many decimal digits."""
+    with mpmath.workprec(4000 + 4 * digits):
+        scaled = mpmath.log(3) * mpmath.mpf(10) ** digits
+        return f"{int(mpmath.ceil(scaled) if up else mpmath.floor(scaled))}/{10**digits}"
+
+
 def test_s_member_precision_exit_three(capsys, monkeypatch):
-    monkeypatch.setenv("INTERLOCK_PRECISION_BITS", "32")
-    with mpmath.workprec(1200):
-        scaled = int(mpmath.floor(mpmath.log(3) * mpmath.mpf(10) ** 200))
-    razor = f"{scaled}/{10**200}"
-    code, rec = invoke(capsys, "--jsonl", "s-member", "3", "--C", razor)
+    # Enclosures that never narrow: the ladder passes its ceiling.
+    monkeypatch.setattr(precision, "exp_bounds", lambda r, prec: (0, 1 << (prec + 64)))
+    precision.floor_exp.cache_clear()
+    code, rec = invoke(capsys, "--jsonl", "s-member", "3", "--C", ln3_text(200, up=False))
     assert code == 3
     assert rec["result"]["error"] == "precision-indeterminate"
+    assert rec["result"]["message"].endswith(" bits")
+
+
+def test_s_member_decides_a_700_digit_threshold(capsys):
+    # e^C falls 10^-700 short of 3 (or passes it): about 2,400 bits decide it.
+    precision.floor_exp.cache_clear()
+    for up, code in ((False, 1), (True, 0)):
+        assert invoke(capsys, "--jsonl", "s-member", "3", "--C", ln3_text(700, up))[0] == code
 
 
 def test_s_count(capsys):

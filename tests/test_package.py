@@ -26,7 +26,7 @@ EXPORTS = {
         "verify_construction",
     ],
     "pairs": ["GapWitness", "InterlockReport", "check_alternation", "check_interlock"],
-    "precision": ["PrecisionError", "precision_bits"],
+    "precision": ["PrecisionError"],
     "primorials": [
         "PlacementReport", "PrimorialSplit", "enumerate_primorial_pairs",
         "placement_consensus",
@@ -97,6 +97,14 @@ def test_cli_import_without_site_leaves_pathlib_out():
     # package never imports it.
     out = fresh_python("import sys, interlock.cli; print('pathlib' in sys.modules)", "-S")
     assert out.split() == ["False"]
+
+
+def test_construction_import_without_site_leaves_typing_out():
+    # Without site nothing else loads typing first; construction and the
+    # precision module it compares with leave it out (about 2 ms).
+    out = fresh_python("import sys, interlock.construction; "
+                       "print('interlock.precision' in sys.modules, 'typing' in sys.modules)", "-S")
+    assert out.split() == ["True", "False"]
 
 
 def test_commands_run_with_mpmath_unimportable(tmp_path):

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interlock import precision
 from interlock.precision import (
     PrecisionError,
     exp_bounds,
     floor_exp,
     fraction_lt_exp,
     log_le,
-    precision_bits,
 )
 
 
@@ -80,25 +80,62 @@ def test_exp_below_a_fraction():
     assert not fraction_lt_exp(Fraction(1), Fraction(-1))
 
 
-def test_precision_error_on_razor_margin(monkeypatch):
-    # A rational 200 digits from ln 3 cannot be separated at 32 * 8 bits.
-    monkeypatch.setenv("INTERLOCK_PRECISION_BITS", "32")
-    assert precision_bits() == 32
-    with mpmath.workprec(1200):
-        scaled = int(mpmath.floor(mpmath.log(3) * mpmath.mpf(10) ** 200))
-    razor = Fraction(scaled, 10**200)
-    with pytest.raises(PrecisionError):
-        log_le(3, razor)
-    # The same comparison resolves at the default precision budget.
-    monkeypatch.delenv("INTERLOCK_PRECISION_BITS")
-    assert not log_le(3, razor)  # truncation makes the bound fall short
+def ln3_razor(digits: int, up: bool) -> Fraction:
+    """ln 3 rounded down (or up) to this many decimal digits."""
+    with mpmath.workprec(4000 + 4 * digits):
+        scaled = mpmath.log(3) * mpmath.mpf(10) ** digits
+        return Fraction(int(mpmath.ceil(scaled) if up else mpmath.floor(scaled)), 10**digits)
 
 
-def test_env_var_validation(monkeypatch):
-    for raw in ("4", "abc"):
-        monkeypatch.setenv("INTERLOCK_PRECISION_BITS", raw)
-        with pytest.raises(ValueError, match="INTERLOCK_PRECISION_BITS"):
-            precision_bits()
+def wide_enclosures(monkeypatch) -> list[int]:
+    """Make every enclosure too wide to decide, and list the precisions tried."""
+    tried = []
+
+    def wide(r, prec):
+        tried.append(prec)
+        return 0, 1 << (prec + 64)
+
+    monkeypatch.setattr(precision, "exp_bounds", wide)
+    floor_exp.cache_clear()
+    return tried
+
+
+@pytest.mark.parametrize("digits", [200, 700])
+@pytest.mark.parametrize("up", [False, True])
+def test_razor_margins_decide_at_operand_sized_precision(digits, up):
+    # The bound sits 10^-digits from ln 3: separating e^bound from 3 takes
+    # more bits than a fixed 2,048-bit ceiling at 700 digits, and fewer than
+    # the ceiling the operands' lengths set.
+    razor = ln3_razor(digits, up)
+    floor_exp.cache_clear()
+    with mpmath.workprec(4000 + 4 * digits):
+        expected = 3 <= mpmath.exp(mpmath.mpf(razor.numerator) / razor.denominator)
+    assert expected is up  # rounded up, the bound passes ln 3
+    assert log_le(3, razor) is expected
+    assert fraction_lt_exp(Fraction(3), razor) is expected
+
+
+def test_the_removed_precision_variable_changes_nothing(monkeypatch):
+    # At 8 bits the old fixed ladder topped out at 64 bits and raised here.
+    monkeypatch.setenv("INTERLOCK_PRECISION_BITS", "8")
+    floor_exp.cache_clear()
+    assert not log_le(3, ln3_razor(200, up=False))
+
+
+def test_precision_error_when_the_enclosure_never_narrows(monkeypatch):
+    tried = wide_enclosures(monkeypatch)
+    with pytest.raises(PrecisionError, match=r"floor\(e\^5\) at 2048 bits$"):
+        floor_exp(5)
+    assert tried == [256, 512, 1024, 2048]  # 5 has a few bits: 8 * 256
+    # Long operands raise the ceiling to 8 times their bit length.
+    razor = ln3_razor(200, up=False)
+    operand_bits = razor.numerator.bit_length() + razor.denominator.bit_length()
+    tried.clear()
+    with pytest.raises(PrecisionError) as raised:
+        fraction_lt_exp(Fraction(3), razor)
+    assert tried == [256 << i for i in range(len(tried))]
+    assert tried[-1] <= 8 * (operand_bits + 3) < 2 * tried[-1]
+    assert str(raised.value).endswith(f" at {tried[-1]} bits")
 
 
 @given(st.integers(min_value=2, max_value=10**9), st.integers(min_value=-20, max_value=40))

@@ -14,6 +14,7 @@ from interlock import arith, separability
 from interlock.arith import FactorTable, divisors, factorize, smallest_prime_divisor, tau
 from interlock.pairs import check_interlock, check_interlock_divisors
 from interlock.separability import (
+    VERIFIED_RESIDUES,
     ChunkScan,
     Pow2Report,
     SearchConfig,
@@ -487,6 +488,25 @@ def test_pow2_verifier():
         verify_pow2_nonseparable(2)
     with pytest.raises(ValueError):
         verify_pow2_nonseparable(1)
+
+
+def test_verified_residues_match_the_partner_shapes_seen():
+    # The classes are the k whose k and k + 1 are both free of the factors
+    # 4 and 6.  Every partner of 2^k, k = 3..33, has 4 | tau(m) or
+    # 6 | tau(m), and 3 or 9 exactly divides it.  This is an observation
+    # over that range, not a proof of the lemma.
+    assert VERIFIED_RESIDUES == {
+        r for r in range(12) if all(x % 4 and x % 6 for x in (r, r + 1))
+    }
+    total = 0
+    for k in range(3, 34):
+        partners = pow2_partners(k, 2 ** (k + 2) - 1, True).partners
+        for m in partners:
+            t = tau(m)
+            assert t % 4 == 0 or t % 6 == 0, (k, m)
+            assert m % 3 == 0 and m % 27, (k, m)  # 3 or 9 exactly divides m
+        total += len(partners)
+    assert total == 18_488
 
 
 def test_even_partner_restriction_is_validated_not_assumed():
