@@ -26,7 +26,7 @@ _EXPORTS = {
         "count_bounded_jumps gap_census gap_ratio has_bounded_jumps plan_from_dict "
         "plan_to_dict verify_construction"
     ),
-    "pairs": "GapWitness InterlockReport check_alternation check_interlock",
+    "pairs": "GapWitness InterlockReport check_interlock",
     "precision": "PrecisionError",
     "primorials": (
         "PlacementReport PrimorialSplit enumerate_primorial_pairs placement_consensus"

@@ -28,8 +28,9 @@ primorial --table writes its human-readable table to stderr, so stdout
 still holds the one record.
 
 Exit codes: 0 success; 1 a valid negative answer (verdict false, no partner,
-not a member); 2 usage or domain error; 3 a comparison that precision's
-doubling ladder cannot decide by the ceiling its operands set.
+not a member); 2 usage or domain error, or an input too large for memory;
+3 a comparison that precision's doubling ladder cannot decide by the
+ceiling its operands set.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from itertools import chain
 
 from . import __version__
 from .arith import decimal_int, decimal_text
-from .pairs import check_alternation, check_interlock
+from .pairs import check_interlock
 from .separability import (
     SearchBudgetError,
     SearchConfig,
@@ -69,7 +70,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_PRECISION = 3
 
-_INT64_MAX = (1 << 63) - 1
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 # The smallest chunk _chunks cuts a window into.
 _MIN_CHUNK = 512
@@ -90,7 +91,7 @@ def _jsonify(value):
     if isinstance(value, (bool, float)) or value is None:
         return value
     if isinstance(value, int):
-        return value if -_INT64_MAX <= value <= _INT64_MAX else decimal_text(value)
+        return value if _INT64_MIN <= value <= _INT64_MAX else decimal_text(value)
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, tuple) and hasattr(value, "_asdict"):  # a namedtuple
@@ -163,8 +164,7 @@ def _window_scanner(jobs: int):
 
 
 def _cmd_check(args):
-    decide = check_alternation if args.alternation else check_interlock
-    report = decide(args.m, args.n)
+    report = check_interlock(args.m, args.n)
     return report, EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 
@@ -231,9 +231,7 @@ def _cmd_construct(args):
         if args.k is None or args.t is None:
             raise ValueError("construct: provide --k and --t, or --load PATH")
         plan = build_pow2_partner(args.k, args.t, prime_search_bits=args.budget_bits)
-    report = verify_construction(
-        plan, direct_interlock=True if args.verify_direct else None
-    )
+    report = verify_construction(plan)
     saved = plan_to_dict(plan, report)
     if args.save:
         write_file_atomically(args.save, [json.dumps(saved, sort_keys=True, indent=2)])
@@ -370,10 +368,7 @@ def _flag(*flags, **kwargs):
 # Each subcommand: (help, its arguments as (flags, add_argument kwargs)); its
 # handler is _cmd_<name>, with "-" as "_".
 _COMMANDS = {
-    "check": ("interlock verdict and merged trace", (
-        _int("m"), _int("n"),
-        _flag("--alternation", help="use the merge-alternation decider (agrees unless M = N is prime)"),
-    )),
+    "check": ("interlock verdict and merged trace", (_int("m"), _int("n"))),
     "partner": ("search the proven window for partners", (
         _int("n"),
         _flag("--all", help="report every partner"),
@@ -391,7 +386,6 @@ _COMMANDS = {
              "classes, partner search otherwise", (_int("--k", required=True),)),
     "construct": ("build and verify a 2^k partner plan", (
         _int("--k"), _int("--t"),
-        _flag("--verify-direct", help="force the full interlock cross-check"),
         _arg("--save", help="write plan JSON here"),
         _arg("--load", help="re-verify a saved plan"),
         _int("--budget-bits", default=1024, help="largest 2^bits allowed in the next-prime search"),
@@ -467,6 +461,8 @@ def _error_kind(exc: Exception):
         return "budget-exceeded", EXIT_USAGE
     if isinstance(exc, (ValueError, OSError)):
         return "usage", EXIT_USAGE
+    if isinstance(exc, MemoryError):
+        return "out-of-memory", EXIT_USAGE
     return None
 
 
@@ -484,7 +480,8 @@ def run(argv=None) -> int:
         kind = _error_kind(exc)
         if kind is None:
             raise
-        result = {"error": kind[0], "message": str(exc)}
+        # str(MemoryError()) is empty: name the exception instead.
+        result = {"error": kind[0], "message": str(exc) or type(exc).__name__}
         code, stream = kind[1], sys.stderr
     record = {
         "command": args.command,

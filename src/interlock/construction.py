@@ -61,7 +61,7 @@ DIVISORS_OF_231 = divisors(231)
 # search above n_i would dominate the run.
 DEFAULT_PRIME_SEARCH_BITS = 1024
 
-# Direct interlock cross-checks are skipped above this tau(m) unless forced.
+# The direct interlock cross-check runs exactly when tau(m) = k is at most this.
 _DIRECT_CHECK_CAP = 4096
 
 
@@ -377,9 +377,7 @@ def _compute_claims(plan: ConstructionPlan) -> ClaimDiagnostics:
     )
 
 
-def verify_construction(
-    plan: ConstructionPlan, direct_interlock: bool | None = None
-) -> ConstructionReport:
+def verify_construction(plan: ConstructionPlan) -> ConstructionReport:
     """Check that m's k divisors fill the dyadic slots of 2^k, one each.
 
     Ascending, the d-th divisor d' of m, from the plan's factorization (m is
@@ -388,9 +386,8 @@ def verify_construction(
     d + 1.  Also checks tau(m) = k (the p_i are distinct and exceed 11, so
     tau multiplies out directly).  Claim diagnostics are attached but do not
     gate `verified`.  An m past arith's divisor-list cap raises ValueError.
-
-    direct_interlock: None = run the full interlock cross-check on the same
-    divisors when tau(m) is small enough; True/False forces it on or off.
+    When k <= _DIRECT_CHECK_CAP the full interlock check runs on the same
+    divisors too, and gates `verified`.
     """
     k = plan.k
     divs = plan_divisors(plan)
@@ -404,10 +401,8 @@ def verify_construction(
 
     verified = first_failure is None and injective and tau_ok
 
-    if direct_interlock is None:
-        direct_interlock = k <= _DIRECT_CHECK_CAP
     interlock_report = None
-    if direct_interlock:
+    if k <= _DIRECT_CHECK_CAP:
         div_n = tuple(1 << i for i in range(k + 1))
         interlock_report = check_interlock(plan.m, 1 << k, divs, div_n)
         verified = verified and interlock_report.verdict
@@ -422,7 +417,7 @@ def verify_construction(
         injective=injective,
         verified=verified,
         claims=_compute_claims(plan),
-        interlock_checked=direct_interlock,
+        interlock_checked=interlock_report is not None,
         interlock_report=interlock_report,
     )
 

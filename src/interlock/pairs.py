@@ -7,14 +7,12 @@ sides.  A side with fewer than two divisors exceeding 1 (i.e. tau <= 2)
 imposes no condition at all; pairs that interlock only through such vacuous
 sides are flagged as degenerate rather than filtered out.
 
-Two deciders are provided.  check_interlock implements the definition
-directly and is the canonical semantics; callers that hold the divisor
-lists (a scanner, or a factorization known by construction) pass them in,
-and check_interlock_divisors gives its verdict alone from those lists.
-check_alternation merges the two divisor lists and requires the sources to
-alternate strictly; a common divisor > 1 shows up as a tie and is reported
-as a violation.  By the alternation lemma (separability), the two agree on
-every m != n; they differ only at m = n prime, a tie against a vacuous pair.
+check_interlock implements the definition directly and decides every
+verdict; callers that hold the divisor lists (a scanner, or a factorization
+known by construction) pass them in, and check_interlock_divisors gives its
+verdict alone from those lists.  By the alternation lemma (separability),
+on every m != n this is the same as the merged divisor lists above 1
+alternating strictly between the two sides with no common entry.
 """
 
 from __future__ import annotations
@@ -29,12 +27,10 @@ SECOND = "second"
 
 
 class GapWitness(namedtuple("GapWitness", "kind side lower upper")):
-    """Why a pair fails: either an unseparated gap or a tie in the merge.
-
-    kind "gap": `lower` and `upper` are consecutive divisors (> 1) of the
-    side named by `side` ("first" | "second"), with no divisor of the other
-    side strictly between them.  kind "tie": lower == upper is a common
-    divisor > 1, and side is "both".
+    """Why a pair fails: an unseparated gap.  kind is always "gap";
+    `lower` and `upper` are consecutive divisors (> 1) of the side named by
+    `side` ("first" | "second"), with no divisor of the other side strictly
+    between them.
     """
 
     __slots__ = ()
@@ -47,8 +43,8 @@ class InterlockReport(
         defaults=(None, None),
     )
 ):
-    """method is "definitional" or "alternation"; a failure carries a
-    GapWitness, a success the merged trace of divisors > 1."""
+    """method is always "definitional"; a failure carries a GapWitness, a
+    success the merged trace of divisors > 1."""
 
     __slots__ = ()
 
@@ -97,31 +93,3 @@ def check_interlock_divisors(div_m, div_n) -> bool:
     """check_interlock's verdict alone (no witness or trace), from the complete divisor lists."""
     dm, dn = div_m[1:], div_n[1:]
     return _first_unseparated_gap(dm, dn) is None and _first_unseparated_gap(dn, dm) is None
-
-
-def check_alternation(m: int, n: int) -> InterlockReport:
-    """Decide interlocking by merging divisor lists and requiring strict
-    alternation of sources; a common divisor > 1 yields verdict False with
-    a tie witness.  Agrees with check_interlock on every m != n (module doc).
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"check_alternation: inputs must be >= 1, got ({m}, {n})")
-    dm = divisors(m)[1:]
-    dn = divisors(n)[1:]
-    degenerate = len(dm) < 2 or len(dn) < 2
-    merged = sorted([(d, FIRST) for d in dm] + [(d, SECOND) for d in dn])
-    for (a, src_a), (b, src_b) in zip(merged, merged[1:]):
-        if a == b:
-            return InterlockReport(
-                False, "alternation", m, n, degenerate,
-                witness=GapWitness("tie", "both", a, b),
-            )
-        if src_a == src_b:
-            return InterlockReport(
-                False, "alternation", m, n, degenerate,
-                witness=GapWitness("gap", src_a, a, b),
-            )
-    return InterlockReport(
-        True, "alternation", m, n, degenerate,
-        trace=tuple(d for d, _ in merged),
-    )

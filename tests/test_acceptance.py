@@ -90,7 +90,7 @@ def test_criterion_3_pow2_nonseparable_desk_scale(capsys):
 
 def test_criterion_4_construction_mechanics(capsys):
     started = time.perf_counter()
-    code, rec = _cli_json(capsys, "construct", "--k", "32", "--t", "5", "--verify-direct")
+    code, rec = _cli_json(capsys, "construct", "--k", "32", "--t", "5")
     assert code == 0
     result = rec["result"]
     assert int(result["plan"]["m"]) == 231 * 257 * 65537
@@ -102,10 +102,12 @@ def test_criterion_4_construction_mechanics(capsys):
     assert verification["interlock_report"]["verdict"] is True
 
     plan96 = build_pow2_partner(96, 5)
-    report96 = verify_construction(plan96, direct_interlock=False)
+    report96 = verify_construction(plan96)
     assert report96.verified and report96.tau_m == 96
-    report96d = verify_construction(plan96, direct_interlock=True)
-    assert report96d.verified and report96d.interlock_report.verdict
+    # The slot checks and the direct interlock check agree.
+    slots_ok = (report96.first_failure is None and report96.injective
+                and report96.tau_identity_ok)
+    assert report96.interlock_checked and slots_ok == report96.interlock_report.verdict
     elapsed = time.perf_counter() - started
     assert elapsed < 10
     _report("4 (partner construction, k=32 and k=96)", elapsed)

@@ -307,8 +307,7 @@ def test_jobs_below_one_usage_error(capsys, pool_log):
 def test_construct_and_reload(tmp_path, capsys):
     path = tmp_path / "plan.json"
     code, rec = invoke(
-        capsys, "--jsonl", "construct", "--k", "32", "--t", "5",
-        "--verify-direct", "--save", str(path),
+        capsys, "--jsonl", "construct", "--k", "32", "--t", "5", "--save", str(path),
     )
     assert code == 0
     result = rec["result"]
@@ -319,6 +318,19 @@ def test_construct_and_reload(tmp_path, capsys):
     code, rec = invoke(capsys, "--jsonl", "construct", "--load", str(path))
     assert code == 0
     assert rec["result"]["verification"]["verified"] is True
+
+
+def test_the_direct_interlock_check_runs_exactly_up_to_its_cap(capsys):
+    # construction._DIRECT_CHECK_CAP = 4096 lies between these two k.
+    for k, t, checked in (("4064", "5", True), ("4160", "6", False)):
+        code, rec = invoke(capsys, "--jsonl", "construct", "--k", k, "--t", t)
+        report = rec["result"]["verification"]
+        assert code == 0 and report["verified"] is True, k
+        assert report["interlock_checked"] is checked, k
+        if checked:
+            assert report["interlock_report"]["verdict"] is True
+        else:
+            assert report["interlock_report"] is None
 
 
 def test_construct_usage_errors(capsys):
@@ -579,6 +591,16 @@ def test_sieve_beyond_an_index_is_a_usage_error(capsys, argv):
     assert f"x = {argv[2]} is too large" in rec["result"]["message"]
 
 
+def test_running_out_of_memory_is_a_record(capsys, monkeypatch):
+    def no_memory(x, y, z):
+        raise MemoryError
+
+    monkeypatch.setattr(construction, "_divisor_marks", no_memory)
+    code, rec = invoke(capsys, "--jsonl", "gaps", "--x", "30", "--y", "3", "--z", "5")
+    assert code == 2
+    assert rec["result"] == {"error": "out-of-memory", "message": "MemoryError"}
+
+
 def test_primorial_payloads(capsys):
     code, rec = invoke(capsys, "--jsonl", "primorial", "--k", "8")
     assert code == 0
@@ -652,11 +674,12 @@ def test_unexpected_errors_propagate(capsys, monkeypatch, error):
 # parser: every subcommand, the global flags before and after it, their
 # abbreviations, negative integers, "--", help and usage errors.
 PARSE_CORPUS = [
-    "check 6 10", "--jsonl check 6 10 --alternation", "check 6 10 --jobs 2 --jsonl",
+    "check 6 10", "--jsonl check 6 10 --jobs=1", "check 6 10 --jobs 2 --jsonl",
     "--jobs 2 partner 64 --all", "--jobs=2 partner 64 --bound 100 --no-prune",
     "partner 64 --jobs=3", "--js --job 2 census --max 30", "--jo=1 census --max 30 --cache c",
     "census --max 30 --recompute --no-prune --all --js", "pow2 --k 14", "--jsonl pow2 --k=-1",
-    "construct --k 96 --t 5 --verify-direct --save p --budget-bits 64", "construct --load p",
+    "construct --k 96 --t 5 --jsonl --save p --budget-bits 64", "construct --load p",
+    "check 6 10 --alternation", "construct --k 96 --t 5 --verify-direct",
     "s-member 148 --t 5", "s-member -148 --C 5/2", "s-count --max 100 --C 5", "s-count --max 10 --t 4",
     "gaps --x 30 --y 3 --z 5", "primorial --k 6 --consensus --table", "check -6 10",
     "check -- -6 10", "--jobs -1 check 6 10", "--jobs 2 -- check 6 10", "partner -- 64",
@@ -931,3 +954,14 @@ def test_big_integers_cross_as_strings(capsys):
 def test_inputs_echo(capsys):
     _, rec = invoke(capsys, "--jsonl", "gaps", "--x", "100", "--y", "2", "--z", "10")
     assert rec["inputs"] == {"x": 100, "y": 2, "z": 10}
+    _, rec = invoke(capsys, "--jsonl", "check", "6", "10")
+    assert rec["inputs"] == {"m": 6, "n": 10}
+    _, rec = invoke(capsys, "--jsonl", "construct", "--k", "32", "--t", "5")
+    assert rec["inputs"] == {"budget_bits": 1024, "k": 32, "load": None, "save": None, "t": 5}
+
+
+def test_ints_are_strings_exactly_outside_a_signed_64_bit_word(capsys):
+    for m, echo in ((-(1 << 63), -(1 << 63)), (-(1 << 63) - 1, str(-(1 << 63) - 1)),
+                    ((1 << 63) - 1, (1 << 63) - 1), (1 << 63, str(1 << 63))):
+        _, rec = invoke(capsys, "--jsonl", "check", "--", str(m), "5")
+        assert rec["inputs"]["m"] == echo, m

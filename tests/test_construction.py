@@ -250,7 +250,7 @@ def test_build_plan_rejections():
 
 def test_verify_k32_with_direct_check():
     plan = build_pow2_partner(32, 5)
-    report = verify_construction(plan, direct_interlock=True)
+    report = verify_construction(plan)
     assert report.verified
     assert report.dyadic_checks == 32 and report.first_failure is None
     assert report.tau_m == 32 and report.tau_identity_ok
@@ -283,7 +283,7 @@ def test_claim_diagnostics_k32():
 def test_verified_plans_interlock():
     for k, t in ((16, 4), (32, 5), (48, 4), (64, 4), (96, 5), (160, 5), (256, 4)):
         plan = build_pow2_partner(k, t)
-        report = verify_construction(plan, direct_interlock=True)
+        report = verify_construction(plan)
         assert report.verified, (k, t)
         assert report.tau_m == k == tau(1 << k) - 1, (k, t)
         assert report.interlock_report.verdict, (k, t)
@@ -307,7 +307,7 @@ def test_plan_serialization_roundtrip(tmp_path):
     assert back == plan
     assert pickle.loads(pickle.dumps(plan)) == plan and type(back) is type(plan)
     # a reloaded plan re-verifies identically
-    report = verify_construction(back, direct_interlock=True)
+    report = verify_construction(back)
     assert report.verified
 
 

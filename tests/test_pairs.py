@@ -1,4 +1,4 @@
-"""Interlock deciders: worked examples, equivalence, and the divisor-count
+"""The interlock decider: worked examples, the alternation lemma, and the divisor-count
 relation as an empirical theorem over an exhaustive small-range scan."""
 
 from functools import cache
@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlock.arith import divisors, smallest_prime_divisor, tau
-from interlock.pairs import check_alternation, check_interlock, check_interlock_divisors
+from interlock.pairs import check_interlock, check_interlock_divisors
 from oracles import divisor_table, oracle_interlock, tau_relation
 
 SCAN = 300
@@ -57,24 +57,12 @@ def test_degenerate_flags():
     assert not check_interlock(1, 12).verdict
 
 
-def test_alternation_examples():
-    report = check_alternation(63, 64)
-    assert report.verdict
-    assert report.trace == (2, 3, 4, 7, 8, 9, 16, 21, 32, 63, 64)
-    report = check_alternation(10, 21)
+def test_traces_and_the_first_gap_witness():
+    report = check_interlock(10, 21)
     assert report.verdict and report.trace == (2, 3, 5, 7, 10, 21)
-    report = check_alternation(45, 64)
-    assert not report.verdict
-    assert report.witness.kind == "gap"
-    assert (report.witness.lower, report.witness.upper) == (9, 15)
-    assert report.witness.side == "first"
-
-
-def test_alternation_tie_witness():
-    report = check_alternation(6, 10)
-    assert not report.verdict
-    assert report.witness.kind == "tie"
-    assert report.witness.lower == report.witness.upper == 2
+    report = check_interlock(45, 64)
+    assert not report.verdict and report.method == "definitional"
+    assert report.witness == ("gap", "first", 9, 15)
 
 
 def test_check_interlock_divisors_entry_point():
@@ -142,18 +130,18 @@ def test_tau_relation_rejections():
         tau_relation(1, 5)
 
 
-def test_equivalence_of_deciders_on_distinct_pairs():
-    # By the alternation lemma the deciders agree on every m != n; at m = n
-    # they differ exactly when n is prime (a vacuous pair against a tie).
+def alternates(m, n):
+    """The merged divisor lists above 1 strictly alternate between m's and
+    n's, with no common entry."""
+    merged = sorted([(d, 0) for d in TABLE[m][1:]] + [(d, 1) for d in TABLE[n][1:]])
+    return all(a < b and sa != sb for (a, sa), (b, sb) in zip(merged, merged[1:]))
+
+
+def test_the_alternation_lemma_on_distinct_pairs():
     for m in range(1, SCAN + 1):
         for n in range(1, SCAN + 1):
             if m != n:
-                assert (
-                    check_interlock(m, n).verdict == check_alternation(m, n).verdict
-                ), (m, n)
-    differ = [n for n in range(1, SCAN + 1)
-              if check_interlock(n, n).verdict != check_alternation(n, n).verdict]
-    assert differ == [n for n in range(2, SCAN + 1) if tau(n) == 2]
+                assert check_interlock(m, n).verdict == alternates(m, n), (m, n)
 
 
 def test_matches_definition_oracle():

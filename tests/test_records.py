@@ -119,7 +119,7 @@ RECORDS = [
     has_bounded_jumps(514, JumpParams.from_t(5)),
     build_pow2_partner(32, 5),
     build_pow2_partner(32, 5).levels[0],
-    verify_construction(build_pow2_partner(32, 5), direct_interlock=True),
+    verify_construction(build_pow2_partner(32, 5)),
     verify_construction(build_pow2_partner(32, 5)).claims,
 ]
 
@@ -184,8 +184,8 @@ def test_search_config_validates_and_keeps_its_repr():
     )
     assert SearchConfig(2).bound_override == 2
     assert hash(SearchConfig()) == hash(SearchConfig(None, True, False))
-    assert repr(GapWitness("tie", "both", 2, 2)) == (
-        "GapWitness(kind='tie', side='both', lower=2, upper=2)"
+    assert repr(GapWitness("gap", "second", 3, 5)) == (
+        "GapWitness(kind='gap', side='second', lower=3, upper=5)"
     )
 
 
