@@ -340,14 +340,6 @@ def first_primes(k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def primorial(k: int) -> int:
-    """Product of the first k primes; primorial(0) = 1."""
-    result = 1
-    for p in first_primes(k):
-        result *= p
-    return result
-
-
 def _tau_bytes(lo: int, hi: int, step: int) -> bytearray:
     """min(tau(m), 255) for every m in range(lo, hi + 1, step), indexed by
     (m - lo) // step; 1 <= lo <= hi, and step = 2 only for odd lo.

@@ -44,7 +44,7 @@ import time
 from itertools import chain
 
 from . import __version__
-from .arith import decimal_int, decimal_text
+from .arith import FACTOR_TABLE_CAP, decimal_int, decimal_text
 from .pairs import check_interlock
 from .separability import (
     SearchBudgetError,
@@ -181,6 +181,8 @@ def _cmd_partner(args):
 def _cmd_census(args):
     if args.max < 1:
         raise ValueError(f"census: x must be >= 1, got {args.max}")
+    if args.max > FACTOR_TABLE_CAP:  # past the census table, and days of work
+        raise ValueError(f"census: x must be <= {FACTOR_TABLE_CAP}, got {args.max}")
     cfg = SearchConfig(prune=not args.no_prune, report_all_partners=args.all)
     # One read of the file: served unless --recompute, kept in the rewrite.
     stored = load_census_cache(args.cache, cfg) if args.cache else {}
@@ -225,6 +227,8 @@ def _cmd_construct(args):
     from .construction import build_pow2_partner, plan_from_dict
     from .construction import plan_to_dict, verify_construction
     if args.load:
+        if args.k is not None or args.t is not None:
+            raise ValueError("construct: give --k and --t, or --load PATH, not both")
         with open(args.load, "r", encoding="utf-8") as fh:
             plan = plan_from_dict(json.load(fh, parse_int=decimal_int))
     else:

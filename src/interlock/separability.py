@@ -127,17 +127,6 @@ class ChunkScan(namedtuple("ChunkScan", "partners passed")):
     __slots__ = ()
 
 
-def partner_search_bound(n: int) -> tuple[int, int]:
-    """Window [lo, hi] that provably contains every partner of n:
-    [n/d2(n) + 1, n * d3(n)] when tau(n) >= 3, [2, n^2] otherwise.  The
-    containment claim is enforced by the bound-soundness test, not assumed
-    here.
-    """
-    if n < 2:
-        raise ValueError(f"partner_search_bound: n must be >= 2, got {n}")
-    return partner_window(n, SearchConfig())[:2]
-
-
 def _end_gaps_allow(m: int, n: int, div_n: tuple[int, ...], least_prime) -> bool:
     """False only when the end-gap rules of the module doc rule out (m, n),
     from n's divisor list div_n and least_prime(r), the least prime of r >= 2.
@@ -316,7 +305,7 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
     divide it, which also keeps |ds| <= k + 1.  Past POW2_SEARCH_BUDGET
     nodes it raises SearchBudgetError.
     """
-    n, cap = 1 << k, hi
+    cap = hi
     div_n = tuple(1 << i for i in range(k + 1))
     found: list[int] = []
     spent = tested = 0
@@ -366,9 +355,13 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
 def partner_window(n: int, cfg: SearchConfig, div_n=None) -> tuple[int, int, bool]:
     """(lo, hi, degenerate) for the partner scan of n; div_n, if given, is n's divisors.
 
-    n = 1 gets the empty window [2, 1], whatever the bound override: it is
-    degenerate-separable by convention (it interlocks with every prime
-    vacuously), so nothing needs scanning and the partner list stays empty.
+    Without cfg.bound_override, [lo, hi] provably contains every partner of
+    n >= 2: [n/d2(n) + 1, n * d3(n)] when tau(n) >= 3, [2, n^2] otherwise
+    (degenerate).  The containment claim is enforced by the bound-soundness
+    test, not assumed here.  n = 1 gets the empty window [2, 1], whatever
+    the bound override: it is degenerate-separable by convention (it
+    interlocks with every prime vacuously), so nothing needs scanning and
+    the partner list stays empty.
     """
     if n < 1:
         raise ValueError(f"partner search: n must be >= 1, got {n}")

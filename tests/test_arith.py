@@ -25,7 +25,6 @@ from interlock.arith import (
     first_primes,
     is_prime,
     next_prime,
-    primorial,
     smallest_prime_divisor,
     tau,
 )
@@ -253,18 +252,12 @@ def test_next_prime_against_sieve():
         assert next_prime(p) == q
 
 
-def test_primorial():
-    assert primorial(0) == 1
-    assert primorial(4) == 210
-    assert primorial(8) == 9699690
-    sieve_primes = [p for p in range(2, 100) if FLAGS[p]]
-    for k in range(1, 15):
-        assert primorial(k) == prod(sieve_primes[:k])
-
-
 def test_first_primes():
     assert first_primes(0) == ()
     assert first_primes(5) == (2, 3, 5, 7, 11)
+    assert first_primes(14) == tuple(p for p in range(2, 44) if FLAGS[p])
+    with pytest.raises(ValueError, match="k must be >= 0, got -1"):
+        first_primes(-1)
 
 
 def test_tau_bytes_match_a_tau_table():

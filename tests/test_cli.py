@@ -9,7 +9,6 @@ from decimal import Decimal
 import mpmath
 import pytest
 
-import interlock
 from interlock import cli, construction, precision, separability
 from interlock.cli import run
 
@@ -245,7 +244,6 @@ def test_pow2_search_accounting(capsys):
 
 
 def test_slot_search_budget_is_a_budget_error(capsys, monkeypatch):
-    assert interlock.SearchBudgetError is separability.SearchBudgetError
     assert construction.SearchBudgetError is separability.SearchBudgetError
     monkeypatch.setattr(separability, "POW2_SEARCH_BUDGET", 50)
     code, rec = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "31")
@@ -339,6 +337,13 @@ def test_construct_usage_errors(capsys):
     assert rec["result"]["error"] == "usage"
     code, rec = invoke(capsys, "--jsonl", "construct")
     assert code == 2
+    for extra in (("--k", "96"), ("--t", "5"), ("--k", "96", "--t", "5")):
+        code, rec = invoke(capsys, "--jsonl", "construct", *extra, "--load", "plan.json")
+        assert code == 2
+        assert rec["result"] == {
+            "error": "usage",
+            "message": "construct: give --k and --t, or --load PATH, not both",
+        }
     code, rec = invoke(
         capsys, "--jsonl", "construct", "--k", "8192", "--t", "4",
         "--budget-bits", "128",
@@ -371,6 +376,7 @@ def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
         ({**plan, "exponents": ["7"]}, "field 'exponents'"),
         ({**plan, "levels": [moved]}, "field 'levels'"),
         ({**plan, "k": 32.7}, "field 'k'"),
+        ({**plan, "k": "12a"}, "bad or missing field 'k'"),
         ({**plan, "t": True}, "field 't'"),
         # t past str()'s 4,300-digit limit is refused in _plan's own words
         ({**plan, "t": "9" * 5000}, f"2^{'9' * 5000} does not divide k = 16"),
@@ -731,6 +737,14 @@ def test_census_rejects_max_below_one(capsys):
         assert rec["result"] == {
             "error": "usage",
             "message": f"census: x must be >= 1, got {bound}",
+        }
+    # Refused before any work: past the census table's 2^22 (days of work).
+    for bound in ("4194305", "1000000000000"):
+        code, rec = invoke(capsys, "--jsonl", "census", "--max", bound)
+        assert code == 2
+        assert rec["result"] == {
+            "error": "usage",
+            "message": f"census: x must be <= 4194304, got {bound}",
         }
 
 

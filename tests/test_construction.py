@@ -93,6 +93,8 @@ def test_count_examples():
     # e^c = 2^1024 dwarfs every divisor below 1e5: vacuous regime.
     assert count_bounded_jumps(10**5, JumpParams.from_t(12)) == 10**5
     assert count_bounded_jumps(1, JumpParams.from_override(5)) == 1
+    with pytest.raises(ValueError, match="x must be >= 1, got 0"):
+        count_bounded_jumps(0, JumpParams.from_t(4))
 
 
 def test_count_against_oracle():
@@ -239,6 +241,8 @@ def test_build_plan_rejections():
         build_pow2_partner(48, 5)  # 2^5 does not divide 48
     with pytest.raises(ValueError):
         build_pow2_partner(32, 3)  # t below 4
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        build_pow2_partner(0, 4)
     with pytest.raises(ValueError):
         build_pow2_partner(32 * 514, 5)  # 514 jumps out of the set at t = 5
     with pytest.raises(SearchBudgetError):

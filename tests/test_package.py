@@ -1,42 +1,18 @@
-"""The package surface: lazy re-exports, and what a CLI import loads."""
+"""The package surface: one import path per name, what a CLI import loads,
+and the README's code references."""
 
 import gc
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from importlib import import_module
 from pathlib import Path
 
-import pytest
-
 import interlock
 from interlock.cli import run
-
-EXPORTS = {
-    "arith": [
-        "divisors", "divisors_from_factorization", "factorize", "first_primes",
-        "is_prime", "next_prime", "primorial", "smallest_prime_divisor", "tau",
-    ],
-    "construction": [
-        "ClaimDiagnostics", "ConstructionPlan", "ConstructionReport", "JumpParams",
-        "SearchBudgetError", "build_pow2_partner", "count_bounded_jumps", "gap_census",
-        "gap_ratio", "has_bounded_jumps", "plan_from_dict", "plan_to_dict",
-        "verify_construction",
-    ],
-    "pairs": ["GapWitness", "InterlockReport", "check_interlock"],
-    "precision": ["PrecisionError"],
-    "primorials": [
-        "PlacementReport", "PrimorialSplit", "enumerate_primorial_pairs",
-        "placement_consensus",
-    ],
-    "separability": [
-        "Pow2Report", "SearchConfig", "SeparabilityResult", "census",
-        "count_separable", "find_partner", "partner_search_bound",
-        "verify_pow2_nonseparable",
-    ],
-}
 
 # Loaded only by the commands that use them.
 UNUSED_BY_IMPORT = [
@@ -133,25 +109,24 @@ def test_the_workflow_runs_tier1_the_selftest_and_the_installed_script():
         assert any(re.search(rf"(?<!-m ){re.escape(command)}", l) for l in lines), command
 
 
-def test_every_export_resolves_to_its_submodule():
-    names = [name for module_names in EXPORTS.values() for name in module_names]
-    assert sorted(interlock.__all__) == sorted(names)
-    for module, module_names in EXPORTS.items():
-        submodule = import_module(f"interlock.{module}")
-        for name in module_names:
-            assert getattr(interlock, name) is getattr(submodule, name), name
-            assert name in dir(interlock), name
-    assert interlock.__version__ == "0.1.0"
-    with pytest.raises(AttributeError):
-        interlock.no_such_name
-
-
-def test_from_import_in_a_fresh_process():
+def test_the_package_holds_only_its_version():
+    # Each name is imported from its own module; the package itself loads none.
     out = fresh_python(
-        "from interlock import census, placement_consensus, PrecisionError; "
-        "print(census.__module__, placement_consensus.__module__, PrecisionError.__module__)"
+        "import sys, interlock\n"
+        "print([m for m in sys.modules if m.startswith('interlock.')], interlock.__version__)\n"
+        "try:\n    from interlock import find_partner\nexcept ImportError:\n    print('ImportError')"
     )
-    assert out.split() == ["interlock.separability", "interlock.primorials", "interlock.precision"]
+    assert out.split() == ["[]", "0.1.0", "ImportError"]
+
+
+def test_readme_code_references_resolve():
+    # `m.name` or `interlock.m.name` for a package module m; `m.py` is a file.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = "|".join(m.name for m in pkgutil.iter_modules(interlock.__path__))
+    refs = re.findall(rf"`(?:interlock\.)?({modules})\.(?!py`)(\w+)", readme)
+    assert ("cli", "run") in refs and ("pairs", "check_interlock_divisors") in refs
+    for module, name in refs:
+        assert hasattr(import_module(f"interlock.{module}"), name), f"{module}.{name}"
 
 
 def without_timing(text: str) -> str:

@@ -63,6 +63,8 @@ def test_floor_exp_values():
     with mpmath.workprec(700):
         expected = int(mpmath.floor(mpmath.exp(400)))
     assert floor_exp(400) == expected
+    with pytest.raises(ValueError, match="a must be >= 0, got -1"):
+        floor_exp(-1)
 
 
 def test_fraction_lt_exp_tight_margin():
@@ -78,6 +80,8 @@ def test_exp_below_a_fraction():
     assert not fraction_lt_exp(Fraction(11, 10), Fraction(1, 192))
     assert fraction_lt_exp(Fraction(1), Fraction(1, 192))
     assert not fraction_lt_exp(Fraction(1), Fraction(-1))
+    with pytest.raises(ValueError, match="q must be positive, got 0"):
+        fraction_lt_exp(Fraction(0), 1)
 
 
 def ln3_razor(digits: int, up: bool) -> Fraction:

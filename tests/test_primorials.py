@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from interlock.arith import first_primes, primorial, tau
+from interlock.arith import first_primes, tau
 from interlock.pairs import check_interlock
 from interlock.primorials import (
     _find_contradiction,
@@ -44,7 +44,7 @@ def test_degenerate_flagging():
 def test_splits_multiply_to_primorial_and_interlock():
     for k in range(1, 9):
         for s in enumerate_primorial_pairs(k):
-            assert s.m * s.n == primorial(k)
+            assert s.m * s.n == prod(first_primes(k))
             assert 2 in s.m_primes  # canonical orientation
             assert sorted(s.m_primes + s.n_primes) == list(first_primes(k))
             assert check_interlock(s.m, s.n).verdict

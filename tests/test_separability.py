@@ -23,7 +23,6 @@ from interlock.separability import (
     find_partner,
     load_census_cache,
     merge_chunk_scans,
-    partner_search_bound,
     partner_window,
     pow2_partners,
     record_to_result,
@@ -69,13 +68,15 @@ def oracle_pairs(limit: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def test_bound_examples():
-    assert partner_search_bound(64) == (33, 4 * 64)
-    assert partner_search_bound(2**9) == (2**8 + 1, 4 * 2**9)
-    assert partner_search_bound(12) == (7, 36)
-    assert partner_search_bound(7) == (2, 49)
-    with pytest.raises(ValueError):
-        partner_search_bound(1)
+def test_window_examples():
+    cfg = SearchConfig()
+    assert partner_window(64, cfg) == (33, 4 * 64, False)
+    assert partner_window(2**9, cfg) == (2**8 + 1, 4 * 2**9, False)
+    assert partner_window(12, cfg) == (7, 36, False)
+    assert partner_window(7, cfg) == (2, 49, True)
+    assert partner_window(1, cfg) == (2, 1, True)
+    with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+        partner_window(0, cfg)
 
 
 def test_find_partner_examples():
@@ -228,7 +229,7 @@ def test_scan_chunks_merge_like_serial():
     # Chunked report-all scans over the exact search window must reproduce
     # both the partner tuple and the serial tested-count.
     for n in (64, 210, 96):
-        lo, hi = partner_search_bound(n)
+        lo, hi, _ = partner_window(n, ALL)
         whole = scan_range(n, lo, hi, ALL)
         step = max(1, (hi - lo) // 7)
         parts = [
@@ -532,6 +533,8 @@ def test_census_counts_and_monotonicity():
     by_n = {r.n: r for r in rows}
     assert by_n[9].separable  # partner 5 sits in the lone gap (3, 9)
     assert not by_n[6].separable  # the (2, 3) gap of 6 cannot be cut
+    with pytest.raises(ValueError, match="census: x must be >= 1, got 0"):
+        census(0)
 
 
 def test_census_cache_roundtrip(tmp_path):
@@ -603,7 +606,7 @@ def test_every_reported_partner_interlocks(n):
 @settings(max_examples=100, deadline=None)
 def test_partner_window_contains_all_partners(n):
     # Property form of the bound guarantee.
-    lo, hi = partner_search_bound(n)
+    lo, hi, _ = partner_window(n, SearchConfig())
     if tau(n) >= 3:
         assert lo == n // divisors(n)[1] + 1
         assert hi == n * divisors(n)[2]
