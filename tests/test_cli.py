@@ -337,6 +337,15 @@ def test_construct_usage_errors(capsys):
     assert rec["result"]["error"] == "usage"
     code, rec = invoke(capsys, "--jsonl", "construct")
     assert code == 2
+    code, rec = invoke(
+        capsys, "--jsonl", "construct", "--k", "8192", "--t", "4",
+        "--budget-bits", "128",
+    )
+    assert code == 2
+    assert rec["result"]["error"] == "budget-exceeded"
+
+
+def test_construct_refuses_load_with_k_or_t(capsys):
     for extra in (("--k", "96"), ("--t", "5"), ("--k", "96", "--t", "5")):
         code, rec = invoke(capsys, "--jsonl", "construct", *extra, "--load", "plan.json")
         assert code == 2
@@ -344,12 +353,6 @@ def test_construct_usage_errors(capsys):
             "error": "usage",
             "message": "construct: give --k and --t, or --load PATH, not both",
         }
-    code, rec = invoke(
-        capsys, "--jsonl", "construct", "--k", "8192", "--t", "4",
-        "--budget-bits", "128",
-    )
-    assert code == 2
-    assert rec["result"]["error"] == "budget-exceeded"
 
 
 def test_construct_load_refuses_tampered_and_malformed_plans(tmp_path, capsys):
@@ -738,6 +741,9 @@ def test_census_rejects_max_below_one(capsys):
             "error": "usage",
             "message": f"census: x must be >= 1, got {bound}",
         }
+
+
+def test_census_refuses_max_past_the_table_cap(capsys):
     # Refused before any work: past the census table's 2^22 (days of work).
     for bound in ("4194305", "1000000000000"):
         code, rec = invoke(capsys, "--jsonl", "census", "--max", bound)
