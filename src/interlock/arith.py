@@ -329,15 +329,14 @@ def smallest_prime_divisor(n: int) -> int:
 
 
 def first_primes(k: int) -> tuple[int, ...]:
-    """The first k primes."""
+    """The first k primes, from the sieve of _primes_below, whose limit
+    doubles from 16 until it holds k of them."""
     if k < 0:
         raise ValueError(f"first_primes: k must be >= 0, got {k}")
-    out: list[int] = []
-    c = 1
-    while len(out) < k:
-        c = next_prime(c)
-        out.append(c)
-    return tuple(out)
+    limit = 16
+    while len(primes := _primes_below(limit)) < k:
+        limit *= 2
+    return primes[:k]
 
 
 def _tau_bytes(lo: int, hi: int, step: int) -> bytearray:

@@ -291,28 +291,28 @@ def _cmd_gaps(args):
     return payload, EXIT_OK
 
 
-def _format_primorial_table(splits, consensus_report) -> str:
+def _format_primorial_table(report, consensus: bool) -> str:
     lines = []
-    for s in splits:
+    for s in report.survivors:
         m_fac = "*".join(str(p) for p in s.m_primes) or "1"
         n_fac = "*".join(str(p) for p in s.n_primes) or "1"
         flag = "  [degenerate]" if s.degenerate else ""
         lines.append(f"m = {s.m} = {m_fac}   n = {s.n} = {n_fac}{flag}")
         if s.trace:
             lines.append("  merged: " + " < ".join(str(d) for d in s.trace))
-    if not splits:
+    if not report.survivors:
         lines.append("no interlocking splits")
-    if consensus_report is not None:
-        if consensus_report.consensus:
+    if consensus:
+        if report.consensus:
             lines.append(
                 "consensus: "
-                + "  ".join(f"{p}->{s}" for p, s in consensus_report.consensus.items())
+                + "  ".join(f"{p}->{s}" for p, s in report.consensus.items())
             )
-        if consensus_report.contradiction:
-            c = consensus_report.contradiction
+        if report.contradiction:
+            c = report.contradiction
             lines.append(f"forced-chain contradiction: {c.reason}")
-        if consensus_report.parity_certificate:
-            pc = consensus_report.parity_certificate
+        if report.parity_certificate:
+            pc = report.parity_certificate
             lines.append(
                 f"parity certificate: every split has divisor-count gap >= "
                 f"{pc.min_tau_gap} > {pc.required_max}"
@@ -321,22 +321,17 @@ def _format_primorial_table(splits, consensus_report) -> str:
 
 
 def _cmd_primorial(args):
-    from .primorials import enumerate_primorial_pairs, placement_consensus
-    if args.consensus:
-        consensus_report = placement_consensus(args.k)
-        splits = consensus_report.survivors
-    else:
-        consensus_report = None
-        splits = enumerate_primorial_pairs(args.k)
+    from .primorials import placement_consensus
+    report = placement_consensus(args.k)
     if args.table:
-        print(_format_primorial_table(splits, consensus_report), file=sys.stderr)
+        print(_format_primorial_table(report, args.consensus), file=sys.stderr)
     payload = {
         "k": args.k,
-        "count": len(splits),
-        "splits": splits,
+        "count": len(report.survivors),
+        "splits": report.survivors,
     }
-    if consensus_report is not None:
-        payload["consensus"] = consensus_report
+    if args.consensus:
+        payload["consensus"] = report
     return payload, EXIT_OK
 
 

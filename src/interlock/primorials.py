@@ -6,19 +6,19 @@ considered (2 always on the m side; the mirrored pair is implied).  The
 boundary behaviour: a unique nondegenerate split for each even k up to 8,
 nothing at all from k = 9 on.
 
-One depth-first search decides every k.  It places the primes in ascending
-order, 2 on the m side, and drops a partial assignment as soon as it has a
-gap between two certain divisors of one side that no completion could
-separate; check_interlock runs only on complete splits.  Every canonical
-split is thus either pruned or tested, and `splits_scanned` counts all
-2^(k-1) of them.  The search's path from the root, while exactly one side
-survives at each prime, is the forced chain that placement_consensus
-reports: it explains why large k dies, ending in a forced assignment that
-is itself contradictory (at k >= 9 the m side owns 23 and 26, and neither
-24 nor 25 can divide a squarefree complement).  The chain is computed
-mechanically from the partial assignments, not hard-coded.  For every k
-tried (up to 1,000) each prime was forced, so the search was a single path
-of at most 9 primes; the code does not rely on that.
+One depth-first search, run by placement_consensus, decides every k.  It
+places the primes in ascending order, 2 on the m side, and drops a partial
+assignment as soon as it has a gap between two certain divisors of one
+side that no completion could separate; check_interlock runs only on
+complete splits.  Every canonical split is thus either pruned or tested,
+and `splits_scanned` counts all 2^(k-1) of them.  The search's path from
+the root, while exactly one side survives at each prime, is the forced
+chain the report carries: it explains why large k dies, ending in a forced
+assignment that is itself contradictory (at k >= 9 the m side owns 23 and
+26, and neither 24 nor 25 can divide a squarefree complement).  The chain
+is computed mechanically from the partial assignments, not hard-coded.
+For every k tried (up to 1,000) each prime was forced, so the search was a
+single path of at most 9 primes; the code does not rely on that.
 """
 
 from __future__ import annotations
@@ -80,12 +80,6 @@ def _squarefree_divisors(primes) -> tuple[int, ...]:
     return divisors_from_factorization([(p, 1) for p in primes])
 
 
-def _parity_certificate(k: int) -> ParityCertificate:
-    """Direct computation of min |tau(m) - tau(n)| over all splits."""
-    gap = min(abs((1 << a) - (1 << (k - a))) for a in range(k + 1))
-    return ParityCertificate(k=k, min_tau_gap=gap, required_max=1)
-
-
 # --- the pruned search -------------------------------------------------------
 
 
@@ -126,26 +120,25 @@ def _find_contradiction(
     return None
 
 
-def _search(
-    k: int,
-) -> tuple[list[PrimorialSplit], tuple[ForcedStep, ...], ChainContradiction | None]:
-    """Depth-first search over the canonical splits of P_k.
+def placement_consensus(k: int) -> PlacementReport:
+    """The canonical splits of P_k, by one depth-first search.
 
     At each prime both extensions go to _find_contradiction, and a side is
-    dropped once it fires.  Returns the interlocking complete splits sorted
-    by m, the forced chain (the path from the root while exactly one side
-    survives, each step naming the pruned side's gap) and, when neither
-    side survives on that path, the m side's contradiction.
+    dropped once it fires.  The report holds the interlocking complete
+    splits sorted by m (degenerate ones flagged, not dropped; none at k = 0,
+    whose trivial (1, 1) split has no canonical orientation), their
+    per-prime consensus and the forced chain: the path from the root while
+    exactly one side survives, each step naming the pruned side's gap.  When
+    neither side survives on that path, the m side's contradiction ends it;
+    when no split survives at odd k > 1, the parity certificate says why.
     """
     if k < 0:
-        raise ValueError(f"enumerate_primorial_pairs: k must be >= 0, got {k}")
-    if k == 0:
-        return [], (), None
+        raise ValueError(f"primorial: k must be >= 0, got {k}")
     primes = first_primes(k)
     found: list[PrimorialSplit] = []
-    chain = [ForcedStep(2, "m", "canonical orientation")]
+    chain = [ForcedStep(2, "m", "canonical orientation")] if k else []
     contradiction = None
-    stack = [({2: "m"}, True)]  # (partial assignment, still on the chain)
+    stack = [({2: "m"}, True)] if k else []  # (partial assignment, still on the chain)
     while stack:
         assignment, forced = stack.pop()
         if len(assignment) == k:
@@ -182,44 +175,26 @@ def _search(
             chain.append(ForcedStep(p, "m", "both sides contradictory"))
             contradiction = contra["m"]
         stack += [({**assignment, p: s}, forced and len(live) == 1) for s in live]
-    found.sort(key=lambda s: s.m)
-    return found, tuple(chain), contradiction
-
-
-def enumerate_primorial_pairs(k: int) -> list[PrimorialSplit]:
-    """All interlocking canonical splits of P_k, sorted by m.
-
-    k = 0 yields nothing: P_0 = 1 admits only the trivial (1, 1) split,
-    which has no canonical orientation to report.  Splits that interlock
-    only vacuously (a side that is 1 or a single prime) are returned with
-    degenerate = True rather than dropped.
-    """
-    return _search(k)[0]
-
-
-def placement_consensus(k: int) -> PlacementReport:
-    """Per-prime placement consensus over the surviving splits, with the
-    forced chain attached; for empty k the report carries an emptiness
-    certificate (parity for odd k, the chain contradiction for even k)."""
-    found, steps, contradiction = _search(k)
-    survivors = tuple(found)
+    survivors = tuple(sorted(found, key=lambda s: s.m))
 
     consensus: dict[int, str] | None = None
     parity = None
     if survivors:
         consensus = {}
-        for p in first_primes(k):
+        for p in primes:
             sides = {("m" if p in s.m_primes else "n") for s in survivors}
             consensus[p] = sides.pop() if len(sides) == 1 else "disagree"
     elif k % 2 == 1 and k > 1:
-        parity = _parity_certificate(k)
+        # Direct computation of min |tau(m) - tau(n)| over all splits.
+        gap = min(abs((1 << a) - (1 << (k - a))) for a in range(k + 1))
+        parity = ParityCertificate(k=k, min_tau_gap=gap, required_max=1)
 
     return PlacementReport(
         k=k,
         splits_scanned=1 << (k - 1) if k >= 1 else 0,
         survivors=survivors,
         consensus=consensus,
-        forced_chain=steps,
+        forced_chain=tuple(chain),
         contradiction=contradiction,
         parity_certificate=parity,
     )

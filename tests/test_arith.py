@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from interlock import arith
 from interlock.arith import (
+    DETERMINISTIC_PRIME_BOUND,
     FACTOR_TABLE_CAP,
     MAX_DIVISOR_BITS,
     MAX_DIVISOR_LIST,
@@ -229,6 +230,29 @@ def test_is_prime_strong_pseudoprime_composites():
         assert not is_prime(n), n
 
 
+def test_strong_lucas_and_the_probable_prime_path():
+    # Below 10^5 the strong Lucas test passes every odd prime and, among the
+    # odd composites that are not squares, exactly the strong Lucas
+    # pseudoprimes of Selfridge's parameters (OEIS A217255).
+    lucas = arith._strong_lucas
+    assert all(lucas(n) for n in range(3, 100_000, 2) if FLAGS[n])
+    pseudoprimes = [
+        n for n in range(9, 100_000, 2)
+        if not FLAGS[n] and isqrt(n) ** 2 != n and lucas(n)
+    ]
+    assert pseudoprimes == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
+    ]
+    assert not lucas(35)  # Jacobi(5, 35) = 0: a shared factor
+    assert not lucas(43**2)  # a square, found once D reaches 13
+    # Above DETERMINISTIC_PRIME_BOUND is_prime runs base 2, strong Lucas and
+    # the extra rounds.
+    for n in (2**127 - 1, 2**128 + 51):
+        assert n > DETERMINISTIC_PRIME_BOUND and is_prime(n), n
+    assert next_prime(2**128) == 2**128 + 51
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
+
+
 def test_next_prime_examples():
     assert next_prime(256) == 257
     assert next_prime(65536) == 65537
@@ -256,6 +280,8 @@ def test_first_primes():
     assert first_primes(0) == ()
     assert first_primes(5) == (2, 3, 5, 7, 11)
     assert first_primes(14) == tuple(p for p in range(2, 44) if FLAGS[p])
+    # Every prime below 10^6: the sieve's limit doubles from 16 to 2^20.
+    assert first_primes(78498) == tuple(p for p in range(SIEVE_LIMIT) if FLAGS[p])
     with pytest.raises(ValueError, match="k must be >= 0, got -1"):
         first_primes(-1)
 

@@ -653,6 +653,24 @@ def test_primorial_consensus_payload(capsys):
     assert consensus["splits_scanned"] == str(1 << 99)  # beyond a signed 64-bit word
 
 
+def test_primorial_consensus_only_adds_to_the_one_search(capsys):
+    # --consensus adds the consensus key and the table's closing lines; the
+    # splits and every other line come from the same search either way.
+    closing = ("consensus: ", "forced-chain contradiction: ", "parity certificate: ")
+    for k in range(15):
+        argv = ["--jsonl", "primorial", "--k", str(k), "--table"]
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        assert run([*argv, "--consensus"]) == 0
+        full = capsys.readouterr()
+        result = json.loads(full.out)["result"]
+        del result["consensus"]
+        assert json.loads(plain.out)["result"] == result, k
+        lines, full_lines = plain.err.splitlines(), full.err.splitlines()
+        assert full_lines[: len(lines)] == lines, k
+        assert all(line.startswith(closing) for line in full_lines[len(lines) :]), k
+
+
 def test_ints_beyond_the_str_digit_limit_are_emitted(capsys):
     # splits_scanned = 2^14299 has more decimal digits than int -> str
     # allows by default (4,300 on CPython 3.11).

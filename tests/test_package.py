@@ -12,7 +12,7 @@ from importlib import import_module
 from pathlib import Path
 
 import interlock
-from interlock.cli import run
+from interlock.cli import _COMMANDS, run
 
 # Loaded only by the commands that use them.
 UNUSED_BY_IMPORT = [
@@ -127,6 +127,19 @@ def test_readme_code_references_resolve():
     assert ("cli", "run") in refs and ("pairs", "check_interlock_divisors") in refs
     for module, name in refs:
         assert hasattr(import_module(f"interlock.{module}"), name), f"{module}.{name}"
+
+
+def test_readme_command_table_names_every_subcommand_and_flag():
+    # A row's first cell names its subcommands, as `name ...`; the row names
+    # every --flag the subcommand declares.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = [line for line in readme.splitlines() if line.startswith("| `")]
+    for name, (_, arguments) in _COMMANDS.items():
+        row = [r for r in rows if re.search(rf"`{re.escape(name)}[ `]", r.split(" | ")[0])]
+        assert len(row) == 1, name
+        for flags, _ in arguments:
+            for flag in (f for f in flags if f.startswith("--")):
+                assert re.search(rf"{re.escape(flag)}(?![\w-])", row[0]), (name, flag)
 
 
 def without_timing(text: str) -> str:

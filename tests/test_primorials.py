@@ -8,42 +8,37 @@ import pytest
 
 from interlock.arith import first_primes, tau
 from interlock.pairs import check_interlock
-from interlock.primorials import (
-    _find_contradiction,
-    _possible,
-    enumerate_primorial_pairs,
-    placement_consensus,
-)
+from interlock.primorials import _find_contradiction, _possible, placement_consensus
 
 from oracles import oracle_canonical_splits, oracle_primorial_pairs, tau_relation
 
 
 def test_known_boundary():
-    assert enumerate_primorial_pairs(0) == []
-    assert [(s.m, s.n) for s in enumerate_primorial_pairs(1)] == [(2, 1)]
-    assert [(s.m, s.n) for s in enumerate_primorial_pairs(2)] == [(2, 3)]
-    assert [(s.m, s.n) for s in enumerate_primorial_pairs(4)] == [(10, 21)]
-    assert [(s.m, s.n) for s in enumerate_primorial_pairs(6)] == [(130, 231)]
-    splits = enumerate_primorial_pairs(8)
+    assert placement_consensus(0).survivors == ()
+    assert [(s.m, s.n) for s in placement_consensus(1).survivors] == [(2, 1)]
+    assert [(s.m, s.n) for s in placement_consensus(2).survivors] == [(2, 3)]
+    assert [(s.m, s.n) for s in placement_consensus(4).survivors] == [(10, 21)]
+    assert [(s.m, s.n) for s in placement_consensus(6).survivors] == [(130, 231)]
+    splits = placement_consensus(8).survivors
     assert len(splits) == 1
     s = splits[0]
     assert (s.m, s.n) == (2470, 3927)
     assert s.m_primes == (2, 5, 13, 19) and s.n_primes == (3, 7, 11, 17)
     assert not s.degenerate
     for k in (3, 5, 7, 9, 10, 11, 12):
-        assert enumerate_primorial_pairs(k) == [], k
+        assert placement_consensus(k).survivors == (), k
 
 
 def test_degenerate_flagging():
-    s2 = enumerate_primorial_pairs(2)[0]
+    s2 = placement_consensus(2).survivors[0]
     assert s2.degenerate  # (2, 3): both sides vacuous
-    s4 = enumerate_primorial_pairs(4)[0]
+    s4 = placement_consensus(4).survivors[0]
     assert not s4.degenerate
 
 
 def test_splits_multiply_to_primorial_and_interlock():
     for k in range(1, 9):
-        for s in enumerate_primorial_pairs(k):
+        for s in placement_consensus(k).survivors:
             assert s.m * s.n == prod(first_primes(k))
             assert 2 in s.m_primes  # canonical orientation
             assert sorted(s.m_primes + s.n_primes) == list(first_primes(k))
@@ -93,7 +88,6 @@ def test_forced_chain_contradiction_at_k_10_and_12():
     for k in (10, 12, 20, 40, 100):
         report = placement_consensus(k)
         assert report.survivors == ()
-        assert enumerate_primorial_pairs(k) == []
         assert report.consensus is None
         assert report.splits_scanned == 1 << (k - 1)
         c = report.contradiction
@@ -112,13 +106,13 @@ def test_empty_k9_has_both_certificates():
 
 
 def test_scaling_rejection():
-    with pytest.raises(ValueError):
-        enumerate_primorial_pairs(-1)
+    with pytest.raises(ValueError, match=r"^primorial: k must be >= 0, got -1$"):
+        placement_consensus(-1)
 
 
 def test_search_matches_naive_enumerator():
     for k in range(1, 15):
-        assert [(s.m, s.n) for s in enumerate_primorial_pairs(k)] == (
+        assert [(s.m, s.n) for s in placement_consensus(k).survivors] == (
             oracle_primorial_pairs(k)
         ), k
 
