@@ -7,13 +7,14 @@ list is the full ascending tuple of divisors, starting at 1, built afresh on
 each call: callers testing many pairs against one n compute it once.
 factorize trial-divides by the 309 primes below 2^11, a fixed tuple that
 also strikes out the least primes of a FactorTable, and hands a larger
-cofactor to is_prime and Pollard rho.  A caller that needs tau, least
-primes and divisor lists of many small m builds its own FactorTable, up to
+cofactor to is_prime and Pollard rho.  A caller that needs tau and least
+primes of many small m builds its own FactorTable, which sieves them up to
 the largest m asked for so far, never past FACTOR_TABLE_CAP (5 bytes an
-entry, 20 MB at the cap).  Its taus, like those of the window sieve
-_tau_bytes, are bytes that saturate at 255; a scan leaves an m of byte 255
-to the interlock test.  decimal_text and decimal_int are the package's one
-codec between ints and decimal text.
+entry, 20 MB at the cap), and remembers the divisor lists of any m it is
+asked for.  Its taus, like those of the window sieve _tau_bytes, are bytes
+that saturate at 255; a scan leaves an m of byte 255 to the interlock test.
+decimal_text and decimal_int are the package's one codec between ints and
+decimal text.
 """
 
 from __future__ import annotations
@@ -305,16 +306,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return divisors_from_factorization(factorize(n))
 
 
-def tau(n: int) -> int:
-    """Number of divisors of n >= 1: the product of (exponent + 1)."""
-    if n < 1:
-        raise ValueError(f"tau: n must be >= 1, got {n}")
-    count = 1
-    for _, e in factorize(n):
-        count *= e + 1
-    return count
-
-
 def smallest_prime_divisor(n: int) -> int:
     """Least prime dividing n (n >= 2); equals the second-smallest divisor."""
     if n < 2:
@@ -363,13 +354,14 @@ def _tau_bytes(lo: int, hi: int, step: int) -> bytearray:
 
 
 class FactorTable:
-    """tau and least prime of every m in [1, size], for scans over many windows
-    of small m: tau_bytes[m] = min(tau(m), 255) in a bytearray, and lpf[m],
-    m's least prime (lpf[1] = 1, lpf[m] = m for prime m), in array('I'), so
-    5 bytes an entry (index 0 holds 0).
+    """tau and least prime of every m in [1, size], sieved for scans over many
+    windows of small m: tau_bytes[m] = min(tau(m), 255) in a bytearray, and
+    lpf[m], m's least prime (lpf[1] = 1, lpf[m] = m for prime m), in
+    array('I'), so 5 bytes an entry (index 0 holds 0).
     cover(hi) grows size to hi, rounded up to whole pieces of _TABLE_PIECE
     entries, never past FACTOR_TABLE_CAP: the table holds at most one piece
-    more than its scans read.  divisors(m) remembers at most 2^14 lists
+    more than its scans read.  divisors(m) remembers the divisors(m) lists
+    of any m >= 1, inside the table or past it, at most 2^14 of them
     (_DIVISOR_MEMO_CAP): 71 MB if they were those of the m <= 2^22 with the
     most divisors (tau 120 to 360), 3.2 MB for the 11,644 of census(10000).
     """
@@ -407,23 +399,12 @@ class FactorTable:
             self.lpf += least
         self.size = size
 
-    def factorize(self, m: int) -> tuple[tuple[int, int], ...]:
-        """factorize(m) for 1 <= m <= size, read off the least-prime chain."""
-        lpf, fac = self.lpf, []
-        while m > 1:
-            p, e = lpf[m], 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            fac.append((p, e))
-        return tuple(fac)
-
     def divisors(self, m: int) -> tuple[int, ...]:
-        """divisors(m), 1 <= m <= size, from a memo emptied at _DIVISOR_MEMO_CAP lists."""
+        """divisors(m) for any m >= 1, from a memo emptied at _DIVISOR_MEMO_CAP lists."""
         if m not in self._divisors:
             if len(self._divisors) >= _DIVISOR_MEMO_CAP:
                 self._divisors.clear()
-            self._divisors[m] = divisors_from_factorization(self.factorize(m))
+            self._divisors[m] = divisors(m)
         return self._divisors[m]
 
 

@@ -60,7 +60,8 @@ for tau(n) >= 3 (its gap (d2, d3) holds no divisor of n).  A census shares one
 arith.FactorTable across all its n: byte taus, least primes and a bounded
 memo of divisor lists.  A lone partner window, a pow2 certificate window
 and a census window past the table's cap sieve their own taus and
-trial-divide for least primes.
+trial-divide for least primes; the census window still reads its divisor
+lists from the memo.
 
 With pruning on, find_partner builds the partners of 2^k, k >= 3, instead
 of scanning their window (pow2_partners).  By the alternation lemma, an odd
@@ -81,7 +82,7 @@ from functools import partial
 from itertools import chain
 
 from .arith import FactorTable, _tau_bytes, divisors, next_prime, smallest_prime_divisor
-from .pairs import check_interlock, check_interlock_divisors
+from .pairs import check_interlock_divisors
 
 # Largest tau segment a scan sieves at once, in entries.
 _SEGMENT_CAP = 1 << 16
@@ -191,12 +192,14 @@ def scan_range(
     cfg.report_all_partners the scan checks the whole range; otherwise it
     stops at the first partner.  A report-all scan reads segments of
     _SEGMENT_CAP entries; a first-hit scan reads 64, 128, ... entries, at
-    most _SEGMENT_CAP, so it reads little past its hit.  tau, least primes
-    and divisor lists come from table, which grows to hold each segment, or,
-    without a table or above its cap, from a tau sieve over the segment's
-    own candidates (odd m only, for even n > 2 under pruning) and factorize.
-    Pure but for the table's growth: safe to run per-chunk in parallel
-    workers and merge with merge_chunk_scans.
+    most _SEGMENT_CAP, so it reads little past its hit.  tau and least
+    primes come from table, which grows to hold each segment, or, without a
+    table or above its cap, from a tau sieve over the segment's own
+    candidates (odd m only, for even n > 2 under pruning) and trial
+    division.  Divisor lists come from the table's memo in every segment,
+    or from divisors without a table.  Pure but for the table's growth and
+    memo: safe to run per-chunk in parallel workers and merge with
+    merge_chunk_scans.
     """
     div_n = divisors(n) if div_n is None else div_n
     tau_n = len(div_n)
@@ -212,16 +215,17 @@ def scan_range(
 
     partners: list[int] = []
     passed = 0
+    divisors_of = divisors if table is None else table.divisors
     step = 2 if odd_only else 1
     # odd_only: start at the first odd m >= lo; report-all: in whole segments
     start, size = lo | (step - 1), _SEGMENT_CAP if cfg.report_all_partners else 64
     while start <= hi:
         end = min(start + step * (size - 1), hi)
         if table is not None and table.cover(end):
-            least_prime, divisors_of = table.lpf.__getitem__, table.divisors
+            least_prime = table.lpf.__getitem__
             taus = table.tau_bytes[start : end + 1 : step]
         else:
-            least_prime, divisors_of = smallest_prime_divisor, divisors
+            least_prime = smallest_prime_divisor
             taus = _tau_bytes(start, end, step) if prune else None
         if prune:  # the alternation filter's mask, ANDed with the gap rule's marks
             k = len(range(start, min(end + 1, n), step))  # the m below n
@@ -404,11 +408,11 @@ def find_partner(
 
 def census_batch(ns, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
     """find_partner(n, cfg) for each n of ns, in order, with every scan reading
-    tau and least primes from one FactorTable, which also gives n's divisor
-    list (factorize gives it above the table's cap)."""
+    tau and least primes from one FactorTable, whose memo also gives every
+    divisor list, n's among them."""
     table = FactorTable()
     scan = partial(scan_range, table=table)
-    return [find_partner(n, cfg, scan, table.divisors(n) if table.cover(n) else None) for n in ns]
+    return [find_partner(n, cfg, scan, table.divisors(n)) for n in ns]
 
 
 def census(x: int, cfg: SearchConfig = SearchConfig()) -> list[SeparabilityResult]:
@@ -485,7 +489,7 @@ def load_census_cache(
                 if (degenerate != window_degenerate or bound != hi
                         or separable != (degenerate or bool(partners))
                         or not all(lo <= m <= hi
-                                   and check_interlock(m, n, None, div_n).verdict
+                                   and check_interlock_divisors(divisors(m), div_n)
                                    for m in partners)):
                     return {}
         except (ValueError, KeyError, TypeError):  # a damaged file

@@ -27,7 +27,6 @@ from interlock.arith import (
     is_prime,
     next_prime,
     smallest_prime_divisor,
-    tau,
 )
 from oracles import oracle_divisors, oracle_factorize, prime_sieve, tau_table
 
@@ -166,21 +165,11 @@ def test_divisor_list_reconstructs_factorization():
         assert tuple(sorted(rebuilt.items())) == factorize(n), n
 
 
-def test_tau_examples():
-    for k in (0, 1, 5, 9, 20):
-        assert tau(2**k) == k + 1
-    assert tau(1) == 1
-    assert tau(63) == 6
-    assert tau(63) == len(divisors(63))
-    with pytest.raises(ValueError):
-        tau(0)
-
-
 def test_tau_multiplicative_on_coprime_pairs():
     taus = tau_table(1000)
     big = tau_table(1_000_000)
     for a in range(1, 1001):
-        assert tau(a) == taus[a], a
+        assert len(divisors(a)) == taus[a], a
     for a in range(1, 1001):
         for b in range(a, 1001):
             if gcd(a, b) == 1:
@@ -320,7 +309,7 @@ def test_tau_bytes_saturate_where_taus_pass_255():
     # five times; and tau(4620^2) = tau(45045^2) = 405, a square whose count
     # already reads 255 when its own 1 arrives.
     def check(lo, hi, step):
-        clipped = bytes(min(tau(m), 255) for m in range(lo, hi + 1, step))
+        clipped = bytes(min(len(divisors(m)), 255) for m in range(lo, hi + 1, step))
         assert arith._tau_bytes(lo, hi, step) == clipped, (lo, hi, step)
 
     for c in (1_081_080, 2_162_160, 3_603_600, 43_648_605, 735_134_400):
@@ -332,15 +321,15 @@ def test_tau_bytes_saturate_where_taus_pass_255():
             check(lo, hi, 1)
             if sq % 2:
                 check(lo | 1, hi, 2)
-    assert tau(1_081_080) == 256 and arith._tau_bytes(1_081_080, 1_081_080, 1) == b"\xff"
-    assert tau(735_134_400) == 1344 and arith._tau_bytes(735_134_400, 735_134_400, 1) == b"\xff"
-    assert tau(4620**2) == 405 and arith._tau_bytes(4620**2 - 1, 4620**2, 1)[1] == 255
+    assert len(divisors(1_081_080)) == 256 and arith._tau_bytes(1_081_080, 1_081_080, 1) == b"\xff"
+    assert len(divisors(735_134_400)) == 1344 and arith._tau_bytes(735_134_400, 735_134_400, 1) == b"\xff"
+    assert len(divisors(4620**2)) == 405 and arith._tau_bytes(4620**2 - 1, 4620**2, 1)[1] == 255
 
 
 def test_factor_table_reads_the_first_tau_past_255():
     table = FactorTable()
     assert table.cover(1_081_080)
-    assert table.tau_bytes[1_081_080] == 255 and table.tau_bytes[1_081_079] == tau(1_081_079)
+    assert table.tau_bytes[1_081_080] == 255 and table.tau_bytes[1_081_079] == len(divisors(1_081_079))
     assert table.tau_bytes.index(255) == 1_081_080 and len(table.divisors(1_081_080)) == 256
 
 
@@ -388,12 +377,6 @@ def check_factor_table(table: FactorTable, taus) -> None:
     assert len(table.lpf) == size + 1 and table.lpf[1] == 1
     for m in range(2, size + 1):
         assert table.lpf[m] == smallest_prime_divisor(m), m
-    # The chain factorization against the oracle: every m to 5,000, then a
-    # run on each side of every piece boundary.
-    runs = [range(2, min(size, 5000) + 1)]
-    runs += [range(b - 100, min(b + 100, size) + 1) for b in range(PIECE, size + 1, PIECE)]
-    for m in (m for r in runs for m in r):
-        assert table.factorize(m) == tuple(sorted(oracle_factorize(m).items())), m
 
 
 def test_factor_table_against_the_oracles():
@@ -404,7 +387,6 @@ def test_factor_table_against_the_oracles():
     for hi, size in (*grown, (8 * PIECE, 8 * PIECE)):
         assert table.cover(hi) and table.size == size, hi
         check_factor_table(table, taus)
-    assert table.factorize(1) == () and table.factorize(2) == ((2, 1),)
 
 
 def test_a_factor_table_holds_two_arrays_an_entry():
@@ -438,6 +420,18 @@ def test_factor_table_remembers_its_divisor_lists(monkeypatch):
         assert table.divisors(m) == divisors(m) and len(table._divisors) == (m - 1) % 8 + 1
 
 
+def test_factor_table_remembers_divisor_lists_past_its_cap(monkeypatch):
+    # The memo holds divisors(m) for any m >= 1; past the cap it does not
+    # grow the table.
+    monkeypatch.setattr(arith, "FACTOR_TABLE_CAP", 3000)
+    table = FactorTable()
+    assert table.cover(2500) and not table.cover(3001) and table.size == 3000
+    for m in (3001, 3003, 5040, 65537, 1 << 20, 735_134_400, (1 << 61) - 1):
+        listed = table.divisors(m)
+        assert listed == divisors(m) and table.divisors(m) is listed, m
+    assert table.size == 3000
+
+
 def test_arith_holds_no_mutable_globals():
     # factorize keeps no table that grows, and a forked worker inherits
     # nothing that changes an answer.
@@ -467,7 +461,7 @@ def test_divisors_closed_under_complement(n):
     assert divs[0] == 1 and divs[-1] == n
     dset = set(divs)
     assert all(n % d == 0 and n // d in dset for d in divs)
-    assert len(divs) == tau(n)
+    assert len(divs) == prod(e + 1 for _, e in factorize(n))
 
 
 def strong_probable_prime(n: int, a: int) -> bool:

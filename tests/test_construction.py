@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlock.arith import decimal_text, tau
+from interlock.arith import decimal_text, divisors
 from interlock.construction import (
     DIVISORS_OF_231,
     JumpParams,
@@ -289,7 +289,7 @@ def test_verified_plans_interlock():
         plan = build_pow2_partner(k, t)
         report = verify_construction(plan)
         assert report.verified, (k, t)
-        assert report.tau_m == k == tau(1 << k) - 1, (k, t)
+        assert report.tau_m == k == len(divisors(1 << k)) - 1, (k, t)
         assert report.interlock_report.verdict, (k, t)
 
 

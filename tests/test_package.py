@@ -1,13 +1,17 @@
 """The package surface: one import path per name, what a CLI import loads,
-and the README's code references."""
+and the code references of the README and of the package's own docstrings
+and comments."""
 
+import ast
 import gc
+import io
 import json
 import os
 import pkgutil
 import re
 import subprocess
 import sys
+import tokenize
 from importlib import import_module
 from pathlib import Path
 
@@ -127,6 +131,28 @@ def test_readme_code_references_resolve():
     assert ("cli", "run") in refs and ("pairs", "check_interlock_divisors") in refs
     for module, name in refs:
         assert hasattr(import_module(f"interlock.{module}"), name), f"{module}.{name}"
+
+
+def test_source_docstring_and_comment_references_resolve():
+    # `m.name`, `m.name.attr` or `interlock.m.name` for a package module m, in
+    # a docstring or a comment under src/interlock; `m.py` is a file.
+    modules = "|".join(m.name for m in pkgutil.iter_modules(interlock.__path__))
+    reference = re.compile(rf"(?<![\w.])(?:interlock\.)?({modules})((?:\.(?!py\b)\w+)+)")
+    refs = []
+    for path in sorted(Path(interlock.__path__[0]).glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = io.StringIO(source).readline
+        texts = [t.string for t in tokenize.generate_tokens(lines) if t.type == tokenize.COMMENT]
+        documented = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        nodes = (node for node in ast.walk(ast.parse(source)) if isinstance(node, documented))
+        texts += [ast.get_docstring(node, clean=False) or "" for node in nodes]
+        refs += [(module, chain[1:]) for text in texts for module, chain in reference.findall(text)]
+    assert ("arith", "FactorTable") in refs and ("pairs", "check_interlock_divisors") in refs
+    for module, chain in refs:
+        owner = import_module(f"interlock.{module}")
+        for name in chain.split("."):
+            assert hasattr(owner, name), f"{module}.{chain}"
+            owner = getattr(owner, name)
 
 
 def test_readme_command_table_names_every_subcommand_and_flag():

@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from interlock.arith import first_primes, tau
+from interlock.arith import divisors, first_primes
 from interlock.pairs import check_interlock
 from interlock.primorials import _find_contradiction, _possible, placement_consensus
 
@@ -53,7 +53,7 @@ def test_tau_parity_kills_odd_k():
     # canonical splits.
     for k in (3, 5, 7, 9):
         min_gap = min(
-            abs(tau(prod(m_side)) - tau(prod(n_side)))
+            abs(len(divisors(prod(m_side))) - len(divisors(prod(n_side))))
             for m_side, n_side in oracle_canonical_splits(k)
         )
         assert min_gap == 2 ** ((k - 1) // 2)

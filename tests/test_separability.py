@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from interlock import arith, separability
-from interlock.arith import FactorTable, divisors, factorize, smallest_prime_divisor, tau
+from interlock.arith import FactorTable, divisors, factorize, smallest_prime_divisor
 from interlock.pairs import check_interlock, check_interlock_divisors
 from interlock.separability import (
     VERIFIED_RESIDUES,
@@ -330,10 +330,10 @@ def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(monkeypatch, ca
 
 
 class TauOf(dict):
-    """tau(m) by factorization, on first lookup."""
+    """tau(m) as len(divisors(m)), on first lookup."""
 
     def __missing__(self, m):
-        self[m] = tau(m)
+        self[m] = len(divisors(m))
         return self[m]
 
 
@@ -503,7 +503,7 @@ def test_verified_residues_match_the_partner_shapes_seen():
     for k in range(3, 34):
         partners = pow2_partners(k, 2 ** (k + 2) - 1, True).partners
         for m in partners:
-            t = tau(m)
+            t = len(divisors(m))
             assert t % 4 == 0 or t % 6 == 0, (k, m)
             assert m % 3 == 0 and m % 27, (k, m)  # 3 or 9 exactly divides m
         total += len(partners)
@@ -599,7 +599,7 @@ def test_every_reported_partner_interlocks(n):
         assert check_interlock(m, n).verdict
     if result.partners:
         assert result.separable
-    assert result.degenerate == (tau(n) <= 2)
+    assert result.degenerate == (len(divisors(n)) <= 2)
 
 
 @given(st.integers(min_value=2, max_value=300))
@@ -607,7 +607,7 @@ def test_every_reported_partner_interlocks(n):
 def test_partner_window_contains_all_partners(n):
     # Property form of the bound guarantee.
     lo, hi, _ = partner_window(n, SearchConfig())
-    if tau(n) >= 3:
+    if len(divisors(n)) >= 3:
         assert lo == n // divisors(n)[1] + 1
         assert hi == n * divisors(n)[2]
     else:
