@@ -14,7 +14,8 @@ entry, 20 MB at the cap), and remembers the divisor lists of any m it is
 asked for.  Its taus, like those of the window sieve _tau_bytes, are bytes
 that saturate at 255; a scan leaves an m of byte 255 to the interlock test.
 decimal_text and decimal_int are the package's one codec between ints and
-decimal text.
+decimal text.  SearchBudgetError and PrecisionError, the package's two
+refusals, are defined here, below every other module, so any can raise them.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ _DIVISOR_MEMO_CAP = 1 << 14
 _TABLE_PIECE = 1 << 14
 # The tau sieve's byte table: b + 2, saturating at 255.
 _ADD2 = bytes(min(b + 2, 255) for b in range(256))
+
+
+class SearchBudgetError(RuntimeError):
+    """A search passed its budget; the message names the stage."""
+
+
+class PrecisionError(ArithmeticError):
+    """A comparison could not be decided at the precision its operands allow."""
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:

@@ -44,10 +44,10 @@ import time
 from itertools import chain
 
 from . import __version__
-from .arith import FACTOR_TABLE_CAP, decimal_int, decimal_text
+from .arith import FACTOR_TABLE_CAP, PrecisionError, SearchBudgetError, decimal_int
+from .arith import decimal_text
 from .pairs import check_interlock
 from .separability import (
-    SearchBudgetError,
     SearchConfig,
     census_batch,
     count_separable,
@@ -85,9 +85,8 @@ _MIN_POOL_CENSUS = 1100
 
 def _jsonify(value):
     """JSON-safe payloads: big ints to decimal strings, records to dicts,
-    Fractions to 'p/q' strings ('p' when q = 1), tuples to lists.  A
-    Fraction can only come from a module that has already imported
-    fractions."""
+    Fractions (told by a denominator, without importing fractions) to 'p/q'
+    strings ('p' when q = 1), tuples to lists."""
     if isinstance(value, (bool, float)) or value is None:
         return value
     if isinstance(value, int):
@@ -98,8 +97,7 @@ def _jsonify(value):
         return _jsonify(value._asdict())
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    fractions = sys.modules.get("fractions")
-    if fractions is not None and isinstance(value, fractions.Fraction):
+    if hasattr(value, "denominator"):  # a Fraction
         return decimal_text(value)
     return str(value)
 
@@ -450,11 +448,8 @@ def _inputs_echo(args) -> dict:
 
 
 def _error_kind(exc: Exception):
-    """(error, exit code) of the record run emits for exc, or None to let it
-    propagate.  The precision error is looked up only if its module is
-    already imported: a module that was never imported cannot have raised."""
-    precision = sys.modules.get(f"{__package__}.precision")
-    if precision is not None and isinstance(exc, precision.PrecisionError):
+    """(error, exit code) of the record run emits for exc, or None to re-raise."""
+    if isinstance(exc, PrecisionError):
         return "precision-indeterminate", EXIT_PRECISION
     if isinstance(exc, SearchBudgetError):
         return "budget-exceeded", EXIT_USAGE

@@ -39,6 +39,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import (
+    SearchBudgetError,
     check_divisor_caps,
     decimal_int,
     decimal_text,
@@ -51,7 +52,6 @@ from .arith import (
 )
 from .pairs import check_interlock
 from .precision import floor_exp, fraction_lt_exp, log_le
-from .separability import SearchBudgetError
 
 # Divisors of 231 = 3 * 7 * 11, the fixed low-end block of every plan: one
 # entry per value of the low digit c_0.

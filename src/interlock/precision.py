@@ -24,13 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .arith import decimal_text
+from .arith import PrecisionError, decimal_text
 
 START_BITS = 256
-
-
-class PrecisionError(ArithmeticError):
-    """A comparison could not be decided at the precision its operands allow."""
 
 
 def _bits(*values: Fraction) -> int:

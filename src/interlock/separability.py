@@ -81,7 +81,8 @@ from collections import namedtuple
 from functools import partial
 from itertools import chain
 
-from .arith import FactorTable, _tau_bytes, divisors, next_prime, smallest_prime_divisor
+from .arith import FACTOR_TABLE_CAP, FactorTable, SearchBudgetError, _tau_bytes, divisors
+from .arith import next_prime, smallest_prime_divisor
 from .pairs import check_interlock_divisors
 
 # Largest tau segment a scan sieves at once, in entries.
@@ -89,10 +90,6 @@ _SEGMENT_CAP = 1 << 16
 # Nodes after which a 2^k slot search gives up; every least-partner search
 # for k <= 61 visits at most 67,960 (see CHANGES.md).
 POW2_SEARCH_BUDGET = 200_000
-
-
-class SearchBudgetError(RuntimeError):
-    """A search passed its budget; the message names the stage."""
 
 
 class SearchConfig(
@@ -469,7 +466,8 @@ def load_census_cache(
 ) -> dict[int, SeparabilityResult]:
     """Rows cached under cfg.  A missing file, a file written under another
     config, one without a header (older code), or one with a row that does
-    not parse gives an empty cache; so does a row whose n is below 1, whose
+    not parse gives an empty cache; so does a row whose n is below 1 or above
+    FACTOR_TABLE_CAP (no census writes one, and n is not factorized), whose
     degenerate is not tau(n) <= 2, whose separable is not degenerate or a
     partner listed, whose bound is not the top of n's partner_window, or
     with a partner outside that window or not interlocking with n.  The next
@@ -484,7 +482,9 @@ def load_census_cache(
                 return {}
             rows = [record_to_result(json.loads(line)) for line in fh if line.strip()]
             for n, separable, degenerate, partners, bound, _ in rows:
-                div_n = divisors(n)  # ValueError for n < 1
+                if not 1 <= n <= FACTOR_TABLE_CAP:
+                    return {}
+                div_n = divisors(n)
                 lo, hi, window_degenerate = partner_window(n, cfg, div_n)
                 if (degenerate != window_degenerate or bound != hi
                         or separable != (degenerate or bool(partners))

@@ -9,7 +9,7 @@ from decimal import Decimal
 import mpmath
 import pytest
 
-from interlock import cli, construction, precision, separability
+from interlock import arith, cli, construction, precision, separability
 from interlock.cli import run
 
 
@@ -244,7 +244,7 @@ def test_pow2_search_accounting(capsys):
 
 
 def test_slot_search_budget_is_a_budget_error(capsys, monkeypatch):
-    assert construction.SearchBudgetError is separability.SearchBudgetError
+    assert arith.SearchBudgetError is separability.SearchBudgetError is construction.SearchBudgetError
     monkeypatch.setattr(separability, "POW2_SEARCH_BUDGET", 50)
     code, rec = invoke(capsys, "--jsonl", "--jobs", "1", "pow2", "--k", "31")
     assert code == 2
@@ -506,6 +506,15 @@ def test_pow2_rejects_negative_k(capsys):
     assert rec["result"] == {"error": "usage", "message": "pow2: k must be >= 0, got -1"}
 
 
+def test_pow2_at_a_huge_k_is_refused_not_searched(capsys):
+    # 2^50000's divisor list passes arith.MAX_DIVISOR_BITS, so the search is
+    # refused before it starts instead of running without end.
+    assert run(["--jsonl", "pow2", "--k", "50000"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert json.loads(out.err)["result"]["error"] in ("usage", "budget-exceeded")
+
+
 def test_s_member_and_exit_codes(capsys):
     code, rec = invoke(capsys, "--jsonl", "s-member", "12", "--t", "5")
     assert code == 0 and rec["result"]["member"] is True
@@ -683,9 +692,10 @@ def test_ints_beyond_the_str_digit_limit_are_emitted(capsys):
 
 @pytest.mark.parametrize("error", [ZeroDivisionError, RuntimeError])
 def test_unexpected_errors_propagate(capsys, monkeypatch, error):
-    # Both modules are imported, and their errors' bases must still propagate.
-    assert issubclass(precision.PrecisionError, ArithmeticError)
-    assert issubclass(construction.SearchBudgetError, RuntimeError)
+    # Both refusals are defined in arith, which every command loads, and the
+    # bases of their errors must still propagate.
+    assert issubclass(arith.PrecisionError, ArithmeticError)
+    assert issubclass(arith.SearchBudgetError, RuntimeError)
 
     def handler(args):
         raise error("not a domain error")
@@ -886,12 +896,15 @@ def test_census_recompute_keeps_the_rows_above_its_max(tmp_path, capsys):
         lambda text: text[: text.rindex("}")],  # the last row cut short
         lambda text: text.replace(', "tested": 0', "", 1),  # a row lacks a field
         lambda text: text + text.splitlines()[1].replace('"n": 1', '"n": 0') + "\n",
+        # (2^61 - 1)(2^89 - 1): refused before Pollard rho works on it
+        lambda text: text + text.splitlines()[1].replace(
+            '"n": 1', f'"n": {((1 << 61) - 1) * ((1 << 89) - 1)}') + "\n",
         lambda text: text.replace('[3], "separable": true', '[3], "separable": false'),
         lambda text: text.replace('"degenerate": true, "n": 3', '"degenerate": false, "n": 3'),
         lambda text: text.replace('"bound": 16,', '"bound": 17,'),  # n = 4's window is [3, 16]
     ],
-    ids=["truncated-row", "missing-field", "n-below-one", "separable-despite-a-partner",
-         "prime-not-degenerate", "bound-off-the-window"],
+    ids=["truncated-row", "missing-field", "n-below-one", "n-past-the-cap",
+         "separable-despite-a-partner", "prime-not-degenerate", "bound-off-the-window"],
 )
 def test_damaged_census_cache_is_recomputed(tmp_path, capsys, damage):
     cache = tmp_path / "census.jsonl"

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interlock.arith import decimal_text, divisors
+from interlock.arith import SearchBudgetError, decimal_text, divisors
 from interlock.construction import (
     DIVISORS_OF_231,
     JumpParams,
-    SearchBudgetError,
     build_pow2_partner,
     count_bounded_jumps,
     gap_census,

@@ -48,6 +48,41 @@ def fresh_python(code: str, *flags: str) -> str:
     return fresh_process(*flags, "-c", code).stdout
 
 
+# Each module imports only from the layers below its own; the package
+# itself, which holds only __version__, imports nothing.
+LAYERS = [["__init__", "arith"], ["pairs", "precision"],
+          ["separability", "primorials", "construction"], ["cli"], ["__main__"]]
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The package modules a source file imports, at its top or in a function
+    (from . import __version__ imports none)."""
+    modules = {m.name for m in pkgutil.iter_modules(interlock.__path__)}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("interlock") for a in node.names), path.name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level or not (node.module or "").startswith("interlock"), path.name
+            if node.level and node.module:
+                found.add(node.module)
+            elif node.level:
+                found |= {a.name for a in node.names} & modules
+    return found
+
+
+def test_modules_import_only_from_the_layers_below():
+    layer = {name: depth for depth, names in enumerate(LAYERS) for name in names}
+    paths = sorted(Path(interlock.__path__[0]).glob("*.py"))
+    assert {p.stem for p in paths} == set(layer)
+    for path in paths:
+        for module in imported_modules(path):
+            assert layer[module] < layer[path.stem], f"{path.stem} imports {module}"
+    out = fresh_python("import sys, interlock.construction; "
+                       "print('interlock.separability' in sys.modules)")
+    assert out.split() == ["False"]
+
+
 def test_cli_import_leaves_unused_modules_out():
     loaded = json.loads(
         fresh_python(
@@ -109,8 +144,14 @@ def test_the_workflow_runs_tier1_the_selftest_and_the_installed_script():
     lines = [l for l in workflow.read_text().splitlines() if not l.lstrip().startswith("#")]
     tier1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
     installed = ("interlock --version", "interlock --jsonl check 6 10")  # not python -m interlock
-    for command in (tier1, "python3 perfbench/selftest.py", *installed):
-        assert any(re.search(rf"(?<!-m ){re.escape(command)}", l) for l in lines), command
+    selftest = "python3 perfbench/selftest.py"
+    clean = 'test -z "$(git status --porcelain)"'  # the runs leave the checkout as it was
+    where = {}
+    for command in (tier1, selftest, clean, *installed):
+        where[command] = next((i for i, l in enumerate(lines)
+                               if re.search(rf"(?<!-m ){re.escape(command)}", l)), None)
+        assert where[command] is not None, command
+    assert where[clean] > where[selftest]
 
 
 def test_the_package_holds_only_its_version():

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interlock import precision
+from interlock.arith import PrecisionError
 from interlock.precision import (
-    PrecisionError,
     exp_bounds,
     floor_exp,
     fraction_lt_exp,
