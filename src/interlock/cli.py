@@ -241,23 +241,9 @@ def _cmd_construct(args):
     return payload, EXIT_OK if report.verified else EXIT_NEGATIVE
 
 
-def _params_from_args(args):
-    from fractions import Fraction
-    from .construction import JumpParams
-    if (args.t is None) == (args.C is None):
-        raise ValueError("provide exactly one of --t / --C")
-    if args.t is not None:
-        return JumpParams.from_t(args.t)
-    try:
-        value = Fraction(args.C)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--C must be a rational p/q with q != 0, got {args.C!r}") from None
-    return JumpParams.from_override(value)
-
-
 def _cmd_s_member(args):
-    from .construction import has_bounded_jumps
-    params = _params_from_args(args)
+    from .construction import JumpParams, has_bounded_jumps
+    params = JumpParams(args.t, args.C)
     check = has_bounded_jumps(args.n, params)
     payload = {
         "n": args.n,
@@ -269,8 +255,8 @@ def _cmd_s_member(args):
 
 
 def _cmd_s_count(args):
-    from .construction import count_bounded_jumps
-    params = _params_from_args(args)
+    from .construction import JumpParams, count_bounded_jumps
+    params = JumpParams(args.t, args.C)
     count = count_bounded_jumps(args.max, params)
     payload = {"max": args.max, "threshold": params.describe(), "count": count}
     return payload, EXIT_OK

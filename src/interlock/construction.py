@@ -68,39 +68,36 @@ _DIRECT_CHECK_CAP = 4096
 # --- membership parameters ---------------------------------------------------
 
 
-class JumpParams(namedtuple("JumpParams", "t override", defaults=(None, None))):
-    """Threshold parameters for the bounded-divisor-jump test.
+class JumpParams(namedtuple("JumpParams", "t override")):
+    """Threshold parameters for the bounded-divisor-jump test, checked and
+    parsed here alone.
 
-    Exactly one of t / override is set.  t-form: the threshold constant is
-    ln 2 * 2^(t-2) and its exponential is the exact integer 2^(2^(t-2)).
-    Override form: an exact rational threshold, compared at the working
-    precision.
+    Exactly one of t / override is set.  t-form (t >= 2): the threshold
+    constant is ln 2 * 2^(t-2) and its exponential is the exact integer
+    2^(2^(t-2)).  Override form: an exact positive rational threshold,
+    compared at the working precision; given as a Fraction, an int or text
+    in Python 3.10's Fraction grammar ("7/3", "5", "2.5", "1e3": no "_" and
+    no inner whitespace), so every supported Python reads the same text.
     """
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if (self.t is None) == (self.override is None):
-            raise ValueError("JumpParams: set exactly one of t / override")
-        if self.t is not None and self.t < 2:
-            raise ValueError(f"JumpParams: t must be >= 2, got {self.t}")
-        if self.override is not None and self.override <= 0:
-            raise ValueError("JumpParams: override threshold must be positive")
-        return self
-
-    @classmethod
-    def from_t(cls, t: int) -> "JumpParams":
-        return cls(t=t)
-
-    @classmethod
-    def from_override(cls, value) -> "JumpParams":
-        return cls(override=Fraction(value))
-
-    @property
-    def exp_threshold_log2(self) -> int | None:
-        """log2 of e^threshold when that is an exact power of two (t-form)."""
-        return None if self.t is None else 1 << (self.t - 2)
+    def __new__(cls, t=None, override=None):
+        if (t is None) == (override is None):
+            raise ValueError("provide exactly one of --t / --C")
+        if t is not None and t < 2:
+            raise ValueError(f"JumpParams: t must be >= 2, got {t}")
+        if override is not None:
+            try:
+                if isinstance(override, str) and ("_" in override or len(override.split()) > 1):
+                    raise ValueError  # text that Python 3.10's Fraction refuses
+                override = Fraction(override)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"--C must be a rational p/q with q != 0, "
+                                 f"got {override!r}") from None
+            if override <= 0:
+                raise ValueError("JumpParams: override threshold must be positive")
+        return super().__new__(cls, t, override)
 
     def describe(self) -> str:
         if self.t is not None:
@@ -122,7 +119,7 @@ def _le_exp_threshold(d: int, params: JumpParams) -> bool:
     """Decide d <= e^threshold."""
     if params.t is not None:
         # d <= 2^E  <=>  bit_length(d - 1) <= E; never materializes 2^E.
-        return (d - 1).bit_length() <= params.exp_threshold_log2
+        return (d - 1).bit_length() <= 1 << (params.t - 2)
     return log_le(d, params.override)
 
 
@@ -151,7 +148,7 @@ def _jump_marks(x: int, params: JumpParams) -> int:
     Callers ask only for x >= e^threshold, so floor(e^threshold) <= x."""
     _check_sieve(x)
     e_floor = (floor_exp(params.override) if params.t is None
-               else 1 << params.exp_threshold_log2)
+               else 1 << (1 << (params.t - 2)))
     jumps = 0
     d = 1
     while 27**d < 10**d * x:
@@ -288,7 +285,7 @@ def _plan(k: int, t: int, prime_for) -> ConstructionPlan:
                          f"k = {decimal_text(k)}")
     check_divisor_caps(k, 0)
     reduced = k >> t
-    membership = has_bounded_jumps(reduced, JumpParams.from_t(t))
+    membership = has_bounded_jumps(reduced, JumpParams(t))
     if not membership.bounded:
         prev, cur = membership.witness
         raise ValueError(

@@ -171,9 +171,9 @@ def test_criterion_6_oracle_equivalence():
 
 def test_criterion_7_membership_counts():
     started = time.perf_counter()
-    count_override = count_bounded_jumps(10**4, JumpParams.from_override(5))
+    count_override = count_bounded_jumps(10**4, JumpParams(override=5))
     assert count_override > 5000
-    count_vacuous = count_bounded_jumps(10**5, JumpParams.from_t(12))
+    count_vacuous = count_bounded_jumps(10**5, JumpParams(12))
     assert count_vacuous == 10**5
     elapsed = time.perf_counter() - started
     assert elapsed < 60

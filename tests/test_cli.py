@@ -525,12 +525,38 @@ def test_s_member_and_exit_codes(capsys):
     assert code == 2  # both threshold forms at once
 
 
-def test_zero_denominator_threshold_is_a_usage_error(capsys):
-    for command in (("s-member", "5", "--C", "1/0"), ("s-count", "--max", "10", "--C", "0/0")):
-        code, rec = invoke(capsys, "--jsonl", *command)
-        assert code == 2, command
-        assert rec["result"]["error"] == "usage", command
-        assert "--C" in rec["result"]["message"], command
+def threshold_argv(t, C):
+    return [*(["--t", str(t)] if t is not None else []), *(["--C", C] if C is not None else [])]
+
+
+ONE_FORM = "provide exactly one of --t / --C"
+POSITIVE = "JumpParams: override threshold must be positive"
+RATIONAL = "--C must be a rational p/q with q != 0, got {!r}"
+
+
+def test_bad_thresholds_are_one_usage_error_in_process_and_on_the_cli(capsys):
+    # (t, C, message).  "_" and inner spaces are refused on every Python,
+    # as 3.10's Fraction does; 3.11 reads "1_000" and 3.12 reads "2 / 3".
+    bad = [(5, "3", ONE_FORM), (None, None, ONE_FORM), (1, None, "JumpParams: t must be >= 2, got 1"),
+           (None, "0", POSITIVE), (None, "-2", POSITIVE)]
+    bad += [(None, C, RATIONAL.format(C)) for C in ("1/0", "0/0", "abc", "1_000", "2 / 3", "2/ 3", "1 000")]
+    for t, C, message in bad:
+        with pytest.raises(ValueError) as raised:
+            construction.JumpParams(t, C)
+        assert str(raised.value) == message, (t, C)
+        for command in (("s-member", "5"), ("s-count", "--max", "10")):
+            code, rec = invoke(capsys, "--jsonl", *command, *threshold_argv(t, C))
+            assert code == 2, (t, C)
+            assert rec["result"] == {"error": "usage", "message": message}, (t, C)
+
+
+def test_good_thresholds_read_the_same_in_process_and_on_the_cli(capsys):
+    good = [(None, C) for C in ("7/3", "5", "2.5", "1e3", " 7/3 ")] + [(2, None), (14300, None)]
+    for t, C in good:
+        threshold = construction.JumpParams(t, C).describe()
+        for command in (("s-member", "1"), ("s-count", "--max", "10")):  # 1 is always a member
+            code, rec = invoke(capsys, "--jsonl", *command, *threshold_argv(t, C))
+            assert code == 0 and rec["result"]["threshold"] == threshold, (t, C)
 
 
 def test_threshold_text_for_a_large_t(capsys):

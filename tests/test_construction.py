@@ -37,14 +37,15 @@ def naive_in_set(divs, c_value: float) -> bool:
 
 
 def test_jump_constant():
-    jc = JumpParams.from_t(2)
-    assert jc.t == 2 and jc.exp_threshold_log2 == 1  # e^c = 2
-    jc = JumpParams.from_t(5)
-    assert jc.exp_threshold_log2 == 8  # e^c = 256
-    jc = JumpParams.from_t(50)
-    assert jc.exp_threshold_log2 == 2**48  # symbolic only; never materialized
+    jc = JumpParams(2)
+    assert jc == (2, None) and jc.describe() == "ln(2) * 2^0  (t = 2, e^c = 2^1)"
+    assert JumpParams(5).describe() == "ln(2) * 2^3  (t = 5, e^c = 2^8)"  # e^c = 256
+    # e^c = 2^(2^48) is written as its exponent and never materialized.
+    jc = JumpParams(50)
+    assert jc.describe() == f"ln(2) * 2^48  (t = 50, e^c = 2^{2**48})"
+    assert count_bounded_jumps(10**4, jc) == 10**4
     with pytest.raises(ValueError):
-        JumpParams.from_t(1)
+        JumpParams(1)
 
 
 def test_params_validation():
@@ -53,11 +54,11 @@ def test_params_validation():
     with pytest.raises(ValueError):
         JumpParams()
     with pytest.raises(ValueError):
-        JumpParams.from_override(0)
+        JumpParams(override=0)
 
 
 def test_membership_examples():
-    t5 = JumpParams.from_t(5)
+    t5 = JumpParams(5)
     assert has_bounded_jumps(1, t5).bounded  # no divisor pair at all
     check = has_bounded_jumps(514, t5)  # 514 = 2 * 257 and 257 > e^c = 256
     assert not check.bounded and check.witness == (2, 257)
@@ -69,9 +70,9 @@ def test_membership_examples():
 
 def test_membership_monotone_in_threshold():
     # A larger threshold only weakens the condition.
-    small = JumpParams.from_override(3)
-    large = JumpParams.from_override(6)
-    t_small, t_large = JumpParams.from_t(4), JumpParams.from_t(6)
+    small = JumpParams(override=3)
+    large = JumpParams(override=6)
+    t_small, t_large = JumpParams(4), JumpParams(6)
     for n in range(1, 10_001):
         if has_bounded_jumps(n, small).bounded:
             assert has_bounded_jumps(n, large).bounded, n
@@ -81,37 +82,37 @@ def test_membership_monotone_in_threshold():
 
 def test_membership_against_float_oracle():
     table = divisor_table(3000)
-    params = JumpParams.from_override(5)
+    params = JumpParams(override=5)
     for n in range(1, 3001):
         assert has_bounded_jumps(n, params).bounded == naive_in_set(table[n], 5.0), n
 
 
 def test_count_examples():
-    assert count_bounded_jumps(10**4, JumpParams.from_override(5)) == 6908
-    assert count_bounded_jumps(10**4, JumpParams.from_override(5)) > 5000
+    assert count_bounded_jumps(10**4, JumpParams(override=5)) == 6908
+    assert count_bounded_jumps(10**4, JumpParams(override=5)) > 5000
     # e^c = 2^1024 dwarfs every divisor below 1e5: vacuous regime.
-    assert count_bounded_jumps(10**5, JumpParams.from_t(12)) == 10**5
-    assert count_bounded_jumps(1, JumpParams.from_override(5)) == 1
+    assert count_bounded_jumps(10**5, JumpParams(12)) == 10**5
+    assert count_bounded_jumps(1, JumpParams(override=5)) == 1
     with pytest.raises(ValueError, match="x must be >= 1, got 0"):
-        count_bounded_jumps(0, JumpParams.from_t(4))
+        count_bounded_jumps(0, JumpParams(4))
 
 
 def test_count_against_oracle():
     table = divisor_table(2000)
     expected = sum(1 for n in range(1, 2001) if naive_in_set(table[n], 3.0))
-    assert count_bounded_jumps(2000, JumpParams.from_override(3)) == expected
+    assert count_bounded_jumps(2000, JumpParams(override=3)) == expected
 
 
 def test_count_matches_membership_t_form():
     # The t-form threshold outside the vacuous regime: e^c = 2^4 < 3000.
-    params = JumpParams.from_t(4)
+    params = JumpParams(4)
     expected = sum(has_bounded_jumps(n, params).bounded for n in range(1, 3001))
     assert count_bounded_jumps(3000, params) == expected
 
 
 SIEVE_PARAMS = [
-    JumpParams.from_override(Fraction(v)) for v in ("1/2", 1, "3/2", 2, "7/2", 5, 9, "31/3")
-] + [JumpParams.from_t(t) for t in range(2, 6)]
+    JumpParams(override=Fraction(v)) for v in ("1/2", 1, "3/2", 2, "7/2", 5, 9, "31/3")
+] + [JumpParams(t) for t in range(2, 6)]
 
 
 def member_prefix_counts(x: int, params: JumpParams) -> list[int]:
@@ -136,12 +137,12 @@ def test_count_sieve_matches_membership(params):
     threshold=st.fractions(min_value=Fraction(1, 50), max_value=10, max_denominator=50),
 )
 def test_count_sieve_matches_membership_random(x, threshold):
-    params = JumpParams.from_override(threshold)
+    params = JumpParams(override=threshold)
     assert count_bounded_jumps(x, params) == member_prefix_counts(x, params)[x]
 
 
-BOUNDARY_PARAMS = [JumpParams.from_t(t) for t in range(3, 7)] + [
-    JumpParams.from_override(Fraction(c)) for c in ("3/2", "2", "5/2", "3", "7/3", "5", "7")
+BOUNDARY_PARAMS = [JumpParams(t) for t in range(3, 7)] + [
+    JumpParams(override=Fraction(c)) for c in ("3/2", "2", "5/2", "3", "7/3", "5", "7")
 ]
 
 
@@ -181,8 +182,8 @@ def test_membership_boundary_matches_mpmath(params):
 def test_count_pinned_values():
     # Each checked against the per-n membership count.
     for c, expected in ((5, 70601), (2, 49706), (9, 79412)):
-        assert count_bounded_jumps(10**5, JumpParams.from_override(c)) == expected
-    assert count_bounded_jumps(10**6, JumpParams.from_override(5)) == 688682
+        assert count_bounded_jumps(10**5, JumpParams(override=c)) == expected
+    assert count_bounded_jumps(10**6, JumpParams(override=5)) == 688682
 
 
 def test_gap_census_examples():

@@ -152,6 +152,10 @@ def test_the_workflow_runs_tier1_the_selftest_and_the_installed_script():
                                if re.search(rf"(?<!-m ){re.escape(command)}", l)), None)
         assert where[command] is not None, command
     assert where[clean] > where[selftest]
+    # every minor version that requires-python admits, through the newest
+    matrix = next(re.findall(r'"(3\.\d+)"', l) for l in lines if "python-version: [" in l)
+    assert matrix == ["3.10", "3.11", "3.12", "3.13"]
+    assert 'requires-python = ">=3.10"' in (workflow.parents[2] / "pyproject.toml").read_text()
 
 
 def test_the_package_holds_only_its_version():

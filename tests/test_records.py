@@ -114,9 +114,9 @@ RECORDS = [
     ChainContradiction("m", 23, 26, "no divisor between"),
     ParityCertificate(9, 16, 1),
     scan_range(1010, 2000, 2200, SearchConfig()),
-    JumpParams.from_t(5),
-    JumpParams.from_override("7/3"),
-    has_bounded_jumps(514, JumpParams.from_t(5)),
+    JumpParams(5),
+    JumpParams(override="7/3"),
+    has_bounded_jumps(514, JumpParams(5)),
     build_pow2_partner(32, 5),
     build_pow2_partner(32, 5).levels[0],
     verify_construction(build_pow2_partner(32, 5)),
