@@ -39,8 +39,8 @@ _PROBABLE_EXTRA_ROUNDS = 64
 
 # Divisor lists with more entries than this are refused rather than built.
 MAX_DIVISOR_LIST = 2_000_000
-# ... and so are lists whose integers would hold more bits than this in all
-# (128 MB), estimated as tau(n) * bits(n) / 2.
+# ... and so are lists whose integers may hold more bits than this in all
+# (128 MB), bounded by tau(n) / 2 times the sum of e * bits(p) over n's primes.
 MAX_DIVISOR_BITS = 1 << 30
 
 # Largest m a FactorTable covers: 5 bytes an entry (a 1-byte saturated tau
@@ -76,44 +76,32 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def _strong_lucas(n: int) -> bool:
-    """Strong Lucas test with Selfridge parameter choice (n odd, > 2)."""
-    # Find D = 5, -7, 9, -11, ... with Jacobi(D, n) = -1.
-    d_cand = 5
-    while True:
-        j = _jacobi(d_cand, n)
-        if j == -1:
-            break
-        if j == 0 and abs(d_cand) != n:
+    """Strong Lucas test with Selfridge's parameters (n odd, > 2): P = 1, the
+    first D of 5, -7, 9, -11, ... with Jacobi(D, n) = -1, and Q = (1 - D)/4.
+
+    With n + 1 = 2^s * t, t odd, n passes when U_t = 0 or V_(t*2^r) = 0 mod n
+    for some 0 <= r < s.  One ladder over the bits of t carries V_k, V_(k+1)
+    and Q^k by V_2k = V_k^2 - 2Q^k and V_(2k+1) = V_k * V_(k+1) - Q^k; U_t is
+    read from D * U_t = 2 * V_(t+1) - V_t, and D is prime to n."""
+    if isqrt(n) ** 2 == n:
+        return False  # a square has no D with Jacobi(D, n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and abs(d) != n:
             return False
-        if d_cand > 0:
-            d_cand = -d_cand - 2
-        else:
-            d_cand = -d_cand + 2
-        if abs(d_cand) == 13 and isqrt(n) ** 2 == n:
-            return False  # perfect squares never yield Jacobi -1
-    d_param = d_cand
-    q = (1 - d_param) // 4
-    # n + 1 = 2^s * t with t odd
-    t = n + 1
-    s = 0
+        d = -d - 2 if d > 0 else 2 - d
+    q = (1 - d) // 4
+    t, s = n + 1, 0
     while t % 2 == 0:
         t //= 2
         s += 1
-    # Lucas sequences U_t, V_t mod n by binary ladder.
-    u, v, qk = 1, 1, q % n
-    for bit in bin(t)[3:]:
-        u = u * v % n
-        v = (v * v - 2 * qk) % n
-        qk = qk * qk % n
+    v, w, qk = 2, 1, 1  # V_0, V_1, Q^0
+    for bit in bin(t)[2:]:
         if bit == "1":
-            u, v = (u + v) % n, (v + d_param * u) % n
-            if u % 2:
-                u += n
-            if v % 2:
-                v += n
-            u, v = u // 2 % n, v // 2 % n
-            qk = qk * q % n
-    if u == 0 or v == 0:
+            v, w, qk = (v * w - qk) % n, (w * w - 2 * qk * q) % n, qk * qk * q % n
+        else:
+            v, w, qk = (v * v - 2 * qk) % n, (v * w - qk) % n, qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
         return True
     for _ in range(s - 1):
         v = (v * v - 2 * qk) % n
@@ -247,10 +235,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         if p > root:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            n, e = n // p, 1
+            while n % p == 0:  # strip p, p^2, p^4, ... while each divides
+                pk, k = p, 1
+                while n % pk == 0:
+                    n, e, pk, k = n // pk, e + k, pk * pk, 2 * k
             fac.append((p, e))
             root = isqrt(n)
     else:
@@ -270,8 +259,9 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def check_divisor_caps(count: int, bits: int) -> None:
-    """ValueError for a list of count divisors of a value of bits bits past
-    MAX_DIVISOR_LIST entries, or past MAX_DIVISOR_BITS bits in all."""
+    """ValueError for a list of count divisors past MAX_DIVISOR_LIST entries,
+    or past MAX_DIVISOR_BITS bits in all by the upper bound count * bits / 2,
+    where bits is the sum of e * bit_length(p) over the value's factorization."""
     if count > MAX_DIVISOR_LIST:
         raise ValueError(
             f"divisors: value has {decimal_text(count)} divisors, "
@@ -279,9 +269,8 @@ def check_divisor_caps(count: int, bits: int) -> None:
         )
     if count * bits // 2 > MAX_DIVISOR_BITS:
         raise ValueError(
-            f"divisors: the {decimal_text(count)} divisors of a {decimal_text(bits)}-bit "
-            f"value would hold about {decimal_text(count * bits // 2)} bits, "
-            f"above the {MAX_DIVISOR_BITS}-bit cap"
+            f"divisors: the {decimal_text(count)} divisors would hold up to "
+            f"{decimal_text(count * bits // 2)} bits, above the {MAX_DIVISOR_BITS}-bit cap"
         )
 
 

@@ -52,6 +52,14 @@ def test_factorize_matches_trial_division():
         assert factorize(n) == tuple(sorted(oracle_factorize(n).items())), n
 
 
+def test_factorize_high_prime_powers():
+    # A prime power is stripped by p, p^2, p^4, ...: 2^200000 takes O(log^2 e)
+    # divisions, not 200,000.
+    assert factorize(2**200_000) == ((2, 200000),)
+    assert factorize(3**5000 * 5) == ((3, 5000), (5, 1))
+    assert factorize(2**31 * 3**15 * 7) == ((2, 31), (3, 15), (7, 1))
+
+
 def test_factorize_large_semiprime():
     p, q = 1_000_003, 1_000_033
     assert factorize(p * q) == ((p, 1), (q, 1))
@@ -233,12 +241,21 @@ def test_strong_lucas_and_the_probable_prime_path():
         5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439,
     ]
     assert not lucas(35)  # Jacobi(5, 35) = 0: a shared factor
-    assert not lucas(43**2)  # a square, found once D reaches 13
+    # A square has no D with Jacobi(D, n) = -1: the test rejects it before
+    # its D search.
+    assert not any(lucas(r * r) for r in range(3, isqrt(100_000) + 1, 2))
+    # The Fermat numbers F7, F8 and F9 are base-2 strong pseudoprimes, so
+    # next_prime(2^R) hands each to the Lucas test at its plan level
+    # (R = 128, 256, 512), which rejects it; the primes next_prime returns pass.
+    for R, gap in ((128, 51), (256, 297), (512, 75)):
+        fermat = 2**R + 1
+        assert arith._miller_rabin_round(fermat, 2, 1, R)  # fermat - 1 = 2^R * 1
+        assert not lucas(fermat) and not is_prime(fermat)
+        assert lucas(2**R + gap) and next_prime(2**R) == 2**R + gap
     # Above DETERMINISTIC_PRIME_BOUND is_prime runs base 2, strong Lucas and
     # the extra rounds.
     for n in (2**127 - 1, 2**128 + 51):
         assert n > DETERMINISTIC_PRIME_BOUND and is_prime(n), n
-    assert next_prime(2**128) == 2**128 + 51
     assert not is_prime((2**61 - 1) * (2**89 - 1))
 
 

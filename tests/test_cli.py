@@ -507,12 +507,16 @@ def test_pow2_rejects_negative_k(capsys):
 
 
 def test_pow2_at_a_huge_k_is_refused_not_searched(capsys):
-    # 2^50000's divisor list passes arith.MAX_DIVISOR_BITS, so the search is
-    # refused before it starts instead of running without end.
-    assert run(["--jsonl", "pow2", "--k", "50000"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert json.loads(out.err)["result"]["error"] in ("usage", "budget-exceeded")
+    # 2^k's divisor list passes arith.MAX_DIVISOR_BITS, so the search is
+    # refused before it starts instead of running without end; factorizing
+    # 2^300000 costs O(log^2 k) divisions, not k of them.
+    for k in (50000, 300000):
+        assert run(["--jsonl", "pow2", "--k", str(k)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        record = json.loads(out.err)
+        assert record["result"]["error"] in ("usage", "budget-exceeded")
+        assert record["timing_ms"] < 5000, k
 
 
 def test_s_member_and_exit_codes(capsys):

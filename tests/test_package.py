@@ -144,14 +144,18 @@ def test_the_workflow_runs_tier1_the_selftest_and_the_installed_script():
     lines = [l for l in workflow.read_text().splitlines() if not l.lstrip().startswith("#")]
     tier1 = "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors"
     installed = ("interlock --version", "interlock --jsonl check 6 10")  # not python -m interlock
+    # a huge power of two is refused by the cold installed script within 10 s, exit 2
+    huge = "timeout 10 interlock --jsonl pow2 --k 300000 || code=$?; test $code -eq 2"
     selftest = "python3 perfbench/selftest.py"
     clean = 'test -z "$(git status --porcelain)"'  # the runs leave the checkout as it was
     where = {}
-    for command in (tier1, selftest, clean, *installed):
+    for command in (tier1, selftest, clean, *installed, huge):
         where[command] = next((i for i, l in enumerate(lines)
                                if re.search(rf"(?<!-m ){re.escape(command)}", l)), None)
         assert where[command] is not None, command
     assert where[clean] > where[selftest]
+    step = next(i for i, l in enumerate(lines) if "name: Installed CLI from a cold process" in l)
+    assert step < where[huge] < next(i for i, l in enumerate(lines) if i > step and "- name:" in l)
     # every minor version that requires-python admits, through the newest
     matrix = next(re.findall(r'"(3\.\d+)"', l) for l in lines if "python-version: [" in l)
     assert matrix == ["3.10", "3.11", "3.12", "3.13"]
