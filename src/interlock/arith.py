@@ -200,7 +200,8 @@ _TRIAL_PRIMES = _primes_below(isqrt(FACTOR_TABLE_CAP))
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of odd composite n via Brent's cycle method.
+    """A nontrivial factor of odd composite n via Floyd's cycle method: x takes
+    one step of x^2 + c, y takes two, and gcd(|x - y|, n) is taken each step.
 
     Fully deterministic: the polynomial offset is retried as c = 1, 2, 3, ...
     until a proper factor appears, which always happens for composite n.

@@ -167,12 +167,8 @@ def _cmd_check(args):
 
 
 def _cmd_partner(args):
-    cfg = SearchConfig(
-        bound_override=args.bound,
-        prune=not args.no_prune,
-        report_all_partners=args.all,
-    )
-    result = find_partner(args.n, cfg, _window_scanner(args.jobs))
+    cfg = SearchConfig(prune=not args.no_prune, report_all_partners=args.all)
+    result = find_partner(args.n, cfg, _window_scanner(args.jobs), bound=args.bound)
     return result, EXIT_OK if result.separable else EXIT_NEGATIVE
 
 
@@ -211,12 +207,11 @@ def _cmd_pow2(args):
     k = args.k
     if k < 0:
         raise ValueError(f"pow2: k must be >= 0, got {k}")
-    scan = _window_scanner(args.jobs)
     if k > 2 and k % 12 in VERIFIED_RESIDUES:
-        report = verify_pow2_nonseparable(k, scan)
+        report = verify_pow2_nonseparable(k, _window_scanner(args.jobs))
         payload = {"mode": "exhaustive-verification", "report": report}
         return payload, EXIT_OK if report.confirmed else EXIT_NEGATIVE
-    result = find_partner(1 << k, SearchConfig(), scan)
+    result = find_partner(1 << k)
     payload = {"mode": "partner-search", "result": result}
     return payload, EXIT_OK if result.separable else EXIT_NEGATIVE
 

@@ -101,8 +101,7 @@ class JumpParams(namedtuple("JumpParams", "t override")):
 
     def describe(self) -> str:
         if self.t is not None:
-            power = decimal_text(1 << (self.t - 2))
-            return f"ln(2) * 2^{self.t - 2}  (t = {self.t}, e^c = 2^{power})"
+            return f"ln(2) * 2^{self.t - 2}  (t = {self.t}, e^c = 2^(2^{self.t - 2}))"
         return f"{decimal_text(self.override)}  (direct override)"
 
 
@@ -118,8 +117,9 @@ class JumpCheck(namedtuple("JumpCheck", "n bounded witness")):
 def _le_exp_threshold(d: int, params: JumpParams) -> bool:
     """Decide d <= e^threshold."""
     if params.t is not None:
-        # d <= 2^E  <=>  bit_length(d - 1) <= E; never materializes 2^E.
-        return (d - 1).bit_length() <= 1 << (params.t - 2)
+        # d <= 2^E  <=>  b = bit_length(d - 1) <= E = 2^(t-2)  <=>
+        # bit_length(b - 1) <= t - 2 (b >= 1); never materializes E.
+        return (max((d - 1).bit_length(), 1) - 1).bit_length() <= params.t - 2
     return log_le(d, params.override)
 
 

@@ -92,19 +92,7 @@ _SEGMENT_CAP = 1 << 16
 POW2_SEARCH_BUDGET = 200_000
 
 
-class SearchConfig(
-    namedtuple(
-        "SearchConfig", "bound_override prune report_all_partners",
-        defaults=(None, True, False),
-    )
-):
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.bound_override is not None and self.bound_override < 2:
-            raise ValueError("bound_override must be >= 2")
-        return self
+SearchConfig = namedtuple("SearchConfig", "prune report_all_partners", defaults=(True, False))
 
 
 class SeparabilityResult(
@@ -353,42 +341,44 @@ def pow2_partners(k: int, hi: int, report_all: bool) -> ChunkScan:
     return ChunkScan(tuple(sorted(found) if report_all else found[-1:]), tested)
 
 
-def partner_window(n: int, cfg: SearchConfig, div_n=None) -> tuple[int, int, bool]:
+def partner_window(n: int, div_n=None, bound=None) -> tuple[int, int, bool]:
     """(lo, hi, degenerate) for the partner scan of n; div_n, if given, is n's divisors.
 
-    Without cfg.bound_override, [lo, hi] provably contains every partner of
-    n >= 2: [n/d2(n) + 1, n * d3(n)] when tau(n) >= 3, [2, n^2] otherwise
-    (degenerate).  The containment claim is enforced by the bound-soundness
-    test, not assumed here.  n = 1 gets the empty window [2, 1], whatever
-    the bound override: it is degenerate-separable by convention (it
-    interlocks with every prime vacuously), so nothing needs scanning and
-    the partner list stays empty.
+    [lo, hi] provably contains every partner of n >= 2: [n/d2(n) + 1,
+    n * d3(n)] when tau(n) >= 3, [2, n^2] otherwise (degenerate).  The
+    containment claim is enforced by the bound-soundness test, not assumed
+    here.  A bound (at least 2) replaces hi.  n = 1 gets the empty window
+    [2, 1], whatever the bound: it is degenerate-separable by convention
+    (it interlocks with every prime vacuously), so nothing needs scanning
+    and the partner list stays empty.
     """
+    if bound is not None and bound < 2:
+        raise ValueError(f"partner search: the bound must be >= 2, got {bound}")
     if n < 1:
         raise ValueError(f"partner search: n must be >= 1, got {n}")
     if n == 1:
         return 2, 1, True
     divs = divisors(n) if div_n is None else div_n
     lo, hi = (n // divs[1] + 1, n * divs[2]) if len(divs) >= 3 else (2, n * n)
-    if cfg.bound_override is not None:
-        hi = cfg.bound_override
-    return lo, hi, len(divs) <= 2
+    return lo, hi if bound is None else bound, len(divs) <= 2
 
 
 def find_partner(
-    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_range, div_n=None
+    n: int, cfg: SearchConfig = SearchConfig(), scan=scan_range, div_n=None, bound=None
 ) -> SeparabilityResult:
     """Ascending search for interlocking partners of n inside the proven
-    window.  Returns the first partner unless cfg.report_all_partners; an
-    exhausted window yields separable = False with the bound recorded.
+    window, or up to bound when given.  Returns the first partner unless
+    cfg.report_all_partners; an exhausted window yields separable = False
+    with the bound recorded.
     With cfg.prune, n = 2^k (k >= 3) takes the slot search pow2_partners up
     to the window's top, and candidates_tested counts its complete
     placements; every other n, and every n under --no-prune, takes
     scan(n, lo, hi, cfg, div_n) -> (partners, tested), the window scan,
     with n's divisor list div_n (built here if not given) for the window and the scan.
     """
-    div_n = divisors(n) if div_n is None and n >= 1 else div_n  # partner_window refuses n < 1
-    lo, hi, degenerate = partner_window(n, cfg, div_n)
+    if div_n is None and n >= 1 and (bound is None or bound >= 2):  # else partner_window refuses
+        div_n = divisors(n)
+    lo, hi, degenerate = partner_window(n, div_n, bound)
     if cfg.prune and n >= 8 and n & (n - 1) == 0:
         partners, tested = pow2_partners(n.bit_length() - 1, hi, cfg.report_all_partners)
     else:
@@ -485,7 +475,7 @@ def load_census_cache(
                 if not 1 <= n <= FACTOR_TABLE_CAP:
                     return {}
                 div_n = divisors(n)
-                lo, hi, window_degenerate = partner_window(n, cfg, div_n)
+                lo, hi, window_degenerate = partner_window(n, div_n)
                 if (degenerate != window_degenerate or bound != hi
                         or separable != (degenerate or bool(partners))
                         or not all(lo <= m <= hi

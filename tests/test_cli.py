@@ -564,11 +564,13 @@ def test_good_thresholds_read_the_same_in_process_and_on_the_cli(capsys):
 
 
 def test_threshold_text_for_a_large_t(capsys):
-    # e^c = 2^(2^14298) is never built, and its exponent, 4,305 digits long,
-    # is printed past the interpreter's int -> str digit limit.
+    # Neither e^c = 2^(2^14298) nor its exponent 2^14298 is built or printed.
     code, rec = invoke(capsys, "--jsonl", "s-member", "5", "--t", "14300")
     assert code == 0 and rec["result"]["member"] is True
-    assert rec["result"]["threshold"].endswith(f"e^c = 2^{Decimal(1 << 14298)})")
+    assert rec["result"]["threshold"] == "ln(2) * 2^14298  (t = 14300, e^c = 2^(2^14298))"
+    # 2^(10^9 - 2) would take 125 MB per divisor comparison.
+    code, rec = invoke(capsys, "--jsonl", "s-member", "5", "--t", "1000000000")
+    assert code == 0 and rec["result"]["member"] is True and rec["timing_ms"] < 1000
 
 
 def ln3_text(digits: int, up: bool) -> str:
@@ -932,9 +934,12 @@ def test_census_recompute_keeps_the_rows_above_its_max(tmp_path, capsys):
         lambda text: text.replace('[3], "separable": true', '[3], "separable": false'),
         lambda text: text.replace('"degenerate": true, "n": 3', '"degenerate": false, "n": 3'),
         lambda text: text.replace('"bound": 16,', '"bound": 17,'),  # n = 4's window is [3, 16]
+        # the header written while the config held the window-top override
+        lambda text: text.replace('"config": {', '"config": {"bound_override": null, ', 1),
     ],
     ids=["truncated-row", "missing-field", "n-below-one", "n-past-the-cap",
-         "separable-despite-a-partner", "prime-not-degenerate", "bound-off-the-window"],
+         "separable-despite-a-partner", "prime-not-degenerate", "bound-off-the-window",
+         "old-header"],
 )
 def test_damaged_census_cache_is_recomputed(tmp_path, capsys, damage):
     cache = tmp_path / "census.jsonl"

@@ -25,7 +25,7 @@ from interlock.construction import (
     verify_construction,
 )
 from interlock.pairs import check_interlock
-from interlock.construction import plan_divisors
+from interlock.construction import _le_exp_threshold, plan_divisors
 from oracles import divisor_table
 
 
@@ -38,14 +38,23 @@ def naive_in_set(divs, c_value: float) -> bool:
 
 def test_jump_constant():
     jc = JumpParams(2)
-    assert jc == (2, None) and jc.describe() == "ln(2) * 2^0  (t = 2, e^c = 2^1)"
-    assert JumpParams(5).describe() == "ln(2) * 2^3  (t = 5, e^c = 2^8)"  # e^c = 256
-    # e^c = 2^(2^48) is written as its exponent and never materialized.
+    assert jc == (2, None) and jc.describe() == "ln(2) * 2^0  (t = 2, e^c = 2^(2^0))"
+    assert JumpParams(5).describe() == "ln(2) * 2^3  (t = 5, e^c = 2^(2^3))"  # e^c = 256
+    # e^c = 2^(2^48) is written by its exponent's exponent and never materialized.
     jc = JumpParams(50)
-    assert jc.describe() == f"ln(2) * 2^48  (t = 50, e^c = 2^{2**48})"
+    assert jc.describe() == "ln(2) * 2^48  (t = 50, e^c = 2^(2^48))"
     assert count_bounded_jumps(10**4, jc) == 10**4
     with pytest.raises(ValueError):
         JumpParams(1)
+
+
+def test_t_form_comparison_reads_bit_lengths():
+    # d <= 2^(2^(t-2)), decided without 2^(t-2), against the direct comparison.
+    for t in range(2, 9):
+        e_c = 1 << (1 << (t - 2))
+        params = JumpParams(t)
+        for d in [*range(1, 3000), e_c - 1, e_c, e_c + 1]:
+            assert _le_exp_threshold(d, params) == (d <= e_c), (t, d)
 
 
 def test_params_validation():

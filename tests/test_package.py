@@ -146,16 +146,20 @@ def test_the_workflow_runs_tier1_the_selftest_and_the_installed_script():
     installed = ("interlock --version", "interlock --jsonl check 6 10")  # not python -m interlock
     # a huge power of two is refused by the cold installed script within 10 s, exit 2
     huge = "timeout 10 interlock --jsonl pow2 --k 300000 || code=$?; test $code -eq 2"
+    # a huge t is answered (exit 0) within 10 s: 2^(t-2) is never built
+    huge_t = "timeout 10 interlock --jsonl s-member 5 --t 10000000"
     selftest = "python3 perfbench/selftest.py"
     clean = 'test -z "$(git status --porcelain)"'  # the runs leave the checkout as it was
     where = {}
-    for command in (tier1, selftest, clean, *installed, huge):
+    for command in (tier1, selftest, clean, *installed, huge, huge_t):
         where[command] = next((i for i, l in enumerate(lines)
                                if re.search(rf"(?<!-m ){re.escape(command)}", l)), None)
         assert where[command] is not None, command
     assert where[clean] > where[selftest]
     step = next(i for i, l in enumerate(lines) if "name: Installed CLI from a cold process" in l)
-    assert step < where[huge] < next(i for i, l in enumerate(lines) if i > step and "- name:" in l)
+    next_step = next(i for i, l in enumerate(lines) if i > step and "- name:" in l)
+    assert step < where[huge] < next_step and step < where[huge_t] < next_step
+    assert lines[where[huge_t]].strip() == huge_t  # its exit code fails the step
     # every minor version that requires-python admits, through the newest
     matrix = next(re.findall(r'"(3\.\d+)"', l) for l in lines if "python-version: [" in l)
     assert matrix == ["3.10", "3.11", "3.12", "3.13"]

@@ -96,7 +96,7 @@ PINNED_RESULTS = {
 }
 
 CACHE_HEADER = (
-    '{"config": {"bound_override": null, "prune": true, "report_all_partners": false}, '
+    '{"config": {"prune": true, "report_all_partners": false}, '
     '"format": "interlock-census/1"}'
 )
 
@@ -104,7 +104,7 @@ RECORDS = [
     GapWitness("gap", "first", 2, 3),
     check_interlock(6, 10),
     check_interlock(63, 64),
-    SearchConfig(bound_override=10, report_all_partners=True),
+    SearchConfig(report_all_partners=True),
     find_partner(1010),
     verify_pow2_nonseparable(9),
     placement_consensus(8),
@@ -175,15 +175,9 @@ def test_records_are_immutable(record):
         record.no_such_field = 0
 
 
-def test_search_config_validates_and_keeps_its_repr():
-    for args, kwargs in (((), {"bound_override": 1}), ((1,), {})):
-        with pytest.raises(ValueError, match="bound_override must be >= 2"):
-            SearchConfig(*args, **kwargs)
-    assert repr(SearchConfig()) == (
-        "SearchConfig(bound_override=None, prune=True, report_all_partners=False)"
-    )
-    assert SearchConfig(2).bound_override == 2
-    assert hash(SearchConfig()) == hash(SearchConfig(None, True, False))
+def test_search_config_keeps_its_repr():
+    assert repr(SearchConfig()) == "SearchConfig(prune=True, report_all_partners=False)"
+    assert hash(SearchConfig()) == hash(SearchConfig(True, False))
     assert repr(GapWitness("gap", "second", 3, 5)) == (
         "GapWitness(kind='gap', side='second', lower=3, upper=5)"
     )

@@ -69,14 +69,13 @@ def oracle_pairs(limit: int) -> tuple[tuple[int, int], ...]:
 
 
 def test_window_examples():
-    cfg = SearchConfig()
-    assert partner_window(64, cfg) == (33, 4 * 64, False)
-    assert partner_window(2**9, cfg) == (2**8 + 1, 4 * 2**9, False)
-    assert partner_window(12, cfg) == (7, 36, False)
-    assert partner_window(7, cfg) == (2, 49, True)
-    assert partner_window(1, cfg) == (2, 1, True)
+    assert partner_window(64) == (33, 4 * 64, False)
+    assert partner_window(2**9) == (2**8 + 1, 4 * 2**9, False)
+    assert partner_window(12) == (7, 36, False)
+    assert partner_window(7) == (2, 49, True)
+    assert partner_window(1) == (2, 1, True)
     with pytest.raises(ValueError, match="n must be >= 1, got 0"):
-        partner_window(0, cfg)
+        partner_window(0)
 
 
 def test_find_partner_examples():
@@ -92,15 +91,20 @@ def test_find_partner_examples():
     assert r.separable and r.degenerate and r.partners == ()
 
 
-def test_bound_override_and_validation():
-    r = find_partner(64, SearchConfig(bound_override=50))
+def test_window_bound_and_validation(monkeypatch):
+    r = find_partner(64, bound=50)
     assert not r.partners and r.search_bound == 50
-    # n = 1 keeps its empty window whatever the override.
-    r = find_partner(1, SearchConfig(bound_override=10))
+    assert partner_window(12, bound=2) == (7, 2, False)
+    # n = 1 keeps its empty window whatever the bound.
+    r = find_partner(1, bound=10)
     assert r == find_partner(1)
     assert r.partners == () and r.candidates_tested == 0 and r.search_bound == 1
-    with pytest.raises(ValueError):
-        SearchConfig(bound_override=1)
+    # A bound below 2 is refused before n is factored, n = 1 and n = 0 too.
+    monkeypatch.setattr(separability, "divisors", lambda n: pytest.fail("factored"))
+    for n, bound in ((64, 1), (1, 1), (0, 1), (15, -5)):
+        for call in (partner_window, find_partner):
+            with pytest.raises(ValueError, match=f"the bound must be >= 2, got {bound}$"):
+                call(n, bound=bound)
 
 
 def test_oracle_equivalence_small():
@@ -229,7 +233,7 @@ def test_scan_chunks_merge_like_serial():
     # Chunked report-all scans over the exact search window must reproduce
     # both the partner tuple and the serial tested-count.
     for n in (64, 210, 96):
-        lo, hi, _ = partner_window(n, ALL)
+        lo, hi, _ = partner_window(n)
         whole = scan_range(n, lo, hi, ALL)
         step = max(1, (hi - lo) // 7)
         parts = [
@@ -244,7 +248,7 @@ def test_first_hit_scan_matches_full_scan():
     # scan's first partner and the full count of the candidates up to that
     # partner, and a scan with no hit must count the same as the full scan.
     def agree(n):
-        lo, hi, _ = partner_window(n, SearchConfig())
+        lo, hi, _ = partner_window(n)
         full = scan_range(n, lo, hi, ALL)
         first = scan_range(n, lo, hi, SearchConfig())
         assert first.partners == full.partners[:1], n
@@ -310,7 +314,7 @@ def test_scan_range_matches_tau_table_scan(monkeypatch, cap):
         monkeypatch.setattr(separability, "_SEGMENT_CAP", cap)
     taus = tau_table(150 * 150)
     for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
-        lo, hi, _ = partner_window(n, ALL)
+        lo, hi, _ = partner_window(n)
         scan = scan_range(n, lo, hi, ALL)
         assert (scan.partners, scan.passed) == table_scan(n, lo, hi, taus), n
 
@@ -323,7 +327,7 @@ def test_scan_range_reads_a_factor_table_like_the_tau_table_scan(monkeypatch, ca
     factors = FactorTable()
     taus = tau_table(150 * 150)
     for n in list(range(2, 151)) + [1000, 1024, 2048, 2310]:
-        lo, hi, _ = partner_window(n, ALL)
+        lo, hi, _ = partner_window(n)
         scan = scan_range(n, lo, hi, ALL, table=factors)
         assert (scan.partners, scan.passed) == table_scan(n, lo, hi, taus), n
     assert factors.size == min(cap, 2 * arith._TABLE_PIECE)  # 149^2 < 2^15
@@ -606,7 +610,7 @@ def test_every_reported_partner_interlocks(n):
 @settings(max_examples=100, deadline=None)
 def test_partner_window_contains_all_partners(n):
     # Property form of the bound guarantee.
-    lo, hi, _ = partner_window(n, SearchConfig())
+    lo, hi, _ = partner_window(n)
     if len(divisors(n)) >= 3:
         assert lo == n // divisors(n)[1] + 1
         assert hi == n * divisors(n)[2]
@@ -619,7 +623,7 @@ def test_slot_search_matches_the_window_scan():
     # find_partner sends 2^k to the slot search, so the window scan is
     # called directly here.
     for k in range(3, 21):
-        lo, hi, _ = partner_window(2**k, ALL)
+        lo, hi, _ = partner_window(2**k)
         scanned = scan_range(2**k, lo, hi, ALL).partners
         every = pow2_partners(k, hi, True)
         assert every.partners == scanned and every.passed == len(scanned), k
